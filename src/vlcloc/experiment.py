@@ -265,9 +265,18 @@ def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
 
 
 def _nearest_mean_labels(queries: np.ndarray, mean_fps: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-mean-fingerprint label per query (lowest index on ties)."""
-    d2 = ((queries[:, np.newaxis, :] - mean_fps[np.newaxis, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    """Vectorized nearest-mean-fingerprint label per query (lowest index on ties).
+
+    Queries go in row chunks of about 2**20 (query, grid, tone) differences,
+    so memory stays bounded however many queries there are.
+    """
+    out = np.empty(queries.shape[0], dtype=int)
+    chunk = max(1, 2**20 // mean_fps.size)
+    for start in range(0, queries.shape[0], chunk):
+        q = queries[start : start + chunk]
+        d2 = ((q[:, np.newaxis, :] - mean_fps[np.newaxis, :, :]) ** 2).sum(axis=2)
+        out[start : start + chunk] = np.argmin(d2, axis=1)
+    return out
 
 
 def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet, trial: int):

@@ -10,6 +10,7 @@ the site-survey recording.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,17 +245,29 @@ def save_fingerprints(db: FingerprintDB, path) -> None:
 
 
 def load_fingerprints(path) -> FingerprintDB:
-    """Read a database written by save_fingerprints."""
+    """Read a database written by save_fingerprints.
+
+    Blank lines are skipped; errors name the file's own line numbers, and a
+    NaN or infinite value is rejected at the line that holds it.
+    """
     with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        lines = [(num, raw.strip()) for num, raw in enumerate(fh, start=1) if raw.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: truncated fingerprint file")
-    head = lines[0].split()
+
+    def numbers(pos: int) -> list[float]:
+        num, text = lines[pos]
+        values = list(map(float, text.split()))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {num} has a non-finite value: {text!r}")
+        return values
+
+    head = lines[0][1].split()
     if len(head) != 5:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
+        raise ValueError(f"{path}: malformed header {lines[0][1]!r}")
     g, q, m, n = (int(v) for v in head[:4])
-    sample_rate = float(head[4])
-    tones = np.array([float(v) for v in lines[1].split()])
+    sample_rate = numbers(0)[4]
+    tones = np.array(numbers(1))
     if tones.size != m:
         raise ValueError(f"{path}: expected {m} tones, found {tones.size}")
     expected = 2 + g * (q + 1)
@@ -264,12 +277,12 @@ def load_fingerprints(path) -> FingerprintDB:
     rss = np.empty((g, q, m))
     pos = 2
     for gi in range(g):
-        grid[gi] = [float(v) for v in lines[pos].split()]
+        grid[gi] = numbers(pos)
         pos += 1
         for qi in range(q):
-            row = [float(v) for v in lines[pos].split()]
+            row = numbers(pos)
             if len(row) != m:
-                raise ValueError(f"{path}: line {pos + 1} has {len(row)} values, expected {m}")
+                raise ValueError(f"{path}: line {lines[pos][0]} has {len(row)} values, expected {m}")
             rss[gi, qi] = row
             pos += 1
     return FingerprintDB(grid, rss, tones, n, sample_rate)

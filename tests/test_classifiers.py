@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rf_reference
+from rf_reference import entropy
 from vlcloc.classifiers import (ElmClassifier, KnnClassifier, RandomForest,
-                                TrainSet, best_stump_split, entropy)
+                                TrainSet, best_stump_split)
+
+# the O(n) presorted search and the one-hot reference it must reproduce
+SPLITS = (best_stump_split, rf_reference.best_stump_split)
 
 
 def random_train_set(rng, n=20, m=3, g=4):
@@ -139,6 +146,15 @@ class TestElm:
         res_want = np.linalg.norm(h @ oracle - targets)
         assert res_got == pytest.approx(res_want, rel=1e-6)
 
+    def test_hidden_layer_is_the_clipped_sigmoid_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        clf = ElmClassifier(random_train_set(rng, n=30, m=3, g=3), hidden=40, seed=4)
+        x = rng.normal(size=(50, 3)) * 300.0
+        z = (x - clf._mu) / clf._sigma @ clf._w + clf._b
+        assert np.abs(z).max() > 500.0  # the clip is exercised
+        np.testing.assert_array_equal(clf._hidden_out(x),
+                                      1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
+
     def test_class_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         train = random_train_set(rng, n=30, m=3, g=4)
@@ -182,33 +198,37 @@ def stump_oracle(values, labels):
 
 class TestRandomForest:
     def test_single_stump_split_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            values = rng.normal(size=24)
-            labels = rng.integers(0, 3, 24)
-            gain, thr = best_stump_split(values, labels)
-            want_gain, want_thr = stump_oracle(values, labels)
-            assert gain == pytest.approx(want_gain, abs=1e-12)
-            assert thr == pytest.approx(want_thr, abs=1e-12)
+        for split in SPLITS:
+            rng = np.random.default_rng(11)
+            for _ in range(25):
+                values = rng.normal(size=24)
+                labels = rng.integers(0, 3, 24)
+                gain, thr = split(values, labels)
+                want_gain, want_thr = stump_oracle(values, labels)
+                assert gain == pytest.approx(want_gain, abs=1e-12)
+                assert thr == pytest.approx(want_thr, abs=1e-12)
 
     def test_two_pure_clusters_split_found(self):
         values = np.array([0.0, 0.1, 0.2, 5.0, 5.1, 5.2])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        gain, thr = best_stump_split(values, labels)
-        assert gain == pytest.approx(1.0, abs=1e-12)  # one full bit
-        assert thr == pytest.approx(2.6, abs=1e-12)
+        for split in SPLITS:
+            gain, thr = split(values, labels)
+            assert gain == pytest.approx(1.0, abs=1e-12)  # one full bit
+            assert thr == pytest.approx(2.6, abs=1e-12)
 
     def test_constant_feature_has_no_split(self):
-        gain, thr = best_stump_split(np.ones(5), np.array([0, 1, 0, 1, 0]))
-        assert gain == -math.inf
+        for split in SPLITS:
+            gain, thr = split(np.ones(5), np.array([0, 1, 0, 1, 0]))
+            assert gain == -math.inf
 
     def test_gain_never_negative_when_split_exists(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            values = rng.normal(size=16)
-            labels = rng.integers(0, 4, 16)
-            gain, _ = best_stump_split(values, labels)
-            assert gain == -math.inf or gain >= -1e-12
+        for split in SPLITS:
+            rng = np.random.default_rng(12)
+            for _ in range(50):
+                values = rng.normal(size=16)
+                labels = rng.integers(0, 4, 16)
+                gain, _ = split(values, labels)
+                assert gain == -math.inf or gain >= -1e-12
 
     def test_pure_labels_always_predicted(self):
         rng = np.random.default_rng(13)
@@ -283,3 +303,86 @@ class TestCommonInvariants:
             TrainSet(np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             TrainSet(np.zeros((3, 2)), np.array([0, 1, 5]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected_naming_the_row(self, bad):
+        feats = np.zeros((5, 2))
+        feats[3, 1] = bad
+        feats[4, 0] = bad
+        with pytest.raises(ValueError, match="features row 3 is not finite"):
+            TrainSet(feats, np.zeros(5, dtype=int), np.zeros((1, 2)))
+
+
+def same_split(got, want) -> bool:
+    """Bit-identical (gain, threshold); the threshold is nan when no cut exists."""
+    return got[0] == want[0] and (got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1])))
+
+
+@st.composite
+def adversarial_node(draw):
+    """Node values and labels built to stress the screen: few distinct values,
+    one class or very many, skewed or value-sorted labels, n up to 3000."""
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.sampled_from([1, 2, 3, 10, None]))
+    if distinct is None:
+        values = rng.normal(size=n)
+    else:
+        values = rng.choice(rng.normal(size=distinct) * 10.0 ** rng.integers(-3, 4), n)
+    classes = draw(st.sampled_from([1, 2, 3, 50, 300, n]))
+    layout = draw(st.sampled_from(["uniform", "skewed", "by_value", "sparse_ids"]))
+    if layout == "skewed":
+        labels = rng.choice(classes, n, p=rng.dirichlet(np.full(classes, 0.3)))
+    elif layout == "by_value":
+        labels = np.argsort(np.argsort(values, kind="stable")) * classes // n
+    else:
+        labels = rng.integers(0, classes, n)
+    if layout == "sparse_ids":
+        labels = labels * 97 + 5
+    return values, labels
+
+
+class TestSplitBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_node())
+    def test_matches_one_hot_reference_exactly(self, node):
+        values, labels = node
+        assert same_split(best_stump_split(values, labels),
+                          rf_reference.best_stump_split(values, labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([-1.0, -0.0, 0.0, 1.0, 5e-324, 1.0 + 2.0**-52])),
+        st.integers(0, 5)), min_size=1, max_size=60))
+    def test_matches_one_hot_reference_on_arbitrary_floats(self, pairs):
+        values = np.array([v for v, _ in pairs])
+        labels = np.array([lab for _, lab in pairs])
+        assert same_split(best_stump_split(values, labels),
+                          rf_reference.best_stump_split(values, labels))
+
+
+class TestForestMatchesReference:
+    @pytest.mark.parametrize("decimals", [None, 1])  # continuous, heavily duplicated
+    def test_same_trees_node_for_node(self, decimals):
+        rng = np.random.default_rng(19)
+        n, m, g = 3000, 6, 50
+        centers = rng.normal(size=(g, m)) * 3.0
+        labels = rng.integers(0, g, n)
+        feats = centers[labels] + rng.normal(size=(n, m))
+        if decimals is not None:
+            feats = np.round(feats, decimals)
+        train = TrainSet(feats, labels, rng.normal(size=(g, 2)))
+        forest = RandomForest(train, trees=5, depth=6, seed=23)
+        roots = rf_reference.reference_forest(train, trees=5, depth=6, seed=23)
+        assert len(forest.tree_arrays) == len(roots)
+        for tree, root in zip(forest.tree_arrays, roots):
+            for got, want in zip(tree, rf_reference.preorder(root)):
+                np.testing.assert_array_equal(got, want)  # nan thresholds compare equal
+        queries = centers[rng.integers(0, g, 400)] + rng.normal(size=(400, m))
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in forest.tree_arrays])
+        queries[:100] = rng.choice(thresholds, size=(100, m))  # values on a threshold go left
+        want = np.array([[rf_reference.route(root, q) for q in queries] for root in roots])
+        np.testing.assert_array_equal(forest.tree_labels(queries), want)
+        np.testing.assert_array_equal(forest.predict_labels(queries),
+                                      rf_reference.forest_labels(roots, queries, g))

@@ -244,6 +244,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="header"):
             load_fingerprints(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line_index", [1, 2, 4])  # a tone, a coordinate, an RSS value
+    def test_non_finite_value_rejected_at_its_line(self, tmp_path, bad, line_index):
+        path = tmp_path / "fp.txt"
+        save_fingerprints(self.make_db(), path)
+        lines = path.read_text().splitlines()
+        lines[line_index] = " ".join([bad] + lines[line_index].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"fp.txt: line {line_index + 1} has a non-finite"):
+            load_fingerprints(path)
+
+    def test_errors_name_physical_lines_past_blank_ones(self, tmp_path):
+        path = tmp_path / "fp.txt"
+        save_fingerprints(self.make_db(), path)
+        lines = path.read_text().splitlines()
+        lines[6] = "nan " + lines[6]  # an RSS line with 5 values instead of 4
+        path.write_text("\n\n".join(lines) + "\n")  # a blank line after every line
+        with pytest.raises(ValueError, match="line 13 has a non-finite"):
+            load_fingerprints(path)
+        lines[6] = "1.0 " + lines[6][4:]
+        path.write_text("\n\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 13 has 5 values, expected 4"):
+            load_fingerprints(path)
+
 
 class TestRssVectorValidation:
     def test_frequencies_must_increase(self):
