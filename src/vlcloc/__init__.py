@@ -12,7 +12,7 @@ from .fusion import (FusionWeights, GdWeightBank, LocationEstimate, LsFit,
                      build_prediction_matrix, gd_ls_fit, gd_ls_predict,
                      gd_select_grid, gi_ls_fit, gi_ls_predict, ls_svd_weights,
                      ls_weights)
-from .baselines import RssrConfig, RssrSolver, rss_match, rssr_locate
+from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, error_cdf, mspe, run_experiment,
                          rss_vs_fft_len, synthesize_fingerprint_db)

@@ -1,5 +1,4 @@
-"""Comparison methods: classical RSS fingerprint matching and RSS-ratio
-(RSSR) trilateration.
+"""RSS-ratio (RSSR) trilateration, the model-based comparison method.
 
 RSSR works in the linear received-power domain. Under the vertical
 Lambertian geometry, power from LED i scales as h^(m+1) / d_i^(m+3), so
@@ -11,7 +10,6 @@ refinement (or Gauss-Newton iterations).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,142 +47,129 @@ class RssrConfig:
         object.__setattr__(self, "led_positions", pos)
 
 
-def rss_match(query, mean_fps, grid_coords) -> LocationEstimate:
-    """Nearest-mean-fingerprint matching; same metric and tie rule as the
-    grid-dependent selector."""
-    q = np.asarray(query, dtype=float)
-    fps = np.asarray(mean_fps, dtype=float)
-    coords = np.asarray(grid_coords, dtype=float)
-    if fps.shape[0] != coords.shape[0]:
-        raise ValueError("mean_fps rows must match grid_coords rows")
-    if q.shape != (fps.shape[1],):
-        raise ValueError("query dimension must match fingerprint columns")
-    g = int(np.argmin(((fps - q) ** 2).sum(axis=1)))
-    return LocationEstimate(float(coords[g, 0]), float(coords[g, 1]), "rss-match")
-
-
-def _log_distances(cfg: RssrConfig, xy: np.ndarray) -> np.ndarray:
-    """log d_i for candidate positions xy (..., 2) against every LED."""
-    led = cfg.led_positions
-    dx = xy[..., np.newaxis, 0] - led[:, 0]
-    dy = xy[..., np.newaxis, 1] - led[:, 1]
-    return 0.5 * np.log(dx**2 + dy**2 + led[:, 2] ** 2)
-
-
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.array(list(itertools.combinations(range(m), 2)))
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _residuals(cfg: RssrConfig, log_ratios: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Per-pair residuals (m+3)(log d_j - log d_i) - log(r_i / r_j)."""
-    i, j = _pair_indices(cfg.led_positions.shape[0])
-    ld = _log_distances(cfg, xy)
-    model = (cfg.lambertian_order + 3.0) * (ld[..., j] - ld[..., i])
-    return model - log_ratios
-
-
-def _objective(cfg: RssrConfig, log_ratios: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    return (_residuals(cfg, log_ratios, xy) ** 2).sum(axis=-1)
-
-
 class RssrSolver:
-    """Reusable RSSR solver; precomputes the scan grid's model terms so that
-    locating many queries against one geometry stays cheap."""
+    """Reusable RSSR solver for many queries against one geometry.
+
+    Everything that depends only on the geometry and the scan resolution is
+    built once here: the LED pair indices, m + 3, the LED x, y and h^2
+    columns, the scan grid's model terms, and for each of the three
+    refinement rounds its 3x3 stencil offsets and the five rows of the
+    least-squares pseudo-inverse that map the nine objective values to the
+    quadratic's (gx, gy, cxx, cyy, cxy). A query then costs one matvec over
+    the scan grid plus, per round, nine objective values, one 5x9 matvec
+    and a closed-form 2x2 Newton step.
+    """
 
     def __init__(self, cfg: RssrConfig):
         self.cfg = cfg
+        led = cfg.led_positions
+        m = led.shape[0]
+        self._i, self._j = np.triu_indices(m, 1)  # LED pairs i < j
+        # (M, P) pair differences: (v @ diff)[p] = v[j_p] - v[i_p], exactly
+        self._pair_diff = np.eye(m)[:, self._j] - np.eye(m)[:, self._i]
+        self._m3 = cfg.lambertian_order + 3.0
+        self._led_xy = led[:, :2].T.copy()   # (2, M)
+        self._led_h2 = led[:, 2] ** 2
+
         (x0, x1), (y0, y1) = cfg.bounds
         res = cfg.scan_resolution
         xs = np.arange(x0, x1 + 0.5 * res, res)
         ys = np.arange(y0, y1 + 0.5 * res, res)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self._cells = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        i, j = _pair_indices(cfg.led_positions.shape[0])
-        ld = _log_distances(cfg, self._cells)
-        self._model = (cfg.lambertian_order + 3.0) * (ld[:, j] - ld[:, i])
-        self._model_sq = (self._model**2).sum(axis=1)
+        model = self._model_at(self._cells)
+        self._model_sq = (model**2).sum(axis=1)
+        # Column-major, like the fancy-indexed model of the reference solver
+        # in the tests: BLAS then adds each cell's terms in the same order, so
+        # the scan values, and the cell picked among near-ties, agree bit for bit.
+        self._model_x2 = np.asfortranarray(2.0 * model)
+
+        # Quadratic f ~ c0 + gx sx + gy sy + cxx sx^2 + cyy sy^2 + cxy sx sy on
+        # the stencil h * {-1, 0, 1}^2: with D = diag(1, h, h, h^2, h^2, h^2)
+        # the design matrix is A_1 D, so its pseudo-inverse is D^-1 pinv(A_1).
+        unit = np.array([-1.0, 0.0, 1.0])
+        ux, uy = (u.ravel() for u in np.meshgrid(unit, unit, indexing="ij"))
+        design = np.column_stack([np.ones(9), ux, uy, ux**2, uy**2, ux * uy])
+        unit_rows = np.linalg.pinv(design)[1:]
+        self._rounds = []
+        h = res
+        for _ in range(3):
+            offsets = np.stack([h * ux, h * uy], axis=-1)
+            rows = unit_rows / np.array([h, h, h * h, h * h, h * h])[:, np.newaxis]
+            self._rounds.append((h, offsets, rows))
+            h /= 10.0
+
+    def _model_at(self, xy: np.ndarray) -> np.ndarray:
+        """Per-pair model (m+3)(log d_j - log d_i) at positions xy (..., 2)."""
+        d2 = ((xy[..., np.newaxis] - self._led_xy) ** 2).sum(axis=-2) + self._led_h2
+        ld = 0.5 * np.log(d2)
+        return self._m3 * (ld @ self._pair_diff)
 
     def _scan(self, log_ratios: np.ndarray) -> np.ndarray:
         # argmin of sum_p (model - c)^2; the c^2 term is constant over cells
-        f = self._model_sq - 2.0 * (self._model @ log_ratios)
+        f = self._model_sq - self._model_x2 @ log_ratios
         return self._cells[int(np.argmin(f))].copy()
 
+    def _refine(self, log_ratios: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Fit a 2-d quadratic on a 3x3 stencil and jump to its stationary point.
+
+        Three rounds with a stencil shrinking tenfold each pull the scan
+        optimum well below millimeter error on smooth noiseless objectives.
+        A step is taken only where the fitted Hessian is positive definite,
+        and it is clamped to +-1.5 stencil spacings, so a non-convex fit
+        cannot throw the estimate away.
+        """
+        c = center
+        for h, offsets, rows in self._rounds:
+            f = ((self._model_at(c + offsets) - log_ratios) ** 2).sum(axis=-1)
+            gx, gy, cxx, cyy, cxy = (rows @ f).tolist()
+            # Hessian [[2 cxx, cxy], [cxy, 2 cyy]]; Cramer's rule for H s = -g
+            det = 4.0 * cxx * cyy - cxy * cxy
+            if det > 0.0 and cxx > 0.0:
+                lim = 1.5 * h
+                sx = min(max((cxy * gy - 2.0 * cyy * gx) / det, -lim), lim)
+                sy = min(max((cxy * gx - 2.0 * cxx * gy) / det, -lim), lim)
+                c = c + (sx, sy)
+        return c
+
     def locate(self, query) -> LocationEstimate:
+        """Position from one query of linear received powers (one per LED, > 0).
+
+        Ratios cancel any common scale factor, so only relative levels matter.
+        """
         cfg = self.cfg
         r = np.asarray(query, dtype=float)
         if r.shape != (cfg.led_positions.shape[0],):
             raise ValueError("query length must match the number of LEDs")
-        if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+        if not all(0.0 < v < math.inf for v in r.tolist()):
             raise ValueError("RSSR needs strictly positive finite linear powers")
-        i, j = _pair_indices(r.size)
-        log_ratios = np.log(r[i] / r[j])
+        log_ratios = np.log(r[self._i] / r[self._j])
 
         coarse = self._scan(log_ratios)
         warning = None
         if cfg.solver == GAUSS_NEWTON:
-            p, converged = _gauss_newton(cfg, log_ratios, coarse)
+            p, converged = _gauss_newton(self, log_ratios, coarse)
             if not converged or not np.all(np.isfinite(p)):
                 p = coarse
                 warning = "gauss-newton did not converge; returning scan optimum"
         else:
-            p = _quadratic_refine(cfg, log_ratios, coarse, cfg.scan_resolution)
+            p = self._refine(log_ratios, coarse)
         return LocationEstimate(float(p[0]), float(p[1]), "rssr", warning=warning)
 
 
-def _quadratic_refine(cfg: RssrConfig, log_ratios: np.ndarray,
-                      center: np.ndarray, h: float) -> np.ndarray:
-    """Fit a 2-d quadratic on a 3x3 stencil and jump to its stationary point.
-
-    Three rounds with a shrinking stencil pull the scan optimum well below
-    millimeter error on smooth noiseless objectives. Steps are clamped to
-    the stencil box so a non-convex fit cannot throw the estimate away.
-    """
-    c = center.astype(float).copy()
-    for _ in range(3):
-        dx = np.array([-h, 0.0, h])
-        sx, sy = np.meshgrid(dx, dx, indexing="ij")
-        pts = np.stack([c[0] + sx.ravel(), c[1] + sy.ravel()], axis=-1)
-        f = _objective(cfg, log_ratios, pts)
-        a = np.column_stack([
-            np.ones(9), sx.ravel(), sy.ravel(),
-            sx.ravel() ** 2, sy.ravel() ** 2, sx.ravel() * sy.ravel(),
-        ])
-        coef = np.linalg.lstsq(a, f, rcond=None)[0]
-        _, cx, cy, cxx, cyy, cxy = coef
-        hess = np.array([[2.0 * cxx, cxy], [cxy, 2.0 * cyy]])
-        if np.linalg.det(hess) > 0.0 and hess[0, 0] > 0.0:
-            step = np.linalg.solve(hess, -np.array([cx, cy]))
-            step = np.clip(step, -1.5 * h, 1.5 * h)
-            c = c + step
-        h /= 10.0
-    return c
-
-
-def _gauss_newton(cfg: RssrConfig, log_ratios: np.ndarray,
+def _gauss_newton(solver: RssrSolver, log_ratios: np.ndarray,
                   start: np.ndarray) -> tuple[np.ndarray, bool]:
-    m3 = cfg.lambertian_order + 3.0
-    led = cfg.led_positions
-    i, j = _pair_indices(led.shape[0])
+    led = solver.cfg.led_positions
+    i, j = solver._i, solver._j
     p = start.astype(float).copy()
     for _ in range(50):
         delta = p - led[:, :2]
         d2 = (delta**2).sum(axis=1) + led[:, 2] ** 2
         grad_logd = delta / d2[:, np.newaxis]        # gradient of log d_i
-        jac = m3 * (grad_logd[j] - grad_logd[i])
-        res = _residuals(cfg, log_ratios, p)
+        jac = solver._m3 * (grad_logd[j] - grad_logd[i])
+        res = solver._model_at(p) - log_ratios
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         p = p + step
         if np.linalg.norm(step) < 1e-12:
             return p, True
     return p, False
-
-
-def rssr_locate(query, cfg: RssrConfig) -> LocationEstimate:
-    """Position from pairwise RSS ratios under the Lambertian model.
-
-    query holds linear received powers (one per LED, > 0); ratios cancel
-    any common scale factor, so only relative levels matter. For many
-    queries against one geometry build an RssrSolver once instead.
-    """
-    return RssrSolver(cfg).locate(query)

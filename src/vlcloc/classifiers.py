@@ -287,15 +287,19 @@ def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
     h_parent = math.log2(n) - plogp_sum(total) / n
     gains = h_parent - (sizes_l * h_left + sizes_r * h_right) / n
     j = int(np.argmax(gains))  # first max: smallest threshold on gain ties
-    thr = 0.5 * (vs[keep[j]] + vs[keep[j] + 1])
-    return float(gains[j]), float(thr)
+    lo, hi = float(vs[keep[j]]), float(vs[keep[j] + 1])
+    thr = 0.5 * (lo + hi)
+    if not lo <= thr < hi:  # a midpoint that rounds to hi or overflows separates nothing
+        thr = lo
+    return float(gains[j]), thr
 
 
 def best_stump_split(values, labels) -> tuple[float, float]:
     """(information gain, threshold) of the best single-feature threshold.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; gain is the entropy reduction (bits) of the induced two-way
+    values (the lower value where the midpoint does not fall below the
+    upper one); gain is the entropy reduction (bits) of the induced two-way
     split, and the smallest threshold wins gain ties. labels must be
     non-negative integers. Returns (-inf, nan) when the feature is constant
     over the node.

@@ -10,6 +10,7 @@ from the plan seed through named SeedSequence children).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,9 +398,15 @@ def _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd) -> np.ndarr
         # ratio model expects is their square root, i.e. 10^(dB/20)
         linear = 10.0 ** (on_q / 20.0)
         est = np.empty((on_q.shape[0], 2))
+        warned = []
         for r in range(on_q.shape[0]):
             loc = solver.locate(linear[r])
             est[r] = (loc.x, loc.y)
+            if loc.warning is not None:
+                warned.append(loc.warning)
+        if warned:
+            warnings.warn(f"rssr: {len(warned)} of {len(est)} queries warned, first: {warned[0]}",
+                          RuntimeWarning, stacklevel=2)
         return est
     raise ValueError(f"unknown method {method!r}")
 

@@ -77,6 +77,9 @@ class FingerprintDB:
             raise ValueError("rss must have shape (G, Q, M) matching grid and tones")
         if np.any(np.diff(tones) <= 0.0):
             raise ValueError("tones must be strictly increasing")
+        if not np.isfinite(rss).all():
+            g, q, m = np.argwhere(~np.isfinite(rss))[0]
+            raise ValueError(f"RSS of grid {g}, block {q}, tone {m} is {rss[g, q, m]}")
         object.__setattr__(self, "grid_coords", grid)
         object.__setattr__(self, "rss", rss)
         object.__setattr__(self, "tones", tones)

@@ -26,7 +26,8 @@ def best_stump_split(values: np.ndarray, labels: np.ndarray) -> tuple[float, flo
     """(information gain, threshold) of the best single-feature threshold.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; gain is the entropy reduction of the induced two-way split.
+    values (the lower value where the midpoint does not fall below the
+    upper one); gain is the entropy reduction of the induced two-way split.
     Returns (-inf, nan) when the feature is constant over the node.
     """
     order = np.argsort(values, kind="stable")
@@ -56,8 +57,11 @@ def best_stump_split(values: np.ndarray, labels: np.ndarray) -> tuple[float, flo
     h_parent = math.log2(n) - plogp_sum(total) / n
     gains = h_parent - (sizes_l * h_left + sizes_r * h_right) / n
     j = int(np.argmax(gains))  # first max: smallest threshold on gain ties
-    thr = 0.5 * (vs[cuts[j]] + vs[cuts[j] + 1])
-    return float(gains[j]), float(thr)
+    lo, hi = float(vs[cuts[j]]), float(vs[cuts[j] + 1])
+    thr = 0.5 * (lo + hi)
+    if not lo <= thr < hi:  # a midpoint that rounds to hi or overflows separates nothing
+        thr = lo
+    return float(gains[j]), thr
 
 
 @dataclass

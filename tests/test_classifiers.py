@@ -362,6 +362,26 @@ class TestSplitBitIdentity:
                           rf_reference.best_stump_split(values, labels))
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # adjacent doubles: the midpoint rounds up to hi
+    (1.6e308, 1.7e308),                # lo + hi overflows to inf
+    (-1.7e308, -1.6e308),              # ... and to -inf
+])
+def test_cut_between_inseparable_neighbours_keeps_both_children(lo, hi):
+    values = np.array([lo, hi] * 4)
+    labels = np.array([0, 1] * 4)
+    for split in SPLITS:
+        gain, thr = split(values, labels)
+        assert gain == pytest.approx(1.0, abs=1e-12) and thr == lo
+    train = TrainSet(values[:, np.newaxis], labels, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    forest = RandomForest(train, trees=5, depth=2, seed=0)
+    roots = rf_reference.reference_forest(train, trees=5, depth=2, seed=0)
+    for tree, root in zip(forest.tree_arrays, roots):
+        for got, want in zip(tree, rf_reference.preorder(root)):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(forest.predict_labels(values[:, np.newaxis]), labels)
+
+
 class TestForestMatchesReference:
     @pytest.mark.parametrize("decimals", [None, 1])  # continuous, heavily duplicated
     def test_same_trees_node_for_node(self, decimals):

@@ -255,6 +255,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"fp.txt: line {line_index + 1} has a non-finite"):
             load_fingerprints(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_db_rejects_non_finite_rss_naming_the_first_entry(self, bad):
+        db = self.make_db()
+        rss = db.rss.copy()
+        rss[2, 1, 3] = rss[1, 0, 2] = bad
+        with pytest.raises(ValueError, match=f"RSS of grid 1, block 0, tone 2 is {bad}"):
+            FingerprintDB(db.grid_coords, rss, db.tones, db.fft_len, db.sample_rate)
+
     def test_errors_name_physical_lines_past_blank_ones(self, tmp_path):
         path = tmp_path / "fp.txt"
         save_fingerprints(self.make_db(), path)
