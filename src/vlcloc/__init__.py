@@ -5,20 +5,17 @@ least-squares fusion, with RSS-matching and RSS-ratio baselines."""
 from .channel import (ChannelParams, LedConfig, PdPose, attenuation, distance,
                       lambertian_order_from_semiangle, propagation_delay,
                       synthesize_received)
-from .classifiers import (ElmClassifier, GridPrediction, KnnClassifier,
-                          RandomForest, TrainSet)
-from .fusion import (FusionWeights, GdWeightBank, LocationEstimate, LsFit,
-                     PredictionMatrix, RankDeficientError,
-                     build_prediction_matrix, gd_ls_fit, gd_ls_predict,
-                     gd_select_grid, gi_ls_fit, gi_ls_predict, ls_svd_weights,
-                     ls_weights)
-from .baselines import RssrConfig, RssrSolver
+from .classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
+from .fusion import (FusionWeights, GdWeightBank, LsFit, PredictionMatrix,
+                     build_prediction_matrix, gd_ls_fit, gd_ls_predict_all,
+                     gi_ls_fit, gi_ls_predict_all, ls_svd_weights,
+                     nearest_mean_labels)
+from .baselines import LocationEstimate, RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
-                         SplitRatios, error_cdf, mspe, run_experiment,
+                         SplitRatios, cdf_grid, error_cdf, run_experiment,
                          rss_vs_fft_len, synthesize_fingerprint_db)
-from .spectral import (FingerprintDB, PsdEstimate, RssVector,
-                       build_fingerprints, extract_rss, from_db,
-                       load_fingerprints, mean_fingerprints, periodogram,
+from .spectral import (FingerprintDB, build_fingerprints, from_db,
+                       load_fingerprints, peak_powers, periodogram,
                        save_fingerprints, to_db)
 from .config import (ConfigError, benchmark_config, load_config,
                      plan_from_config, validate_config)

@@ -15,10 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import LocationEstimate
-
 GRID_SCAN = "grid-scan"
 GAUSS_NEWTON = "gauss-newton"
+
+
+@dataclass(frozen=True)
+class LocationEstimate:
+    x: float
+    y: float
+    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ class RssrSolver:
                 warning = "gauss-newton did not converge; returning scan optimum"
         else:
             p = self._refine(log_ratios, coarse)
-        return LocationEstimate(float(p[0]), float(p[1]), "rssr", warning=warning)
+        return LocationEstimate(float(p[0]), float(p[1]), warning)
 
 
 def _gauss_newton(solver: RssrSolver, log_ratios: np.ndarray,

@@ -60,7 +60,6 @@ class ChannelParams:
     noise_std: float             # per-sample std of n(t), signal units
     sample_rate: float           # Hz
     speed_of_light: float = SPEED_OF_LIGHT
-    window: str = "rectangular"
 
     def __post_init__(self):
         if self.lambertian_order <= 0.0:
@@ -71,8 +70,6 @@ class ChannelParams:
             raise ValueError("noise_std must be non-negative")
         if self.sample_rate <= 0.0:
             raise ValueError("sample_rate must be positive")
-        if self.window != "rectangular":
-            raise ValueError(f"unsupported window {self.window!r}; only 'rectangular'")
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def synthesize_received(
 
     Each tone arrives as amp * (1 + cos(2*pi*f*t - 2*pi*f*tau)) scaled by
     alpha * gain; the delay acts as a pure phase offset, which is exact for
-    continuous tones under the rectangular window. Noise is zero-mean
+    continuous tones cut into plain (unweighted) blocks. Noise is zero-mean
     Gaussian with std params.noise_std, drawn from rng_seed.
     """
     if not leds:

@@ -47,12 +47,6 @@ class TrainSet:
         return self.grid_coords.shape[0]
 
 
-@dataclass(frozen=True)
-class GridPrediction:
-    grid_index: int
-    coords: np.ndarray  # (2,) meters
-
-
 def _as_query_matrix(queries) -> np.ndarray:
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
@@ -70,10 +64,6 @@ class _GridClassifier:
 
     def predict_labels(self, queries) -> np.ndarray:
         raise NotImplementedError
-
-    def predict(self, query) -> GridPrediction:
-        label = int(self.predict_labels(query)[0])
-        return GridPrediction(label, self.train_set.grid_coords[label].copy())
 
     def predict_coords(self, queries) -> np.ndarray:
         """(n, 2) coordinates of the predicted grid labels."""

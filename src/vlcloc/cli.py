@@ -117,9 +117,9 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
     print(f"results written to {out_dir}")
 
 
-def cmd_table1(plan: experiment.ExperimentPlan, fft_lens, grid_index: int,
-               blocks: int | None) -> None:
-    tones, lens, table = experiment.rss_vs_fft_len(plan, fft_lens, grid_index, blocks)
+def cmd_table1(plan: experiment.ExperimentPlan, **settings) -> None:
+    """Print rss_vs_fft_len(plan, **settings) with its inter-column deltas."""
+    tones, lens, table = experiment.rss_vs_fft_len(plan, **settings)
     header = "tone_hz".ljust(12) + "".join(f"N{n}".rjust(12) for n in lens)
     print("# mean RSS (dB) per tone vs FFT length")
     print(header)
@@ -155,8 +155,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(plan, args.db, args.out)
         elif args.command == "table1":
-            lens, grid_index, blocks = config_mod.table1_settings(cfg)
-            cmd_table1(plan, lens, grid_index, blocks)
+            cmd_table1(plan, **config_mod.table1_settings(cfg))
     except Exception as e:  # noqa: BLE001 - CLI boundary maps failures to exit 3
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -1,34 +1,40 @@
 """JSON experiment configuration: schema validation and plan construction.
 
-Config layout (all keys shown; omitted optional keys take the defaults)::
+Config layout (every key shown; `?` marks an optional key)::
 
     {
       "geometry": {
-        "grid": {"q": 15, "spacing_m": 0.05},
+        "grid": {"q": int, "spacing_m": m},
         "leds": [
           {"position_m": [x, y, h], "frequency_hz": f,
-           "amplitude": 1.0, "gain": 1.0},
+           "amplitude"?: a, "gain"?: g},
           ...
         ]
       },
       "channel": {
-        "semi_angle_deg": 22.0,          # or "lambertian_order" (exactly one)
-        "pd_area_m2": 1e-4,
-        "noise_std": 0.0,
-        "sample_rate_hz": 4e6,
-        "speed_of_light_mps": 299792458.0
+        "semi_angle_deg": deg,           # or "lambertian_order" (exactly one)
+        "pd_area_m2": m2,
+        "noise_std": std,
+        "sample_rate_hz": hz,
+        "speed_of_light_mps"?: mps
       },
-      "spectral": {"fft_len": 2000, "blocks_per_grid": 200},
-      "split": {"train": 0.6, "offline": 0.2, "online": 0.2, "shuffle": false},
-      "classifiers": {"order": ["knn", "elm", "rf"], "knn": {"k": 120},
-                      "elm": {"hidden": 600}, "rf": {"trees": 40, "depth": 5}},
-      "fusion": {"rank_tol": null},
-      "rssr": {"solver": "grid-scan", "scan_resolution_m": 0.01, "margin_m": 0.05},
-      "run": {"methods": [...], "trials": 1, "seed": 1729,
-              "cdf_max_m": 0.25, "cdf_step_m": 0.0025},
-      "table1": {"fft_lens": [2000, 4000, 6000, 8000], "grid_index": 0,
-                 "blocks": 200}
+      "spectral": {"fft_len": int, "blocks_per_grid": int},
+      "split"?: {"train"?: frac, "offline"?: frac, "online"?: frac, "shuffle"?: bool},
+      "classifiers"?: {"order"?: ["knn", "elm", "rf"], "knn"?: {"k"?: int},
+                       "elm"?: {"hidden"?: int}, "rf"?: {"trees"?: int, "depth"?: int}},
+      "fusion"?: {"rank_tol"?: tol or null},
+      "rssr"?: {"solver"?: "grid-scan" | "gauss-newton", "scan_resolution_m"?: m,
+                "margin_m"?: m},
+      "run": {"methods": [...], "trials"?: int, "seed": int,
+              "cdf_max_m"?: m, "cdf_step_m"?: m},
+      "table1"?: {"fft_lens"?: [int, ...], "grid_index"?: int, "blocks"?: int}
     }
+
+An omitted optional key takes the default of the field it sets: those of
+`LedConfig`, `ChannelParams`, `SplitRatios` and `ExperimentPlan`,
+`experiment.cdf_grid` for the CDF thresholds, and `rss_vs_fft_len` for
+`table1`. Those defaults are the only copy; `benchmark_config()` is the
+calibrated testbed, not a list of defaults.
 
 Unknown keys anywhere are rejected. Validation happens before any
 computation so a bad config fails fast.
@@ -38,13 +44,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 
 from .baselines import GAUSS_NEWTON, GRID_SCAN
-from .channel import (SPEED_OF_LIGHT, ChannelParams, LedConfig,
-                      lambertian_order_from_semiangle)
-from .experiment import ALL_METHODS, ExperimentPlan, SplitRatios
+from .channel import ChannelParams, LedConfig, lambertian_order_from_semiangle
+from .experiment import ALL_METHODS, ExperimentPlan, SplitRatios, cdf_grid
 
 
 class ConfigError(ValueError):
@@ -62,23 +68,22 @@ def _check_keys(section: dict, path: str, required: set[str], optional: set[str]
         raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
 
 
-def _number(section: dict, key: str, path: str, default=None, minimum=None,
-            allow_none=False):
+def _number(section: dict, key: str, path: str, minimum=None, allow_none=False):
     if key not in section:
-        return default
+        return None
     v = section[key]
     if v is None and allow_none:
         return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
     return float(v)
 
 
-def _integer(section: dict, key: str, path: str, default=None, minimum=None):
+def _integer(section: dict, key: str, path: str, minimum=None):
     if key not in section:
-        return default
+        return None
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
@@ -106,11 +111,12 @@ def validate_config(cfg: dict) -> None:
                     optional={"amplitude", "gain"})
         pos = led["position_m"]
         if (not isinstance(pos, list) or len(pos) != 3
-                or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pos)):
-            raise ConfigError(f"{path}.position_m: expected [x, y, h] numbers")
+                or any(isinstance(p, bool) or not isinstance(p, (int, float))
+                       or not math.isfinite(p) for p in pos)):
+            raise ConfigError(f"{path}.position_m: expected [x, y, h] finite numbers, got {pos!r}")
         _number(led, "frequency_hz", path, minimum=1e-9)
-        _number(led, "amplitude", path, default=1.0)
-        _number(led, "gain", path, default=1.0, minimum=0.0)
+        _number(led, "amplitude", path)
+        _number(led, "gain", path, minimum=0.0)
 
     chan = cfg["channel"]
     _check_keys(chan, "channel",
@@ -129,7 +135,7 @@ def validate_config(cfg: dict) -> None:
     _number(chan, "pd_area_m2", "channel", minimum=1e-12)
     _number(chan, "noise_std", "channel", minimum=0.0)
     _number(chan, "sample_rate_hz", "channel", minimum=1e-9)
-    _number(chan, "speed_of_light_mps", "channel", default=SPEED_OF_LIGHT, minimum=1.0)
+    _number(chan, "speed_of_light_mps", "channel", minimum=1.0)
 
     spec = cfg["spectral"]
     _check_keys(spec, "spectral", required={"fft_len", "blocks_per_grid"})
@@ -206,6 +212,12 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _given(section: dict, fields: dict[str, str], cast=float) -> dict:
+    """{field: cast(value)} for each {config key: field} the section sets, so
+    that a key it leaves out keeps the field's own default."""
+    return {name: cast(section[key]) for key, name in fields.items() if key in section}
+
+
 def plan_from_config(cfg: dict) -> ExperimentPlan:
     """Build an ExperimentPlan from a validated config dict."""
     validate_config(cfg)
@@ -214,8 +226,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         LedConfig(
             position=np.array(led["position_m"], dtype=float),
             frequency=float(led["frequency_hz"]),
-            amplitude=float(led.get("amplitude", 1.0)),
-            gain=float(led.get("gain", 1.0)),
+            **_given(led, {"amplitude": "amplitude", "gain": "gain"}),
         )
         for led in geo["leds"]
     )
@@ -228,21 +239,15 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         pd_area=float(chan["pd_area_m2"]),
         noise_std=float(chan["noise_std"]),
         sample_rate=float(chan["sample_rate_hz"]),
-        speed_of_light=float(chan.get("speed_of_light_mps", SPEED_OF_LIGHT)),
+        **_given(chan, {"speed_of_light_mps": "speed_of_light"}),
     )
     split_cfg = cfg.get("split", {})
-    split = SplitRatios(
-        train=float(split_cfg.get("train", 0.6)),
-        offline=float(split_cfg.get("offline", 0.2)),
-        online=float(split_cfg.get("online", 0.2)),
-        shuffle=bool(split_cfg.get("shuffle", False)),
-    )
+    split = SplitRatios(**_given(split_cfg, {"train": "train", "offline": "offline",
+                                             "online": "online"}),
+                        **_given(split_cfg, {"shuffle": "shuffle"}, bool))
     clf = cfg.get("classifiers", {})
-    fus = cfg.get("fusion", {})
     rssr = cfg.get("rssr", {})
-    cdf_max = float(run.get("cdf_max_m", 0.25))
-    cdf_step = float(run.get("cdf_step_m", 0.0025))
-    thresholds = tuple(np.round(np.arange(0.0, cdf_max + 0.5 * cdf_step, cdf_step), 9))
+    cdf = _given(run, {"cdf_max_m": "max_m", "cdf_step_m": "step_m"})
     return ExperimentPlan(
         leds=leds,
         channel=channel,
@@ -251,26 +256,24 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         fft_len=int(spec["fft_len"]),
         blocks_per_grid=int(spec["blocks_per_grid"]),
         split=split,
-        knn_k=int(clf.get("knn", {}).get("k", 120)),
-        elm_hidden=int(clf.get("elm", {}).get("hidden", 600)),
-        rf_trees=int(clf.get("rf", {}).get("trees", 40)),
-        rf_depth=int(clf.get("rf", {}).get("depth", 5)),
-        classifier_order=tuple(clf.get("order", ["knn", "elm", "rf"])),
         methods=tuple(run["methods"]),
-        trials=int(run.get("trials", 1)),
         seed=int(run["seed"]),
-        rank_tol=fus.get("rank_tol"),
-        rssr_solver=rssr.get("solver", GRID_SCAN),
-        rssr_scan_resolution=float(rssr.get("scan_resolution_m", 0.01)),
-        rssr_margin=float(rssr.get("margin_m", 0.05)),
-        cdf_thresholds=thresholds,
+        **_given(clf.get("knn", {}), {"k": "knn_k"}, int),
+        **_given(clf.get("elm", {}), {"hidden": "elm_hidden"}, int),
+        **_given(clf.get("rf", {}), {"trees": "rf_trees", "depth": "rf_depth"}, int),
+        **_given(clf, {"order": "classifier_order"}, tuple),
+        **_given(run, {"trials": "trials"}, int),
+        **_given(cfg.get("fusion", {}), {"rank_tol": "rank_tol"}, lambda v: v),
+        **_given(rssr, {"solver": "rssr_solver"}, str),
+        **_given(rssr, {"scan_resolution_m": "rssr_scan_resolution", "margin_m": "rssr_margin"}),
+        **({"cdf_thresholds": cdf_grid(**cdf)} if cdf else {}),
     )
 
 
-def table1_settings(cfg: dict) -> tuple[list[int], int, int | None]:
-    t1 = cfg.get("table1", {})
-    lens = [int(n) for n in t1.get("fft_lens", [2000, 4000, 6000, 8000])]
-    return lens, int(t1.get("grid_index", 0)), t1.get("blocks")
+def table1_settings(cfg: dict) -> dict:
+    """rss_vs_fft_len keyword arguments for the table1 keys the config sets."""
+    return _given(cfg.get("table1", {}), {"fft_lens": "fft_lens", "grid_index": "grid_index",
+                                          "blocks": "blocks"}, lambda v: v)
 
 
 # Default desk-scale benchmark mirroring the reference testbed: four ceiling

@@ -11,7 +11,8 @@ from the plan seed through named SeedSequence children).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +47,21 @@ class ExperimentError(RuntimeError):
         self.stage = stage
 
 
-def mspe(estimates, truths) -> float:
-    """Root mean square 2-d positioning error over paired samples."""
-    est = np.atleast_2d(np.asarray(estimates, dtype=float))
-    tru = np.atleast_2d(np.asarray(truths, dtype=float))
-    if est.shape != tru.shape or est.shape[1] != 2 or est.shape[0] == 0:
-        raise ValueError("estimates and truths must be non-empty (n, 2) arrays")
-    return float(np.sqrt(np.mean(((est - tru) ** 2).sum(axis=1))))
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as ExperimentError(name, ...);
+    an ExperimentError raised deeper keeps its own stage."""
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except Exception as e:
+        raise ExperimentError(name, str(e)) from e
+
+
+def cdf_grid(max_m: float = 0.25, step_m: float = 0.0025) -> tuple[float, ...]:
+    """Error-CDF thresholds 0, step, ..., max (rounded to 9 digits)."""
+    return tuple(np.round(np.arange(0.0, max_m + 0.5 * step_m, step_m), 9))
 
 
 def error_cdf(errors, thresholds) -> np.ndarray:
@@ -110,7 +119,7 @@ class ExperimentPlan:
     rssr_solver: str = baselines.GRID_SCAN
     rssr_scan_resolution: float = 0.01
     rssr_margin: float = 0.05
-    cdf_thresholds: tuple[float, ...] = tuple(np.round(np.arange(0.0, 0.2501, 0.0025), 6))
+    cdf_thresholds: tuple[float, ...] = cdf_grid()
 
     def __post_init__(self):
         if self.grid_q < 2 or self.grid_spacing <= 0.0:
@@ -203,9 +212,6 @@ class ResultTable:
     def fraction_within(self, method: str, threshold: float) -> float:
         return float((self.errors(method) <= threshold).mean())
 
-    def percentile_error(self, method: str, pct: float) -> float:
-        return float(np.percentile(self.errors(method), pct))
-
     def equals(self, other: "ResultTable") -> bool:
         """Bit-exact comparison of every record (determinism audits)."""
         if self.methods != other.methods:
@@ -265,21 +271,6 @@ def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
     return queries, labels, truths
 
 
-def _nearest_mean_labels(queries: np.ndarray, mean_fps: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-mean-fingerprint label per query (lowest index on ties).
-
-    Queries go in row chunks of about 2**20 (query, grid, tone) differences,
-    so memory stays bounded however many queries there are.
-    """
-    out = np.empty(queries.shape[0], dtype=int)
-    chunk = max(1, 2**20 // mean_fps.size)
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start : start + chunk]
-        d2 = ((q[:, np.newaxis, :] - mean_fps[np.newaxis, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.argmin(d2, axis=1)
-    return out
-
-
 def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet, trial: int):
     built = []
     for kind in plan.classifier_order:
@@ -310,59 +301,36 @@ def run_experiment(plan: ExperimentPlan,
         _check_db_matches(plan, db)
 
     for trial in range(plan.trials):
-        try:
+        with _stage("synthesize"):
             trial_db = db if db is not None else synthesize_fingerprint_db(plan, trial)
-        except ExperimentError:
-            raise
-        except Exception as e:
-            raise ExperimentError("synthesize", str(e)) from e
 
-        try:
+        with _stage("split"):
             tr_idx, off_idx, on_idx = _split_indices(plan, trial_db.blocks_per_grid, trial)
             train_q, train_labels, _ = _flatten_split(trial_db, tr_idx)
             train_set = TrainSet(train_q, train_labels, coords)
             mean_fps = trial_db.rss[:, tr_idx, :].mean(axis=1)
-        except Exception as e:
-            raise ExperimentError("split", str(e)) from e
 
-        try:
+        with _stage("train"):
             clfs = _build_classifiers(plan, train_set, trial) if needs_clf else []
-        except Exception as e:
-            raise ExperimentError("train", str(e)) from e
 
         gi = gd = None
-        try:
+        with _stage("fusion-fit"):
             if METHOD_GI in plan.methods or METHOD_GD in plan.methods:
                 off_q, off_labels, off_truth = _flatten_split(trial_db, off_idx)
                 off_pred = fusion.build_prediction_matrix(clfs, off_q)
                 if METHOD_GI in plan.methods:
                     gi = fusion.gi_ls_fit(off_pred, off_truth, plan.rank_tol)
                 if METHOD_GD in plan.methods:
-                    n_off = off_idx.size
-                    per_grid = [
-                        fusion.PredictionMatrix(
-                            off_pred.x_hat[g * n_off : (g + 1) * n_off],
-                            off_pred.y_hat[g * n_off : (g + 1) * n_off],
-                            off_pred.classifier_order,
-                        )
-                        for g in range(coords.shape[0])
-                    ]
-                    gd = fusion.gd_ls_fit(per_grid, coords, mean_fps, plan.rank_tol)
-        except Exception as e:
-            raise ExperimentError("fusion-fit", str(e)) from e
+                    gd = fusion.gd_ls_fit(off_pred, off_labels, coords, mean_fps, plan.rank_tol)
         fusion_details.append({"trial": trial, "gi": gi, "gd": gd})
 
-        try:
+        with _stage("evaluate"):
             on_q, on_labels, on_truth = _flatten_split(trial_db, on_idx)
             on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
             for method in plan.methods:
                 est = _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd)
                 acc[method].append(est)
                 acc_meta[method].append((np.full(on_labels.size, trial), on_labels, on_truth))
-        except ExperimentError:
-            raise
-        except Exception as e:
-            raise ExperimentError("evaluate", str(e)) from e
 
     results = {}
     for m in plan.methods:
@@ -385,13 +353,9 @@ def _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd) -> np.ndarr
     if method == METHOD_GI:
         return fusion.gi_ls_predict_all(gi, on_pred)
     if method == METHOD_GD:
-        sel = _nearest_mean_labels(on_q, gd.mean_fps)
-        return np.column_stack([
-            (on_pred.x_hat * gd.wx[:, sel].T).sum(axis=1),
-            (on_pred.y_hat * gd.wy[:, sel].T).sum(axis=1),
-        ])
+        return fusion.gd_ls_predict_all(gd, on_q, on_pred)
     if method == METHOD_MATCH:
-        return coords[_nearest_mean_labels(on_q, mean_fps)]
+        return coords[fusion.nearest_mean_labels(on_q, mean_fps)]
     if method == METHOD_RSSR:
         solver = baselines.RssrSolver(plan.rssr_config())
         # PSD peaks are squared electrical amplitudes; the optical power the
@@ -425,8 +389,8 @@ def _check_db_matches(plan: ExperimentPlan, db: spectral.FingerprintDB):
         raise ExperimentError("synthesize", "fingerprint DB sample rate does not match plan")
 
 
-def rss_vs_fft_len(plan: ExperimentPlan, fft_lens, grid_index: int = 0,
-                   blocks: int | None = None):
+def rss_vs_fft_len(plan: ExperimentPlan, fft_lens=(2000, 4000, 6000, 8000),
+                   grid_index: int = 0, blocks: int | None = None):
     """Mean RSS (dB) per tone at one grid point for each FFT length.
 
     Returns (tones, lens, table) with table[i, j] the mean dB of tone i at
@@ -450,7 +414,7 @@ def rss_vs_fft_len(plan: ExperimentPlan, fft_lens, grid_index: int = 0,
             _seed(plan, 0, _SEED_TABLE, j),
         )
         blocks_mat = stream[: q * n].reshape(q, n)
-        psd_rows = spectral._periodogram_blocks(blocks_mat)
-        peaks = spectral._peak_bins(psd_rows, n, plan.channel.sample_rate, tones)
+        psd_rows = spectral.periodogram(blocks_mat)
+        peaks = spectral.peak_powers(psd_rows, n, plan.channel.sample_rate, tones)
         table[:, j] = spectral.to_db(peaks).mean(axis=0)
     return tones, lens, table

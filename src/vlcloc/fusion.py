@@ -14,13 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PLAIN_LS = "plain-ls"
-SVD_LS = "svd-ls"
-
-
-class RankDeficientError(ValueError):
-    """Raised by ls_weights when X'X is not safely invertible."""
-
 
 @dataclass(frozen=True)
 class LsFit:
@@ -28,7 +21,6 @@ class LsFit:
 
     weights: np.ndarray  # (H,)
     rank_used: int
-    mode: str
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -54,18 +46,6 @@ class GdWeightBank:
     wx: np.ndarray        # (H, G)
     wy: np.ndarray        # (H, G)
     mean_fps: np.ndarray  # (G, M) dB, used for grid selection
-
-
-@dataclass(frozen=True)
-class LocationEstimate:
-    x: float
-    y: float
-    method: str
-    warning: str | None = None
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -109,32 +89,6 @@ def default_rank_tol(shape: tuple[int, int]) -> float:
     return 1e-10 * max(shape)
 
 
-def ls_weights(pred: np.ndarray, truth: np.ndarray,
-               rank_tol: float | None = None) -> np.ndarray:
-    """Plain least-squares weights (X'X)^-1 X' truth.
-
-    Requires more rows than columns and numerically full column rank;
-    otherwise raises RankDeficientError pointing at ls_svd_weights.
-    """
-    x = np.atleast_2d(np.asarray(pred, dtype=float))
-    t = np.asarray(truth, dtype=float)
-    l, h = x.shape
-    if t.shape != (l,):
-        raise ValueError(f"truth must have length {l}")
-    if l <= h:
-        raise RankDeficientError(
-            f"plain LS needs more samples than classifiers (L={l}, H={h}); "
-            "use ls_svd_weights"
-        )
-    tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < tol * sv[0]:
-        raise RankDeficientError(
-            "prediction matrix is rank deficient; use ls_svd_weights"
-        )
-    return np.linalg.solve(x.T @ x, x.T @ t)
-
-
 def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
                    rank_tol: float | None = None) -> LsFit:
     """Minimum-norm least-squares weights through truncated SVD.
@@ -152,10 +106,10 @@ def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
     tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return LsFit(np.zeros(h), 0, SVD_LS)
+        return LsFit(np.zeros(h), 0)
     k = int(np.count_nonzero(sv >= tol * sv[0]))
     coeff = (u[:, :k].T @ t) / sv[:k]
-    return LsFit(vt[:k].T @ coeff, k, SVD_LS)
+    return LsFit(vt[:k].T @ coeff, k)
 
 
 def gi_ls_fit(pred: PredictionMatrix, truth_xy,
@@ -170,14 +124,6 @@ def gi_ls_fit(pred: PredictionMatrix, truth_xy,
     )
 
 
-def gi_ls_predict(weights: FusionWeights, online_pred: PredictionMatrix,
-                  row: int = 0) -> LocationEstimate:
-    """Fuse one online prediction row into a (generally off-grid) position."""
-    x = float(online_pred.x_hat[row] @ weights.wx.weights)
-    y = float(online_pred.y_hat[row] @ weights.wy.weights)
-    return LocationEstimate(x, y, "gi-ls")
-
-
 def gi_ls_predict_all(weights: FusionWeights, online_pred: PredictionMatrix) -> np.ndarray:
     """(L, 2) fused coordinates for every online row."""
     return np.column_stack([
@@ -186,40 +132,53 @@ def gi_ls_predict_all(weights: FusionWeights, online_pred: PredictionMatrix) -> 
     ])
 
 
-def gd_ls_fit(per_grid_preds, grid_coords, mean_fps,
+def gd_ls_fit(pred: PredictionMatrix, labels, grid_coords, mean_fps,
               rank_tol: float | None = None) -> GdWeightBank:
-    """Grid-dependent fit: per grid point, regress its offline predictions
-    onto the constant truth (x_g, y_g)."""
+    """Grid-dependent fit: per grid point g, regress the offline predictions
+    of the rows labelled g, in their original order, onto the constant truth
+    (x_g, y_g)."""
+    labels = np.asarray(labels)
     coords = np.asarray(grid_coords, dtype=float)
     fps = np.asarray(mean_fps, dtype=float)
     g = coords.shape[0]
-    if len(per_grid_preds) != g or fps.shape[0] != g:
-        raise ValueError("per-grid predictions, coords and mean_fps must align")
-    h = per_grid_preds[0].x_hat.shape[1]
+    if labels.shape != (pred.x_hat.shape[0],) or fps.shape[0] != g:
+        raise ValueError("labels must align with prediction rows, mean_fps with grid_coords")
+    h = pred.x_hat.shape[1]
     wx = np.empty((h, g))
     wy = np.empty((h, g))
-    for gi, pred in enumerate(per_grid_preds):
-        n = pred.x_hat.shape[0]
-        wx[:, gi] = ls_svd_weights(pred.x_hat, np.full(n, coords[gi, 0]), rank_tol).weights
-        wy[:, gi] = ls_svd_weights(pred.y_hat, np.full(n, coords[gi, 1]), rank_tol).weights
+    for gi in range(g):
+        rows = np.flatnonzero(labels == gi)
+        x, y = coords[gi]
+        wx[:, gi] = ls_svd_weights(pred.x_hat[rows], np.full(rows.size, x), rank_tol).weights
+        wy[:, gi] = ls_svd_weights(pred.y_hat[rows], np.full(rows.size, y), rank_tol).weights
     return GdWeightBank(wx=wx, wy=wy, mean_fps=fps)
 
 
-def gd_select_grid(query, mean_fps) -> int:
-    """Index of the grid whose mean fingerprint is nearest in Euclidean
-    distance; ties go to the lower index."""
-    q = np.asarray(query, dtype=float)
-    fps = np.asarray(mean_fps, dtype=float)
-    if q.shape != (fps.shape[1],):
-        raise ValueError("query dimension must match mean fingerprint columns")
-    d2 = ((fps - q) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+def nearest_mean_labels(queries, mean_fps) -> np.ndarray:
+    """Index of the nearest mean fingerprint (Euclidean) for every query row;
+    ties go to the lower index.
+
+    Queries go in row chunks of about 2**20 (query, grid, tone) differences,
+    so memory stays bounded however many queries there are.
+    """
+    queries = np.asarray(queries, dtype=float)
+    mean_fps = np.asarray(mean_fps, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != mean_fps.shape[1]:
+        raise ValueError("queries must be an (n, M) matrix matching the mean fingerprint columns")
+    out = np.empty(queries.shape[0], dtype=int)
+    chunk = max(1, 2**20 // mean_fps.size)
+    for start in range(0, queries.shape[0], chunk):
+        q = queries[start : start + chunk]
+        d2 = ((q[:, np.newaxis, :] - mean_fps[np.newaxis, :, :]) ** 2).sum(axis=2)
+        out[start : start + chunk] = np.argmin(d2, axis=1)
+    return out
 
 
-def gd_ls_predict(bank: GdWeightBank, query, online_pred: PredictionMatrix,
-                  row: int = 0) -> LocationEstimate:
-    """Select the nearest grid's weight column and fuse the online row with it."""
-    g = gd_select_grid(query, bank.mean_fps)
-    x = float(online_pred.x_hat[row] @ bank.wx[:, g])
-    y = float(online_pred.y_hat[row] @ bank.wy[:, g])
-    return LocationEstimate(x, y, "gd-ls")
+def gd_ls_predict_all(bank: GdWeightBank, queries, online_pred: PredictionMatrix) -> np.ndarray:
+    """(L, 2) fused coordinates: each online row uses the weight column of
+    the grid whose mean fingerprint is nearest its query."""
+    sel = nearest_mean_labels(queries, bank.mean_fps)
+    return np.column_stack([
+        (online_pred.x_hat * bank.wx[:, sel].T).sum(axis=1),
+        (online_pred.y_hat * bank.wy[:, sel].T).sum(axis=1),
+    ])

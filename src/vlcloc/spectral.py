@@ -21,43 +21,6 @@ DB_FLOOR = -300.0  # dB value substituted for log10(0)
 
 
 @dataclass(frozen=True)
-class PsdEstimate:
-    """Periodogram over all N DFT bins; bin k covers k * bin_hz."""
-
-    bin_values: np.ndarray
-    bin_hz: float
-    fft_len: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.bin_values, dtype=float)
-        if vals.shape != (self.fft_len,):
-            raise ValueError("bin_values length must equal fft_len")
-        if np.any(vals < 0.0):
-            raise ValueError("PSD bins must be non-negative")
-        object.__setattr__(self, "bin_values", vals)
-
-
-@dataclass(frozen=True)
-class RssVector:
-    """Per-tone received signal strengths in dB plus the tone frequencies."""
-
-    values: np.ndarray       # (M,) dB
-    frequencies: np.ndarray  # (M,) Hz, strictly increasing
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        freqs = np.asarray(self.frequencies, dtype=float)
-        if vals.shape != freqs.shape or vals.ndim != 1:
-            raise ValueError("values and frequencies must be 1-d and equally long")
-        if np.any(np.diff(freqs) <= 0.0):
-            raise ValueError("tone frequencies must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("RSS values must be finite")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "frequencies", freqs)
-
-
-@dataclass(frozen=True)
 class FingerprintDB:
     """Site-survey fingerprints: Q RSS vectors (dB) at each of G grid points."""
 
@@ -75,8 +38,17 @@ class FingerprintDB:
             raise ValueError("grid_coords must have shape (G, 2)")
         if rss.ndim != 3 or rss.shape[0] != grid.shape[0] or rss.shape[2] != tones.size:
             raise ValueError("rss must have shape (G, Q, M) matching grid and tones")
+        if not np.isfinite(grid).all():
+            raise ValueError(f"grid coordinates must be finite, got {grid[~np.isfinite(grid)][0]}")
+        bad_tones = tones[~((tones > 0.0) & (tones < math.inf))]
+        if bad_tones.size:
+            raise ValueError(f"tones must be finite and positive, got {bad_tones[0]} Hz")
         if np.any(np.diff(tones) <= 0.0):
             raise ValueError("tones must be strictly increasing")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
+        if self.fft_len < 2:
+            raise ValueError(f"fft_len must be at least 2, got {self.fft_len}")
         if not np.isfinite(rss).all():
             g, q, m = np.argwhere(~np.isfinite(rss))[0]
             raise ValueError(f"RSS of grid {g}, block {q}, tone {m} is {rss[g, q, m]}")
@@ -106,29 +78,16 @@ class FingerprintDB:
         return out
 
 
-def _periodogram_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Periodogram of each row of a (B, N) block matrix."""
+def periodogram(blocks) -> np.ndarray:
+    """Periodogram S[k] = |DFT[k]|^2 / N of each row of a (B, N) block matrix."""
+    blocks = np.asarray(blocks, dtype=float)
     n = blocks.shape[-1]
     spec = np.fft.fft(blocks, axis=-1)
     return (spec.real**2 + spec.imag**2) / n
 
 
-def periodogram(samples, sample_rate: float | None = None) -> PsdEstimate:
-    """Periodogram PSD estimate S[k] = |DFT[k]|^2 / N over all N bins.
-
-    bin_hz is sample_rate / N when the rate is given, else 0 (unknown axis);
-    extract_rss then needs the rate passed explicitly.
-    """
-    y = np.asarray(samples, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("periodogram needs a 1-d signal of at least 2 samples")
-    vals = _periodogram_blocks(y[np.newaxis, :])[0]
-    bin_hz = sample_rate / y.size if sample_rate else 0.0
-    return PsdEstimate(bin_values=vals, bin_hz=bin_hz, fft_len=y.size)
-
-
-def _peak_bins(psd_rows: np.ndarray, fft_len: int, sample_rate: float, tones: np.ndarray) -> np.ndarray:
-    """Max PSD value within +-1 bin of each tone's nominal bin, per row."""
+def peak_powers(psd_rows: np.ndarray, fft_len: int, sample_rate: float, tones: np.ndarray) -> np.ndarray:
+    """(B, M) max PSD value within +-1 bin of each tone's nominal bin, per row."""
     half = fft_len // 2
     peaks = np.empty((psd_rows.shape[0], tones.size))
     for j, f in enumerate(tones):
@@ -155,17 +114,6 @@ def to_db(linear, floor_db: float = DB_FLOOR) -> np.ndarray:
 def from_db(db) -> np.ndarray:
     """Inverse of to_db: linear power 10^(dB/10)."""
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def extract_rss(psd: PsdEstimate, tones, sample_rate: float | None = None,
-                floor_db: float = DB_FLOOR) -> RssVector:
-    """RSS vector from a PSD: peak capture within +-1 bin of each tone, in dB."""
-    tones = np.asarray(tones, dtype=float)
-    rate = sample_rate if sample_rate is not None else psd.bin_hz * psd.fft_len
-    if rate <= 0.0:
-        raise ValueError("sample rate unknown; pass sample_rate or use psd_of_block")
-    peaks = _peak_bins(psd.bin_values[np.newaxis, :], psd.fft_len, rate, tones)[0]
-    return RssVector(values=to_db(peaks, floor_db), frequencies=tones)
 
 
 def build_fingerprints(streams, grid_coords, fft_len: int, tones,
@@ -196,8 +144,8 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
         elif q != q_common:
             raise ValueError(f"stream {g} yields {q} blocks, expected {q_common}")
         blocks = y[: q * fft_len].reshape(q, fft_len)
-        psd_rows = _periodogram_blocks(blocks)
-        peaks = _peak_bins(psd_rows, fft_len, sample_rate, tones)
+        psd_rows = periodogram(blocks)
+        peaks = peak_powers(psd_rows, fft_len, sample_rate, tones)
         per_grid.append(to_db(peaks))
 
     if len(per_grid) != grid.shape[0]:
@@ -215,11 +163,6 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
         if not on_bin:
             log.warning("tone %.6g Hz is off-bin (nearest DFT bin %d)", f, nominal)
     return db
-
-
-def mean_fingerprints(db: FingerprintDB) -> np.ndarray:
-    """(G, M) matrix of per-grid mean RSS, averaged in the dB domain."""
-    return db.rss.mean(axis=1)
 
 
 def _fmt(x: float) -> str:

@@ -34,7 +34,7 @@ def assert_matches_reference(query, tol_m):
     got = BENCH_SOLVER.locate(query)
     np.testing.assert_array_equal(scan_cell(BENCH_SOLVER, query), want_cell)
     assert math.hypot(got.x - want[0], got.y - want[1]) <= tol_m
-    assert got.method == "rssr" and got.warning is None
+    assert got.warning is None
 
 
 def test_benchmark_queries_match_the_lstsq_reference():

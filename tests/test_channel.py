@@ -173,5 +173,3 @@ class TestValidation:
             make_params(order=0.0)
         with pytest.raises(ValueError):
             make_params(noise=-1.0)
-        with pytest.raises(ValueError):
-            ChannelParams(1.0, 1e-4, 0.0, 4e6, window="hann")

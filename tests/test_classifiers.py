@@ -41,10 +41,10 @@ class TestKnn:
         rng = np.random.default_rng(0)
         train = random_train_set(rng)
         clf = KnnClassifier(train, k=1)
-        for i in (0, 7, 19):
-            pred = clf.predict(train.features[i])
-            assert pred.grid_index == train.labels[i]
-            np.testing.assert_array_equal(pred.coords, train.grid_coords[train.labels[i]])
+        rows = train.features[[0, 7, 19]]
+        np.testing.assert_array_equal(clf.predict_labels(rows), train.labels[[0, 7, 19]])
+        np.testing.assert_array_equal(clf.predict_coords(rows),
+                                      train.grid_coords[train.labels[[0, 7, 19]]])
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(1)
@@ -62,7 +62,7 @@ class TestKnn:
         coords = np.array([[0.0, 0.0], [1.0, 1.0]])
         train = TrainSet(feats, labels, coords)
         clf = KnnClassifier(train, k=5)
-        assert clf.predict([100.0]).grid_index == 1
+        assert clf.predict_labels([[100.0]])[0] == 1
 
     def test_vote_tie_broken_by_mean_distance(self):
         # labels 0 and 1 get 2 votes each; label 1's neighbours are closer
@@ -71,7 +71,7 @@ class TestKnn:
         coords = np.array([[0.0, 0.0], [1.0, 1.0]])
         train = TrainSet(feats, labels, coords)
         clf = KnnClassifier(train, k=4)
-        assert clf.predict([1.0]).grid_index == 1
+        assert clf.predict_labels([[1.0]])[0] == 1
 
     def test_vote_and_distance_tie_broken_by_lower_label(self):
         feats = np.array([[-1.0], [1.0]])
@@ -79,7 +79,7 @@ class TestKnn:
         coords = np.array([[0.0, 0.0], [1.0, 1.0]])
         train = TrainSet(feats, labels, coords)
         clf = KnnClassifier(train, k=2)
-        assert clf.predict([0.0]).grid_index == 0
+        assert clf.predict_labels([[0.0]])[0] == 0
 
     def test_distance_tie_keeps_lower_row_index(self):
         # rows 0 and 1 are equidistant from the query; k=1 must take row 0
@@ -87,7 +87,7 @@ class TestKnn:
         labels = np.array([2, 1, 0])
         coords = np.zeros((3, 2))
         train = TrainSet(feats, labels, coords)
-        assert KnnClassifier(train, k=1).predict([0.0]).grid_index == 2
+        assert KnnClassifier(train, k=1).predict_labels([[0.0]])[0] == 2
 
     def test_k_validation(self):
         rng = np.random.default_rng(2)
@@ -173,7 +173,7 @@ class TestElm:
         train = random_train_set(rng, n=20, m=3, g=4)
         clf = ElmClassifier(train, hidden=10, seed=0)
         clf.output_weights = np.zeros_like(clf.output_weights)
-        assert clf.predict([0.0, 0.0, 0.0]).grid_index == 0
+        assert clf.predict_labels([[0.0, 0.0, 0.0]])[0] == 0
 
     def test_hidden_count_validation(self):
         rng = np.random.default_rng(10)
@@ -294,9 +294,7 @@ class TestCommonInvariants:
                     RandomForest(train, 5, 3, seed=1)):
             labels = clf.predict_labels(queries)
             assert labels.min() >= 0 and labels.max() < 6
-            for q, lab in zip(queries, labels):
-                pred = clf.predict(q)
-                np.testing.assert_array_equal(pred.coords, train.grid_coords[pred.grid_index])
+            np.testing.assert_array_equal(clf.predict_coords(queries), train.grid_coords[labels])
 
     def test_train_set_validation(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,53 @@
 import numpy as np
 import pytest
 
-from vlcloc.fusion import (FusionWeights, LsFit, PredictionMatrix,
-                           RankDeficientError, build_prediction_matrix,
-                           gd_ls_fit, gd_ls_predict, gd_select_grid, gi_ls_fit,
-                           gi_ls_predict, gi_ls_predict_all, ls_svd_weights,
-                           ls_weights)
+from vlcloc.fusion import (FusionWeights, GdWeightBank, LsFit, PredictionMatrix,
+                           build_prediction_matrix, default_rank_tol,
+                           gd_ls_fit, gd_ls_predict_all, gi_ls_fit,
+                           gi_ls_predict_all, nearest_mean_labels,
+                           ls_svd_weights)
+
+
+class RankDeficientError(ValueError):
+    """Raised by ls_weights when X'X is not safely invertible."""
+
+
+def ls_weights(pred, truth, rank_tol=None) -> np.ndarray:
+    """Plain least-squares weights (X'X)^-1 X' truth: the oracle for
+    ls_svd_weights on full-rank problems.
+
+    Requires more rows than columns and numerically full column rank;
+    otherwise raises RankDeficientError pointing at ls_svd_weights.
+    """
+    x = np.atleast_2d(np.asarray(pred, dtype=float))
+    t = np.asarray(truth, dtype=float)
+    l, h = x.shape
+    if t.shape != (l,):
+        raise ValueError(f"truth must have length {l}")
+    if l <= h:
+        raise RankDeficientError(
+            f"plain LS needs more samples than classifiers (L={l}, H={h}); "
+            "use ls_svd_weights"
+        )
+    tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
+    sv = np.linalg.svd(x, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < tol * sv[0]:
+        raise RankDeficientError(
+            "prediction matrix is rank deficient; use ls_svd_weights"
+        )
+    return np.linalg.solve(x.T @ x, x.T @ t)
 
 
 def normal_equations_oracle(x, t):
     return np.linalg.solve(x.T @ x, x.T @ t)
+
+
+def grid_major(per_grid):
+    """One PredictionMatrix plus grid labels from per-grid blocks of rows."""
+    return (PredictionMatrix(np.concatenate([p.x_hat for p in per_grid]),
+                             np.concatenate([p.y_hat for p in per_grid]),
+                             per_grid[0].classifier_order),
+            np.repeat(np.arange(len(per_grid)), [p.x_hat.shape[0] for p in per_grid]))
 
 
 class TestLsWeights:
@@ -193,13 +231,10 @@ class TestGiLs:
             fw.wy.weights, ls_svd_weights(yh, truth[:, 1]).weights, rtol=1e-12)
 
     def test_predict_is_dot_product(self):
-        fw = FusionWeights(wx=LsFit(np.array([1 / 3, 1 / 3, 1 / 3]), 3, "svd-ls"),
-                           wy=LsFit(np.array([1.0, 0.0, 0.0]), 3, "svd-ls"))
+        fw = FusionWeights(wx=LsFit(np.array([1 / 3, 1 / 3, 1 / 3]), 3),
+                           wy=LsFit(np.array([1.0, 0.0, 0.0]), 3))
         online = PredictionMatrix(np.array([[0.10, 0.20, 0.30]]),
                                   np.array([[0.35, 9.0, -9.0]]), ("a", "b", "c"))
-        est = gi_ls_predict(fw, online)
-        assert est.x == pytest.approx(0.20, abs=1e-15)
-        assert est.y == pytest.approx(0.35, abs=1e-15)
         np.testing.assert_allclose(gi_ls_predict_all(fw, online), [[0.20, 0.35]],
                                    atol=1e-15)
 
@@ -207,12 +242,13 @@ class TestGiLs:
         rng = np.random.default_rng(12)
         wx = rng.normal(size=3)
         wy = rng.normal(size=3)
-        row_x = rng.normal(size=3)
-        row_y = rng.normal(size=3)
-        fw = FusionWeights(wx=LsFit(wx, 3, "svd-ls"), wy=LsFit(wy, 3, "svd-ls"))
-        est = gi_ls_predict(fw, PredictionMatrix(row_x[None], row_y[None], ("a", "b", "c")))
-        assert est.x == pytest.approx(sum(a * b for a, b in zip(row_x, wx)), rel=1e-12)
-        assert est.y == pytest.approx(sum(a * b for a, b in zip(row_y, wy)), rel=1e-12)
+        rows_x = rng.normal(size=(4, 3))
+        rows_y = rng.normal(size=(4, 3))
+        fw = FusionWeights(wx=LsFit(wx, 3), wy=LsFit(wy, 3))
+        est = gi_ls_predict_all(fw, PredictionMatrix(rows_x, rows_y, ("a", "b", "c")))
+        for r in range(4):
+            assert est[r, 0] == pytest.approx(sum(a * b for a, b in zip(rows_x[r], wx)), rel=1e-12)
+            assert est[r, 1] == pytest.approx(sum(a * b for a, b in zip(rows_y[r], wy)), rel=1e-12)
 
 
 class TestGdLs:
@@ -223,7 +259,7 @@ class TestGdLs:
             xh = np.full((4, 2), coords[g, 0])
             yh = np.full((4, 2), coords[g, 1])
             per_grid.append(PredictionMatrix(xh, yh, ("a", "b")))
-        bank = gd_ls_fit(per_grid, coords, np.zeros((3, 4)))
+        bank = gd_ls_fit(*grid_major(per_grid), coords, np.zeros((3, 4)))
         np.testing.assert_allclose(bank.wx[:, 1], [0.5, 0.5], atol=1e-10)
         np.testing.assert_allclose(bank.wy[:, 2], [0.5, 0.5], atol=1e-10)
 
@@ -233,7 +269,7 @@ class TestGdLs:
         yh = rng.normal(size=(5, 2))
         coords = np.array([[0.3, 0.7]])
         pred = PredictionMatrix(xh, yh, ("a", "b"))
-        bank = gd_ls_fit([pred], coords, np.zeros((1, 4)))
+        bank = gd_ls_fit(pred, np.zeros(5, dtype=int), coords, np.zeros((1, 4)))
         fw = gi_ls_fit(pred, np.tile(coords, (5, 1)))
         np.testing.assert_allclose(bank.wx[:, 0], fw.wx.weights, rtol=1e-12)
         np.testing.assert_allclose(bank.wy[:, 0], fw.wy.weights, rtol=1e-12)
@@ -243,50 +279,72 @@ class TestGdLs:
         coords = rng.normal(size=(4, 2))
         per_grid = [PredictionMatrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
                                      ("a", "b", "c")) for _ in range(4)]
-        bank = gd_ls_fit(per_grid, coords, np.zeros((4, 5)))
+        bank = gd_ls_fit(*grid_major(per_grid), coords, np.zeros((4, 5)))
         for g in range(4):
             wx = ls_svd_weights(per_grid[g].x_hat, np.full(6, coords[g, 0])).weights
-            np.testing.assert_allclose(bank.wx[:, g], wx, rtol=1e-12)
+            np.testing.assert_array_equal(bank.wx[:, g], wx)
+
+    def test_interleaved_rows_grouped_by_label_in_order(self):
+        rng = np.random.default_rng(17)
+        coords = rng.normal(size=(3, 2))
+        labels = rng.permutation(np.repeat(np.arange(3), 5))
+        pred = PredictionMatrix(rng.normal(size=(15, 2)), rng.normal(size=(15, 2)), ("a", "b"))
+        bank = gd_ls_fit(pred, labels, coords, np.zeros((3, 1)))
+        for g in range(3):
+            rows = [r for r in range(15) if labels[r] == g]  # ascending row order
+            wx = ls_svd_weights(pred.x_hat[rows], np.full(5, coords[g, 0])).weights
+            wy = ls_svd_weights(pred.y_hat[rows], np.full(5, coords[g, 1])).weights
+            np.testing.assert_array_equal(bank.wx[:, g], wx)
+            np.testing.assert_array_equal(bank.wy[:, g], wy)
 
     def test_select_grid_exact_and_ties(self):
         fps = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert gd_select_grid(np.array([1.0, 1.0]), fps) == 1
-        assert gd_select_grid(np.array([0.5, 0.5]), fps) == 0  # tie 0 vs 1
+        queries = np.array([[1.0, 1.0], [0.5, 0.5]])  # exact hit; tie 0 vs 1
+        np.testing.assert_array_equal(nearest_mean_labels(queries, fps), [1, 0])
 
     def test_select_grid_matches_scan_oracle(self):
         rng = np.random.default_rng(15)
         fps = rng.normal(size=(10, 4))
-        for _ in range(20):
-            q = rng.normal(size=4)
-            want = min(range(10), key=lambda g: (np.linalg.norm(q - fps[g]), g))
-            assert gd_select_grid(q, fps) == want
+        queries = rng.normal(size=(20, 4))
+        want = [min(range(10), key=lambda g: (np.linalg.norm(q - fps[g]), g)) for q in queries]
+        np.testing.assert_array_equal(nearest_mean_labels(queries, fps), want)
 
     def test_predict_uses_selected_column(self):
-        coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         fps = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 20.0]])
         bank_wx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        from vlcloc.fusion import GdWeightBank
         bank = GdWeightBank(wx=bank_wx, wy=bank_wx, mean_fps=fps)
-        online = PredictionMatrix(np.array([[0.11, 0.22, 0.33]]),
-                                  np.array([[0.44, 0.55, 0.66]]), ("a", "b", "c"))
-        est = gd_ls_predict(bank, np.array([10.1, 9.9]), online)  # selects grid 1
-        assert est.x == pytest.approx(0.22, abs=1e-15)
-        assert est.y == pytest.approx(0.55, abs=1e-15)
+        online = PredictionMatrix(np.array([[0.11, 0.22, 0.33], [0.11, 0.22, 0.33]]),
+                                  np.array([[0.44, 0.55, 0.66], [0.44, 0.55, 0.66]]),
+                                  ("a", "b", "c"))
+        queries = np.array([[10.1, 9.9], [19.0, 21.0]])  # select grids 1 and 2
+        np.testing.assert_allclose(gd_ls_predict_all(bank, queries, online),
+                                   [[0.22, 0.55], [0.33, 0.66]], atol=1e-15)
 
     def test_identical_columns_reduce_to_gi(self):
         rng = np.random.default_rng(16)
         w = rng.normal(size=3)
-        from vlcloc.fusion import GdWeightBank
         bank = GdWeightBank(wx=np.tile(w[:, None], (1, 4)),
                             wy=np.tile(w[:, None], (1, 4)),
                             mean_fps=rng.normal(size=(4, 2)))
-        fw = FusionWeights(wx=LsFit(w, 3, "svd-ls"), wy=LsFit(w, 3, "svd-ls"))
-        online = PredictionMatrix(rng.normal(size=(1, 3)), rng.normal(size=(1, 3)),
+        fw = FusionWeights(wx=LsFit(w, 3), wy=LsFit(w, 3))
+        online = PredictionMatrix(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)),
                                   ("a", "b", "c"))
-        gd_est = gd_ls_predict(bank, rng.normal(size=2), online)
-        gi_est = gi_ls_predict(fw, online)
-        assert gd_est.x == pytest.approx(gi_est.x, rel=1e-12)
-        assert gd_est.y == pytest.approx(gi_est.y, rel=1e-12)
+        gd_est = gd_ls_predict_all(bank, rng.normal(size=(5, 2)), online)
+        np.testing.assert_allclose(gd_est, gi_ls_predict_all(fw, online), rtol=1e-12)
+
+    def test_predict_rows_match_hand_dot_products(self):
+        rng = np.random.default_rng(18)
+        bank = GdWeightBank(wx=rng.normal(size=(3, 4)), wy=rng.normal(size=(3, 4)),
+                            mean_fps=rng.normal(size=(4, 2)))
+        online = PredictionMatrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
+                                  ("a", "b", "c"))
+        queries = rng.normal(size=(6, 2))
+        est = gd_ls_predict_all(bank, queries, online)
+        for r, g in enumerate(nearest_mean_labels(queries, bank.mean_fps)):
+            assert est[r, 0] == pytest.approx(
+                sum(a * b for a, b in zip(online.x_hat[r], bank.wx[:, g])), rel=1e-12)
+            assert est[r, 1] == pytest.approx(
+                sum(a * b for a, b in zip(online.y_hat[r], bank.wy[:, g])), rel=1e-12)
 
 
 class TestValidation:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vlcloc.spectral import (DB_FLOOR, FingerprintDB, RssVector,
-                             build_fingerprints, extract_rss, from_db,
-                             load_fingerprints, mean_fingerprints, periodogram,
-                             save_fingerprints, to_db)
+from vlcloc import config, experiment
+from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
+                             from_db, load_fingerprints, peak_powers,
+                             periodogram, save_fingerprints, to_db)
 
 
 def dft_oracle(samples):
@@ -22,58 +22,73 @@ def dft_oracle(samples):
     return out
 
 
+def psd(samples):
+    """Periodogram of one block, through the batched function."""
+    return periodogram(np.asarray(samples, dtype=float)[np.newaxis, :])[0]
+
+
+def rss_db(samples, rate, tones):
+    """RSS extraction of one block: peak capture within +-1 bin, in dB."""
+    n = len(samples)
+    return to_db(peak_powers(periodogram([samples]), n, rate, np.asarray(tones, dtype=float)))[0]
+
+
 class TestPeriodogram:
     def test_constant_input(self):
         n, c = 64, 1.7
-        est = periodogram(np.full(n, c))
-        assert est.bin_values[0] == pytest.approx(n * c * c, rel=1e-12)
-        np.testing.assert_allclose(est.bin_values[1:], 0.0, atol=1e-9)
+        est = psd(np.full(n, c))
+        assert est[0] == pytest.approx(n * c * c, rel=1e-12)
+        np.testing.assert_allclose(est[1:], 0.0, atol=1e-9)
 
     def test_on_bin_cosine_against_direct_dft(self):
         n, k0, amp = 64, 5, 0.8
         t = np.arange(n)
         y = amp * np.cos(2.0 * math.pi * k0 * t / n)
-        est = periodogram(y)
+        est = psd(y)
         oracle = np.abs(dft_oracle(y)) ** 2 / n
-        np.testing.assert_allclose(est.bin_values, oracle, rtol=1e-9, atol=1e-9)
-        assert est.bin_values[k0] == pytest.approx(n * amp**2 / 4.0, rel=1e-9)
+        np.testing.assert_allclose(est, oracle, rtol=1e-9, atol=1e-9)
+        assert est[k0] == pytest.approx(n * amp**2 / 4.0, rel=1e-9)
 
     def test_random_block_against_direct_dft(self):
         rng = np.random.default_rng(7)
-        y = rng.normal(size=48)
-        est = periodogram(y)
-        oracle = np.abs(dft_oracle(y)) ** 2 / len(y)
-        np.testing.assert_allclose(est.bin_values, oracle, rtol=1e-9, atol=1e-9)
+        blocks = rng.normal(size=(3, 48))
+        est = periodogram(blocks)
+        for b, y in enumerate(blocks):  # every row on its own
+            oracle = np.abs(dft_oracle(y)) ** 2 / len(y)
+            np.testing.assert_allclose(est[b], oracle, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("n", [16, 256, 2000])
     def test_parseval(self, n):
         rng = np.random.default_rng(n)
         y = rng.normal(size=n)
-        est = periodogram(y)
+        est = psd(y)
         energy = math.fsum(v * v for v in y)
-        assert est.bin_values.sum() == pytest.approx(energy, rel=1e-12)
+        assert est.sum() == pytest.approx(energy, rel=1e-12)
 
     def test_bin_hz_resolved_with_rate(self):
-        est = periodogram(np.ones(100), sample_rate=4e6)
-        assert est.bin_hz == pytest.approx(4e4)
+        # N = 100 at 4 MHz: bins are 40 kHz apart
+        db = FingerprintDB([[0.0, 0.0]], np.zeros((1, 1, 2)), [4e4, 1e5], 100, 4e6)
+        assert db.tone_alignment() == [(4e4, 1, True), (1e5, 2, False)]
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            periodogram([1.0])
-        with pytest.raises(ValueError):
-            periodogram([])
+        with pytest.raises(ValueError, match="fft_len must be at least 2"):
+            build_fingerprints([np.ones(4)], [[0, 0]], 1, [1e3], 4e6)
+        with pytest.raises(ValueError, match="fewer than one"):
+            build_fingerprints([[]], [[0, 0]], 2, [1e3], 4e6)
 
 
 class TestExtractRss:
+    """RSS extraction: peak_powers over the periodogram rows, then to_db."""
+
     def test_on_bin_tone_db_value(self):
         n, rate, amp = 2000, 4e6, 1e-3
         k0 = 400  # 800 kHz
         t = np.arange(n) / rate
         y = amp * np.cos(2.0 * math.pi * 800e3 * t)
-        rss = extract_rss(periodogram(y, rate), [800e3])
+        rss = rss_db(y, rate, [800e3])
         expected = 10.0 * math.log10(n * amp**2 / 4.0)
-        assert rss.values[0] == pytest.approx(expected, abs=1e-9)
-        assert periodogram(y).bin_values[k0] == pytest.approx(n * amp**2 / 4.0, rel=1e-9)
+        assert rss[0] == pytest.approx(expected, abs=1e-9)
+        assert psd(y)[k0] == pytest.approx(n * amp**2 / 4.0, rel=1e-9)
 
     def test_doubling_fft_len_adds_3dB(self):
         rate, amp = 4e6, 5e-4
@@ -81,30 +96,30 @@ class TestExtractRss:
         for n in (2000, 4000):
             t = np.arange(n) / rate
             y = amp * np.cos(2.0 * math.pi * 800e3 * t)
-            vals.append(extract_rss(periodogram(y, rate), [800e3]).values[0])
+            vals.append(rss_db(y, rate, [800e3])[0])
         assert vals[1] - vals[0] == pytest.approx(10.0 * math.log10(2.0), abs=1e-6)
 
     def test_zero_signal_hits_floor(self):
-        rss = extract_rss(periodogram(np.zeros(256), 4e6), [800e3])
-        assert rss.values[0] == DB_FLOOR
+        assert rss_db(np.zeros(256), 4e6, [800e3])[0] == DB_FLOOR
 
     def test_tone_above_nyquist_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            extract_rss(periodogram(np.ones(256), 4e6), [2.5e6])
+            rss_db(np.ones(256), 4e6, [2.5e6])
 
     def test_off_bin_tone_found_within_one_bin(self):
         n, rate = 1000, 4e6
         f = 801.5e3  # lands between bins at N=1000 (bin width 4 kHz)
         t = np.arange(n) / rate
         y = np.cos(2.0 * math.pi * f * t)
-        rss = extract_rss(periodogram(y, rate), [f])
         nominal = round(f * n / rate)
-        window = periodogram(y).bin_values[nominal - 1 : nominal + 2]
-        assert from_db(rss.values[0]) == pytest.approx(window.max(), rel=1e-12)
+        window = psd(y)[nominal - 1 : nominal + 2]
+        assert from_db(rss_db(y, rate, [f])[0]) == pytest.approx(window.max(), rel=1e-12)
 
-    def test_rate_required_when_unknown(self):
-        with pytest.raises(ValueError, match="sample rate"):
-            extract_rss(periodogram(np.ones(64)), [1e3])
+    def test_each_row_takes_its_own_window_max(self):
+        rows = np.array([[0.0, 1.0, 5.0, 4.0, 7.0, 0.0, 0.0, 0.0],
+                         [0.0, 9.0, 1.0, 3.0, 0.0, 0.0, 0.0, 0.0]])
+        # tone 2 Hz at N = 8, 8 Hz sampling: nominal bin 2, window bins 1..3
+        np.testing.assert_array_equal(peak_powers(rows, 8, 8.0, np.array([2.0])), [[5.0], [9.0]])
 
 
 class TestDbConversion:
@@ -172,7 +187,7 @@ class TestBuildFingerprints:
         np.testing.assert_array_equal(
             np.sort(db.rss[0], axis=0), np.sort(shuffled.rss[0], axis=0))
         np.testing.assert_allclose(
-            mean_fingerprints(db), mean_fingerprints(shuffled), rtol=0, atol=1e-12)
+            db.rss.mean(axis=1), shuffled.rss.mean(axis=1), rtol=0, atol=1e-12)
 
     def test_tone_alignment_report(self):
         n = 400
@@ -182,21 +197,36 @@ class TestBuildFingerprints:
         assert db.tone_alignment() == [(800e3, 80, True), (900e3, 90, True)]
 
 
+def pipeline_mean_fingerprints(rss, split):
+    """The per-grid mean fingerprints run_experiment fits GD-LS with (rss-match
+    uses the same), for a DB of these (4, Q, 4) RSS values on a 2 x 2 grid."""
+    cfg = config.benchmark_config()
+    cfg["geometry"]["grid"]["q"] = 2
+    cfg["spectral"]["blocks_per_grid"] = rss.shape[1]
+    cfg["split"] = dict(zip(("train", "offline", "online"), split))
+    cfg["classifiers"] = {"order": ["knn"], "knn": {"k": 1}}
+    cfg["run"]["methods"] = ["gd-ls"]
+    plan = config.plan_from_config(cfg)
+    db = FingerprintDB(plan.grid_coords, rss, plan.tones, plan.fft_len, plan.channel.sample_rate)
+    return experiment.run_experiment(plan, db).fusion_weights[0]["gd"].mean_fps
+
+
 class TestMeanFingerprints:
     def test_single_block_equals_vector(self):
-        rss = np.arange(8.0).reshape(2, 1, 4)
-        db = FingerprintDB([[0, 0], [1, 0]], rss, [1e3, 2e3, 3e3, 4e3], 8, 1e4)
-        np.testing.assert_array_equal(mean_fingerprints(db), rss[:, 0, :])
+        rss = np.arange(80.0).reshape(4, 5, 4)
+        # Q = 5 at 0.2 / 0.4 / 0.4: block 0 is the only train block
+        np.testing.assert_array_equal(pipeline_mean_fingerprints(rss, (0.2, 0.4, 0.4)),
+                                      rss[:, 0, :])
 
     def test_random_against_columnwise_average(self):
         rng = np.random.default_rng(5)
-        rss = rng.normal(size=(3, 4, 2)) * 10.0 - 30.0
-        db = FingerprintDB([[0, 0], [1, 0], [2, 0]], rss, [1e3, 2e3], 8, 1e4)
-        expected = np.empty((3, 2))
-        for g in range(3):
-            for m in range(2):
-                expected[g, m] = math.fsum(rss[g, :, m]) / 4.0
-        np.testing.assert_allclose(mean_fingerprints(db), expected, rtol=1e-14)
+        rss = rng.normal(size=(4, 10, 4)) * 10.0 - 30.0
+        expected = np.empty((4, 4))
+        for g in range(4):
+            for m in range(4):
+                expected[g, m] = math.fsum(rss[g, :6, m]) / 6.0  # the 6 train blocks only
+        np.testing.assert_allclose(pipeline_mean_fingerprints(rss, (0.6, 0.2, 0.2)), expected,
+                                   rtol=1e-14)
 
 
 class TestPersistence:
@@ -277,11 +307,33 @@ class TestPersistence:
             load_fingerprints(path)
 
 
-class TestRssVectorValidation:
+class TestFingerprintDbValidation:
     def test_frequencies_must_increase(self):
-        with pytest.raises(ValueError):
-            RssVector(np.array([1.0, 2.0]), np.array([2e3, 1e3]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FingerprintDB([[0.0, 0.0]], np.zeros((1, 1, 2)), [2e3, 1e3], 8, 1e4)
 
     def test_values_must_be_finite(self):
-        with pytest.raises(ValueError):
-            RssVector(np.array([np.inf, 2.0]), np.array([1e3, 2e3]))
+        with pytest.raises(ValueError, match="RSS of grid 0, block 0, tone 0 is inf"):
+            FingerprintDB([[0.0, 0.0]], [[[np.inf, 2.0]]], [1e3, 2e3], 8, 1e4)
+
+    def test_non_finite_geometry_reproducer_rejected(self):
+        with pytest.raises(ValueError, match="grid coordinates must be finite, got nan"):
+            FingerprintDB([[0, np.nan]], np.zeros((1, 2, 2)), [np.nan, 1e3], 8, np.nan)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grid_coords": [[0.0, np.inf]]}, "grid coordinates must be finite, got inf"),
+        ({"tones": [np.nan, 2e3]}, "tones must be finite and positive, got nan Hz"),
+        ({"tones": [1e3, np.inf]}, "tones must be finite and positive, got inf Hz"),
+        ({"tones": [0.0, 2e3]}, "tones must be finite and positive, got 0.0 Hz"),
+        ({"tones": [-1e3, 2e3]}, "tones must be finite and positive, got -1000.0 Hz"),
+        ({"sample_rate": np.nan}, "sample_rate must be finite and positive, got nan"),
+        ({"sample_rate": np.inf}, "sample_rate must be finite and positive, got inf"),
+        ({"sample_rate": -4e6}, "sample_rate must be finite and positive, got -4000000.0"),
+        ({"sample_rate": 0.0}, "sample_rate must be finite and positive, got 0.0"),
+        ({"fft_len": 1}, "fft_len must be at least 2, got 1"),
+    ])
+    def test_each_bad_geometry_field_named(self, kwargs, message):
+        fields = {"grid_coords": [[0.0, 0.0]], "rss": np.zeros((1, 2, 2)),
+                  "tones": [1e3, 2e3], "fft_len": 8, "sample_rate": 1e4} | kwargs
+        with pytest.raises(ValueError, match=message):
+            FingerprintDB(**fields)
