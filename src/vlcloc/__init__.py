@@ -10,14 +10,13 @@ from .fusion import (FusionWeights, GdWeightBank, LsFit, PredictionMatrix,
                      build_prediction_matrix, gd_ls_fit, gd_ls_predict_all,
                      gi_ls_fit, gi_ls_predict_all, ls_svd_weights,
                      nearest_mean_labels)
-from .baselines import LocationEstimate, RssrConfig, RssrSolver
+from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, cdf_grid, error_cdf, run_experiment,
                          rss_vs_fft_len, synthesize_fingerprint_db)
 from .spectral import (FingerprintDB, build_fingerprints, from_db,
                        load_fingerprints, peak_powers, periodogram,
                        save_fingerprints, to_db)
-from .config import (ConfigError, benchmark_config, load_config,
-                     plan_from_config, validate_config)
+from .config import ConfigError, benchmark_config, load_config, plan_from_config
 
 __version__ = "0.1.0"

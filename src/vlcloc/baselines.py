@@ -4,8 +4,8 @@ RSSR works in the linear received-power domain. Under the vertical
 Lambertian geometry, power from LED i scales as h^(m+1) / d_i^(m+3), so
 r_i / r_j = (d_j / d_i)^(m+3) whenever the LEDs share the same effective
 drive level. Pairwise log-ratio residuals are minimized over candidate
-positions by an exhaustive area scan followed by local quadratic
-refinement (or Gauss-Newton iterations).
+positions by an exhaustive area scan followed by three rounds of local
+quadratic refinement.
 """
 
 from __future__ import annotations
@@ -15,36 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRID_SCAN = "grid-scan"
-GAUSS_NEWTON = "gauss-newton"
-
-
-@dataclass(frozen=True)
-class LocationEstimate:
-    x: float
-    y: float
-    warning: str | None = None
-
-
 @dataclass(frozen=True)
 class RssrConfig:
     lambertian_order: float
     led_positions: np.ndarray              # (M, 3) meters
     bounds: tuple[tuple[float, float], tuple[float, float]]  # ((xmin,xmax),(ymin,ymax))
-    solver: str = GRID_SCAN
     scan_resolution: float = 0.01          # meters
 
     def __post_init__(self):
         pos = np.asarray(self.led_positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 3:
             raise ValueError("need at least 3 LED positions of shape (M, 3)")
+        if not np.isfinite(pos).all():
+            raise ValueError("LED positions must be finite")
         if len(np.unique(pos, axis=0)) != pos.shape[0]:
             raise ValueError("LED positions must be distinct")
-        if self.lambertian_order <= 0.0:
+        if not self.lambertian_order > 0.0:
             raise ValueError("lambertian_order must be positive")
-        if self.solver not in (GRID_SCAN, GAUSS_NEWTON):
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.scan_resolution <= 0.0:
+        if not self.scan_resolution > 0.0:
             raise ValueError("scan_resolution must be positive")
         (x0, x1), (y0, y1) = self.bounds
         if not (x1 > x0 and y1 > y0):
@@ -137,44 +125,15 @@ class RssrSolver:
                 c = c + (sx, sy)
         return c
 
-    def locate(self, query) -> LocationEstimate:
-        """Position from one query of linear received powers (one per LED, > 0).
+    def locate(self, query) -> np.ndarray:
+        """(x, y) from one query of linear received powers (one per LED, > 0).
 
         Ratios cancel any common scale factor, so only relative levels matter.
         """
-        cfg = self.cfg
         r = np.asarray(query, dtype=float)
-        if r.shape != (cfg.led_positions.shape[0],):
+        if r.shape != (self.cfg.led_positions.shape[0],):
             raise ValueError("query length must match the number of LEDs")
         if not all(0.0 < v < math.inf for v in r.tolist()):
             raise ValueError("RSSR needs strictly positive finite linear powers")
         log_ratios = np.log(r[self._i] / r[self._j])
-
-        coarse = self._scan(log_ratios)
-        warning = None
-        if cfg.solver == GAUSS_NEWTON:
-            p, converged = _gauss_newton(self, log_ratios, coarse)
-            if not converged or not np.all(np.isfinite(p)):
-                p = coarse
-                warning = "gauss-newton did not converge; returning scan optimum"
-        else:
-            p = self._refine(log_ratios, coarse)
-        return LocationEstimate(float(p[0]), float(p[1]), warning)
-
-
-def _gauss_newton(solver: RssrSolver, log_ratios: np.ndarray,
-                  start: np.ndarray) -> tuple[np.ndarray, bool]:
-    led = solver.cfg.led_positions
-    i, j = solver._i, solver._j
-    p = start.astype(float).copy()
-    for _ in range(50):
-        delta = p - led[:, :2]
-        d2 = (delta**2).sum(axis=1) + led[:, 2] ** 2
-        grad_logd = delta / d2[:, np.newaxis]        # gradient of log d_i
-        jac = solver._m3 * (grad_logd[j] - grad_logd[i])
-        res = solver._model_at(p) - log_ratios
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        p = p + step
-        if np.linalg.norm(step) < 1e-12:
-            return p, True
-    return p, False
+        return self._refine(log_ratios, self._scan(log_ratios))

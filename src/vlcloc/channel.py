@@ -42,11 +42,13 @@ class LedConfig:
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ValueError(f"LED position must be a 3-vector, got shape {pos.shape}")
-        if pos[2] <= 0.0:
-            raise ValueError(f"LED height must be positive, got {pos[2]}")
-        if self.frequency <= 0.0:
+        if not (np.isfinite(pos).all() and pos[2] > 0.0):
+            raise ValueError(f"LED position must be finite with a positive height, got {pos}")
+        if not 0.0 < self.frequency < math.inf:
             raise ValueError(f"LED tone frequency must be positive, got {self.frequency}")
-        if self.gain < 0.0:
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"LED amplitude must be finite, got {self.amplitude}")
+        if not 0.0 <= self.gain < math.inf:
             raise ValueError(f"LED gain must be non-negative, got {self.gain}")
         object.__setattr__(self, "position", pos)
 
@@ -62,14 +64,16 @@ class ChannelParams:
     speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if self.lambertian_order <= 0.0:
+        if not self.lambertian_order > 0.0:
             raise ValueError("lambertian_order must be positive")
-        if self.pd_area <= 0.0:
+        if not self.pd_area > 0.0:
             raise ValueError("pd_area must be positive")
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be non-negative")
-        if self.sample_rate <= 0.0:
+        if not self.sample_rate > 0.0:
             raise ValueError("sample_rate must be positive")
+        if not self.speed_of_light > 0.0:
+            raise ValueError("speed_of_light must be positive")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
 from . import config as config_mod
 from . import experiment, spectral
-from .config import ConfigError
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -58,13 +58,12 @@ def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
         writer.writerow(["method", "trial", "grid_index", "true_x", "true_y",
                          "est_x", "est_y", "error_m"])
         for method in table.methods:
-            res = table.results[method]
-            errs = res.errors
-            for i in range(res.trial.size):
+            est, errs = table.est[method], table.errors(method)
+            for i in range(table.trial.size):
                 writer.writerow([
-                    method, res.trial[i], res.grid_index[i],
-                    format(res.truth[i, 0], ".9g"), format(res.truth[i, 1], ".9g"),
-                    format(res.est[i, 0], ".9g"), format(res.est[i, 1], ".9g"),
+                    method, table.trial[i], table.grid_index[i],
+                    format(table.truth[i, 0], ".9g"), format(table.truth[i, 1], ".9g"),
+                    format(est[i, 0], ".9g"), format(est[i, 1], ".9g"),
                     format(errs[i], ".9g"),
                 ])
 
@@ -138,14 +137,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_mod.load_config(args.config)
-        if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
-            config_mod.validate_config(cfg)
         plan = config_mod.plan_from_config(cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as e:
+        if args.seed is not None:
+            plan = dataclasses.replace(plan, seed=args.seed)
+    except (ValueError, TypeError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

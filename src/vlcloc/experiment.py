@@ -10,7 +10,6 @@ from the plan seed through named SeedSequence children).
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -82,14 +81,16 @@ class SplitRatios:
 
     def __post_init__(self):
         fracs = (self.train, self.offline, self.online)
-        if any(f <= 0.0 for f in fracs):
+        if any(not f > 0.0 for f in fracs):
             raise ValueError("every split fraction must be positive")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
     def counts(self, q: int) -> tuple[int, int, int]:
-        n_train = int(q * self.train)
-        n_offline = int(q * self.offline)
+        # floor, except that q * frac within 1e-9 below a whole number is that
+        # number: 100 * 0.29 is 28.999999999999996
+        n_train = int(q * self.train + 1e-9)
+        n_offline = int(q * self.offline + 1e-9)
         n_online = q - n_train - n_offline
         if min(n_train, n_offline, n_online) < 1:
             raise ValueError(f"Q = {q} is too small for split {self}")
@@ -116,13 +117,12 @@ class ExperimentPlan:
     trials: int = 1
     seed: int = 0
     rank_tol: float | None = None
-    rssr_solver: str = baselines.GRID_SCAN
     rssr_scan_resolution: float = 0.01
     rssr_margin: float = 0.05
     cdf_thresholds: tuple[float, ...] = cdf_grid()
 
     def __post_init__(self):
-        if self.grid_q < 2 or self.grid_spacing <= 0.0:
+        if self.grid_q < 2 or not self.grid_spacing > 0.0:
             raise ValueError("grid needs q >= 2 and positive spacing")
         if self.fft_len < 2 or self.blocks_per_grid < 1:
             raise ValueError("fft_len >= 2 and blocks_per_grid >= 1 required")
@@ -173,34 +173,25 @@ class ExperimentPlan:
             lambertian_order=self.channel.lambertian_order,
             led_positions=np.stack([led.position for led in self.leds]),
             bounds=bounds,
-            solver=self.rssr_solver,
             scan_resolution=self.rssr_scan_resolution,
         )
 
 
 @dataclass(frozen=True)
-class MethodResult:
-    """Per-query records for one method, concatenated over trials."""
+class ResultTable:
+    """Per-query records, concatenated over trials: the query columns every
+    method shares, and each method's (n, 2) estimates."""
 
+    methods: tuple[str, ...]
     trial: np.ndarray       # (n,)
     grid_index: np.ndarray  # (n,) true grid of each query
     truth: np.ndarray       # (n, 2)
-    est: np.ndarray         # (n, 2)
-
-    @property
-    def errors(self) -> np.ndarray:
-        return np.sqrt(((self.est - self.truth) ** 2).sum(axis=1))
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    methods: tuple[str, ...]
-    results: dict[str, MethodResult]
+    est: dict[str, np.ndarray]
     cdf_thresholds: np.ndarray
     fusion_weights: tuple = ()  # per trial: dict with optional gi / gd fits
 
     def errors(self, method: str) -> np.ndarray:
-        return self.results[method].errors
+        return np.sqrt(((self.est[method] - self.truth) ** 2).sum(axis=1))
 
     def mspe(self, method: str) -> float:
         err = self.errors(method)
@@ -216,18 +207,10 @@ class ResultTable:
         """Bit-exact comparison of every record (determinism audits)."""
         if self.methods != other.methods:
             return False
-        if not np.array_equal(self.cdf_thresholds, other.cdf_thresholds):
+        shared = ("cdf_thresholds", "trial", "grid_index", "truth")
+        if not all(np.array_equal(getattr(self, f), getattr(other, f)) for f in shared):
             return False
-        for m in self.methods:
-            a, b = self.results[m], other.results[m]
-            if not (
-                np.array_equal(a.trial, b.trial)
-                and np.array_equal(a.grid_index, b.grid_index)
-                and np.array_equal(a.truth, b.truth)
-                and np.array_equal(a.est, b.est)
-            ):
-                return False
-        return True
+        return all(np.array_equal(self.est[m], other.est[m]) for m in self.methods)
 
 
 def _seed(plan: ExperimentPlan, *path: int) -> np.random.SeedSequence:
@@ -294,7 +277,7 @@ def run_experiment(plan: ExperimentPlan,
     coords = plan.grid_coords
     needs_clf = bool(set(plan.methods) & {*SINGLE_CLASSIFIERS, METHOD_GI, METHOD_GD})
     acc: dict[str, list] = {m: [] for m in plan.methods}
-    acc_meta: dict[str, list] = {m: [] for m in plan.methods}
+    trials, grids, truths = [], [], []
     fusion_details = []
 
     if db is not None:
@@ -330,17 +313,16 @@ def run_experiment(plan: ExperimentPlan,
             for method in plan.methods:
                 est = _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd)
                 acc[method].append(est)
-                acc_meta[method].append((np.full(on_labels.size, trial), on_labels, on_truth))
+            trials.append(np.full(on_labels.size, trial))
+            grids.append(on_labels)
+            truths.append(on_truth)
 
-    results = {}
-    for m in plan.methods:
-        trials_col = np.concatenate([t for t, _, _ in acc_meta[m]])
-        grid_col = np.concatenate([g for _, g, _ in acc_meta[m]])
-        truth_col = np.concatenate([t for _, _, t in acc_meta[m]])
-        results[m] = MethodResult(trials_col, grid_col, truth_col, np.concatenate(acc[m]))
     return ResultTable(
         methods=tuple(plan.methods),
-        results=results,
+        trial=np.concatenate(trials),
+        grid_index=np.concatenate(grids),
+        truth=np.concatenate(truths),
+        est={m: np.concatenate(acc[m]) for m in plan.methods},
         cdf_thresholds=np.asarray(plan.cdf_thresholds, dtype=float),
         fusion_weights=tuple(fusion_details),
     )
@@ -362,15 +344,8 @@ def _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd) -> np.ndarr
         # ratio model expects is their square root, i.e. 10^(dB/20)
         linear = 10.0 ** (on_q / 20.0)
         est = np.empty((on_q.shape[0], 2))
-        warned = []
         for r in range(on_q.shape[0]):
-            loc = solver.locate(linear[r])
-            est[r] = (loc.x, loc.y)
-            if loc.warning is not None:
-                warned.append(loc.warning)
-        if warned:
-            warnings.warn(f"rssr: {len(warned)} of {len(est)} queries warned, first: {warned[0]}",
-                          RuntimeWarning, stacklevel=2)
+            est[r] = solver.locate(linear[r])
         return est
     raise ValueError(f"unknown method {method!r}")
 

@@ -103,6 +103,8 @@ def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
     l, h = x.shape
     if t.shape != (l,):
         raise ValueError(f"truth must have length {l}")
+    if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
     tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:

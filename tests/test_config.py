@@ -71,3 +71,101 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, site, value):
     assert code == 2
     assert f"config error: {site}" in capsys.readouterr().err
     assert not (tmp_path / "db.txt").exists()
+
+
+def _set_in(*path_and_value):
+    """A mutation that sets cfg[path...] = value, creating missing sections."""
+    *path, key, value = path_and_value
+
+    def mutate(cfg):
+        for name in path:
+            cfg = cfg.setdefault(name, {})
+        cfg[key] = value
+    return mutate
+
+
+def _delete(*path):
+    def mutate(cfg):
+        for name in path[:-1]:
+            cfg = cfg[name]
+        del cfg[path[-1]]
+    return mutate
+
+
+# case -> (mutation of minimal_config(), extra CLI arguments, stderr prefix);
+# together they reach every `raise ConfigError` in config.py
+CONFIG_ERRORS = {
+    "not-an-object": (_set_in("split", []), [], "split: expected an object"),
+    "unknown-key": (_set_in("extra", 1), [], "config: unknown keys ['extra']"),
+    "missing-key": (_delete("spectral", "fft_len"), [],
+                    "spectral: missing required keys ['fft_len']"),
+    "not-a-number": (_set_in("channel", "pd_area_m2", "big"), [],
+                     "channel.pd_area_m2: expected a finite number"),
+    "number-below-minimum": (_set_in("channel", "noise_std", -1.0), [],
+                             "channel.noise_std: must be >= 0.0"),
+    "not-an-integer": (_set_in("spectral", "fft_len", 2.5), [],
+                       "spectral.fft_len: expected an integer"),
+    "integer-below-minimum": (_set_in("geometry", "grid", "q", 1), [],
+                              "geometry.grid.q: must be >= 2"),
+    "no-leds": (_set_in("geometry", "leds", []), [], "geometry.leds: expected a non-empty list"),
+    "led-position": (lambda cfg: _led_position(cfg).pop(), [],
+                     "geometry.leds[0].position_m: expected [x, y, h]"),
+    "order-and-angle": (_set_in("channel", "lambertian_order", 1.0), [],
+                        "channel: give exactly one of semi_angle_deg / lambertian_order"),
+    "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0), [],
+                         "channel.semi_angle_deg: must be in (0, 90)"),
+    "shuffle": (_set_in("split", "shuffle", "yes"), [], "split.shuffle: expected a boolean"),
+    "classifier-order": (_set_in("classifiers", "order", ["svm"]), [],
+                         "classifiers.order: expected a list drawn from knn/elm/rf"),
+    "rf-depth": (_set_in("classifiers", "rf", "depth", 0), [], "classifiers.rf.depth: must be >= 1"),
+    "rank-tol": (_set_in("fusion", "rank_tol", -1.0), [], "fusion.rank_tol: must be >= 0.0"),
+    "methods": (_set_in("run", "methods", ["magic"]), [], "run.methods: expected a non-empty list"),
+    "seed": (_set_in("run", "seed", -1), [], "run.seed: must be >= 0"),
+    "table1-fft-lens": (_set_in("table1", "fft_lens", [1]), [],
+                        "table1.fft_lens: expected a list of integers >= 2"),
+    "table1-unknown-key": (_set_in("table1", "bogus", 1), [], "table1: unknown keys ['bogus']"),
+    "no-run-with-seed": (_delete("run"), ["--seed", "3"],
+                         "config: missing required keys ['run']"),
+    "rssr-solver": (_set_in("rssr", "solver", "grid-scan"), [], "rssr: unknown keys ['solver']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_each_config_error_exits_2_naming_its_json_path(tmp_path, capsys, case):
+    mutate, extra, prefix = CONFIG_ERRORS[case]
+    cfg = minimal_config()
+    mutate(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "db.txt"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("contents, prefix", [
+    (None, "cannot read "),
+    ("{", "{path} is not valid JSON"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, contents, prefix):
+    path = tmp_path / "config.json"
+    if contents is not None:
+        path.write_text(contents)
+    out = tmp_path / "db.txt"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {prefix.format(path=path)}")
+    assert not out.exists()
+
+
+def test_seed_option_equals_the_seed_in_the_config(tmp_path):
+    cfg = minimal_config()
+    cfg["channel"]["noise_std"] = 0.01
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    plain.write_text(json.dumps(cfg))
+    cfg["run"]["seed"] = 5
+    seeded.write_text(json.dumps(cfg))
+    outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    assert cli.main(["simulate", "--config", str(plain), "--out", str(outs[0]),
+                     "--seed", "5"]) == 0
+    assert cli.main(["simulate", "--config", str(seeded), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

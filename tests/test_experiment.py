@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 import rf_reference
 from vlcloc import cli, config, experiment, fusion, spectral
+from vlcloc.channel import ChannelParams, LedConfig
 from vlcloc.classifiers import TrainSet
+from vlcloc.experiment import SplitRatios
 
 
 def tiny_config() -> dict:
@@ -32,7 +36,7 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
         experiment._seed(plan, 0, experiment._SEED_RF))
     online_q, _, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
-    np.testing.assert_array_equal(first.results["rf"].est, plan.grid_coords[labels])
+    np.testing.assert_array_equal(first.est["rf"], plan.grid_coords[labels])
 
 
 def test_nearest_mean_labels_match_the_one_piece_formula():
@@ -137,3 +141,56 @@ def test_each_stage_tags_its_failure(tmp_path, capsys, monkeypatch, stage):
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert f"[{stage}]" in capsys.readouterr().err
+
+
+def test_noise_free_equal_gain_rssr_is_exact_end_to_end():
+    cfg = tiny_config()
+    cfg["channel"]["noise_std"] = 0.0
+    cfg["run"]["methods"] = ["rssr"]
+    for led in cfg["geometry"]["leds"]:
+        led["gain"] = 1000.0
+    table = experiment.run_experiment(config.plan_from_config(cfg))
+    assert table.errors("rssr").size == 9 * 4
+    assert table.errors("rssr").max() <= 1e-7
+
+
+def test_split_counts_are_exact_for_whole_percent_fractions():
+    assert SplitRatios(0.29, 0.21, 0.5).counts(100) == (29, 21, 50)
+    assert SplitRatios(0.6, 0.2, 0.2).counts(200) == (120, 40, 40)
+    assert SplitRatios(0.1, 0.1, 0.8).counts(200) == (20, 20, 160)
+    for t in range(1, 99):
+        split = SplitRatios(t / 100, (99 - t) / 100, 0.01)
+        for q in range(100, 401):
+            n_train, n_offline, _ = split.counts(q)
+            assert (n_train, n_offline) == (q * t // 100, q * (99 - t) // 100), (q, t)
+
+
+NAN = math.nan
+H = [0.0, 0.0, 1.0]
+
+# field -> a call that passes NaN (or an out-of-range value) to that field
+BAD_FIELDS = {
+    "LedConfig.position": lambda: LedConfig([0.0, 0.0, NAN], 8e5),
+    "LedConfig.frequency": lambda: LedConfig(H, NAN),
+    "LedConfig.amplitude": lambda: LedConfig(H, 8e5, amplitude=NAN),
+    "LedConfig.gain": lambda: LedConfig(H, 8e5, gain=NAN),
+    "ChannelParams.lambertian_order": lambda: ChannelParams(NAN, 1e-4, 0.0, 4e6),
+    "ChannelParams.pd_area": lambda: ChannelParams(1.0, NAN, 0.0, 4e6),
+    "ChannelParams.noise_std": lambda: ChannelParams(1.0, 1e-4, NAN, 4e6),
+    "ChannelParams.sample_rate": lambda: ChannelParams(1.0, 1e-4, 0.0, NAN),
+    "ChannelParams.speed_of_light": lambda: ChannelParams(1.0, 1e-4, 0.0, 4e6, NAN),
+    "SplitRatios.train": lambda: SplitRatios(NAN, 0.5, 0.5),
+    "SplitRatios.offline": lambda: SplitRatios(0.5, NAN, 0.5),
+    "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
+    "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
+        config.plan_from_config(tiny_config()), grid_spacing=NAN),
+    "ls_svd_weights.rank_tol=nan": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), NAN),
+    "ls_svd_weights.rank_tol=inf": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), math.inf),
+    "ls_svd_weights.rank_tol<0": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), -1.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_FIELDS))
+def test_python_api_rejects_nan_in_each_field(field):
+    with pytest.raises(ValueError):
+        BAD_FIELDS[field]()
