@@ -86,6 +86,8 @@ class PdPose:
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ValueError(f"PD position must be a 3-vector, got shape {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError(f"PD position must be finite, got {pos}")
         if pos[2] != 0.0:
             raise ValueError(f"PD must sit on the z = 0 plane, got z = {pos[2]}")
         object.__setattr__(self, "position", pos)

@@ -70,12 +70,149 @@ class _GridClassifier:
         return self.train_set.grid_coords[self.predict_labels(queries)]
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): relative error bound of k roundings."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+# KNN search layout: leaves of at most 8 training rows, queries batched by
+# the cell of 4 sibling leaves they route to, at most 64 to a batch, and each
+# batch's first bound taken over a subtree of at least 4 k training rows.
+_LEAF_ROWS = 8
+_CELL_LEAVES = 4
+_GROUP_QUERIES = 64
+_BOUND_ROWS_PER_K = 4
+# Candidate blocks are padded to a multiple of this many columns: a matmul
+# column past the last full block of the BLAS kernel can take another
+# summation order than the same column inside a full block.
+_COL_ALIGN = 16
+
+
+class KdTree(NamedTuple):
+    """Static median-split k-d tree over training rows, as flat arrays.
+
+    Internal nodes are numbered in heap order from 1 (node i has children
+    2i and 2i + 1), all leaves sit at the same depth, and leaf j is node
+    2**depth + j. A query goes right at node i when its value of
+    `split_dim[i]` is >= `split_at[i]`. The boxes are the per-feature ranges
+    of each leaf's rows, stored feature-major.
+    """
+
+    split_dim: np.ndarray  # (2**depth,) int; entry 0 unused
+    split_at: np.ndarray   # (2**depth,) float
+    lo: np.ndarray         # (M, leaves) per-feature minimum of each leaf's rows
+    hi: np.ndarray         # (M, leaves) per-feature maximum
+    row_leaf: np.ndarray   # (n,) leaf of each training row
+
+    @property
+    def depth(self) -> int:
+        return self.split_dim.size.bit_length() - 1
+
+
+def _kd_tree(x: np.ndarray) -> KdTree:
+    """Split every node at the median of its widest feature until no leaf
+    holds more than _LEAF_ROWS rows."""
+    n = x.shape[0]
+    depth = ((n - 1) // _LEAF_ROWS).bit_length()
+    split_dim = np.zeros(1 << depth, dtype=np.intp)
+    split_at = np.zeros(1 << depth)
+    order = np.arange(n)  # rows grouped by node, nodes in order
+    starts = np.zeros(1, dtype=np.intp)
+    for level in range(depth):
+        sizes = np.diff(starts, append=n)
+        node_of = np.repeat(np.arange(starts.size), sizes)
+        xs = x[order]
+        dim = np.argmax(np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts), axis=1)
+        order = order[np.lexsort((xs[np.arange(n), dim[node_of]], node_of))]
+        mids = starts + sizes // 2
+        nodes = (1 << level) + np.arange(starts.size)
+        split_dim[nodes] = dim
+        split_at[nodes] = x[order[mids], dim]
+        starts = np.column_stack([starts, mids]).ravel()
+    xs = x[order]
+    row_leaf = np.empty(n, dtype=np.intp)
+    row_leaf[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+    return KdTree(split_dim, split_at, np.minimum.reduceat(xs, starts).T.copy(),
+                  np.maximum.reduceat(xs, starts).T.copy(), row_leaf)
+
+
+def _route(tree: KdTree, q: np.ndarray) -> np.ndarray:
+    """(n,) leaf each query row reaches by the split tests."""
+    rows = np.arange(q.shape[0])
+    node = np.ones(q.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        node = 2 * node + (q[rows, tree.split_dim[node]] >= tree.split_at[node])
+    return node - tree.split_dim.size
+
+
+def _vote_row(d2: np.ndarray, kth: float, labels: np.ndarray, k: int, g: int) -> int:
+    """KNN label of one query from its squared distances d2 to candidate rows
+    in ascending training-row order (labels aligned with d2), where kth is
+    the k-th smallest d2 and every row that could rank among the k nearest
+    is a candidate. The tie rules of KnnClassifier."""
+    cand = np.nonzero(d2 <= kth)[0]  # ascending index order
+    nn = cand[np.argsort(d2[cand], kind="stable")][:k]
+    votes = np.bincount(labels[nn], minlength=g)
+    tied = np.nonzero(votes == votes.max())[0]
+    if tied.size == 1:
+        return int(tied[0])
+    dists = np.sqrt(d2[nn])
+    means = np.array([dists[labels[nn] == lab].mean() for lab in tied])
+    return int(tied[np.argmin(means)])  # argmin keeps lower label on ties
+
+
 class KnnClassifier(_GridClassifier):
     """k-nearest-neighbour voting on Euclidean distance.
 
     Neighbour order breaks distance ties by lower training-row index; equal
     vote counts go to the label with the smaller mean neighbour distance,
     then to the lower label.
+
+    Squared distances are the norm expansion |x|^2 + |q|^2 - 2 q.x clipped
+    at 0, and the labels are those of computing that for every training row
+    (tests/knn_reference.py), found without doing so. A k-d tree
+    (KdTree) splits the training rows into leaves with bounding
+    boxes. Queries are routed to leaves and batched by cell; per batch:
+
+    1. U_i, the k-th smallest squared distance from query i to the rows of
+       a subtree holding >= min(4 k, n) rows, bounds its k-th distance over
+       all rows from above.
+    2. The candidates are the rows of every leaf whose box lies within
+       max_i U_i (plus a rounding margin) of the batch's bounding box.
+    3. The batch's squared distances to the candidates, in ascending
+       training-row order, decide the votes.
+
+    Exactness. With gamma = gamma_{M+2}, every computed squared distance,
+    whatever the summation order, is within E_i = 3 gamma (|q_i|^2 +
+    max_j |x_j|^2) of the exact one (Higham 2002, eq. 3.5 for the dot
+    products, plus the add and subtract), and the exact squared distance
+    from the batch box to a leaf box, which no row of the leaf undercuts, is
+    at least (1 - gamma) times the computed one. The k-th distance of
+    the full computation is at most U_i + 2 E_i, and a row of a leaf whose
+    computed bound exceeds (U_i + 3 E_i) / (1 - gamma) is farther than that,
+    so it cannot be among query i's neighbours or tie with them. The margin
+    used, U_i (1 + 4 gamma) + 12 gamma (|q_i|^2 + max |x|^2), is larger
+    still. So every row the full computation ranks within the k nearest is
+    a candidate, and the tie rules see the same candidate order.
+
+    Same bits. Each candidate block is a matmul of >= 2 query rows and a
+    column count padded to a multiple of 16, so every entry is the fused
+    multiply-add chain over the M features, as in the full blocks of the
+    full product: a one-row product goes through gemv, and the columns of a
+    kernel's tail block can sum in another order (both seen with the
+    SkylakeX kernels of OpenBLAS 0.3.31). The labels therefore do not
+    depend on how queries are batched.
+
+    Votes. With no tie at the k-th distance the k nearest rows are exactly
+    those with d2 <= k-th d2, and one offset bincount counts their votes. A
+    vote tie compares mean distances of labels with equal counts, i.e. sums
+    of the same square roots; any summation order is within gamma_k of the
+    exact sum, so a gap wider than 4 gamma_{k+2} of the larger sum decides
+    it as np.mean would. Rows with a tie at the k-th distance, or a closer
+    mean gap, take the per-row rule (_vote_row).
     """
 
     name = "knn"
@@ -88,40 +225,88 @@ class KnnClassifier(_GridClassifier):
         self.train_set = train
         self.k = k
         self._sq_norms = np.einsum("ij,ij->i", train.features, train.features)
+        self.tree = _kd_tree(train.features)
+
+    def _sq_dists(self, qg: np.ndarray, qn: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(rows, cols) clipped norm-expansion squared distances, bit for bit
+        the entries of the full product (see the class docstring)."""
+        r, c = qg.shape[0], cols.size
+        if r == 1:
+            qg, qn = np.repeat(qg, 2, axis=0), np.repeat(qn, 2)
+        pad = -c % _COL_ALIGN
+        if pad:
+            cols = np.concatenate([cols, np.repeat(cols[-1], pad)])
+        d2 = self._sq_norms[cols] + qn[:, np.newaxis]
+        d2 -= 2.0 * qg @ self.train_set.features[cols].T
+        return np.maximum(d2, 0.0, out=d2)[:r, :c]
 
     def predict_labels(self, queries) -> np.ndarray:
         q = _as_query_matrix(queries)
         x = self.train_set.features
-        labels = self.train_set.labels
+        if q.shape[1] != x.shape[1]:
+            raise ValueError(f"queries have {q.shape[1]} features, training rows {x.shape[1]}")
+        if not np.isfinite(q).all():
+            raise ValueError("queries must be finite")
+        tree, k, n = self.tree, self.k, x.shape[0]
+        qn = np.einsum("ij,ij->i", q, q)
+        gamma = _gamma(x.shape[1] + 2)
+        slack = 12.0 * gamma * (qn + self._sq_norms.max())
+        leaf = _route(tree, q)
+        order = np.argsort(leaf, kind="stable")
+        cell = leaf[order] // _CELL_LEAVES
+        # the subtree level whose every subtree has min(4 k, n) rows or more
+        shift = 0
+        while np.bincount(tree.row_leaf >> shift).min() < min(_BOUND_ROWS_PER_K * k, n):
+            shift += 1
+        row_subtree = tree.row_leaf >> shift
+        out = np.empty(q.shape[0], dtype=int)
+        subtree = -1
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        for a, end in zip(starts, np.append(starts[1:], q.shape[0])):
+            for b in range(a, end, _GROUP_QUERIES):
+                idx = order[b : min(b + _GROUP_QUERIES, end)]
+                qg, qng = q[idx], qn[idx]
+                if leaf[idx[0]] >> shift != subtree:
+                    subtree = leaf[idx[0]] >> shift
+                    rows = np.flatnonzero(row_subtree == subtree)
+                    x_rows, sn_rows = x[rows], self._sq_norms[rows]
+                d2 = sn_rows + qng[:, np.newaxis] - 2.0 * qg @ x_rows.T
+                bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
+                reach = (bound * (1.0 + 4.0 * gamma) + slack[idx]).max()
+                gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
+                                 qg.min(axis=0)[:, np.newaxis] - tree.hi)
+                np.maximum(gap, 0.0, out=gap)
+                near = np.einsum("ij,ij->j", gap, gap) <= reach
+                cols = np.flatnonzero(near[tree.row_leaf])
+                out[idx] = self._vote(self._sq_dists(qg, qng, cols), cols)
+        return out
+
+    def _vote(self, d2: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Labels of a batch from its (rows, cols) squared distances."""
+        labels = self.train_set.labels[cols]
         g = self.train_set.num_grid_points
         k = self.k
-        out = np.empty(q.shape[0], dtype=int)
-        chunk = max(1, int(4e6) // max(1, x.shape[0]))
-        for start in range(0, q.shape[0], chunk):
-            qc = q[start : start + chunk]
-            d2 = np.maximum(
-                self._sq_norms[np.newaxis, :]
-                + np.einsum("ij,ij->i", qc, qc)[:, np.newaxis]
-                - 2.0 * qc @ x.T,
-                0.0,
-            )
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            for r in range(qc.shape[0]):
-                cand = np.nonzero(d2[r] <= kth[r])[0]  # ascending index order
-                order = np.argsort(d2[r, cand], kind="stable")
-                nn = cand[order][:k]
-                votes = np.bincount(labels[nn], minlength=g)
-                top = votes.max()
-                tied = np.nonzero(votes == top)[0]
-                if tied.size == 1:
-                    out[start + r] = tied[0]
-                    continue
-                dists = np.sqrt(d2[r, nn])
-                means = np.array(
-                    [dists[labels[nn] == lab].mean() for lab in tied]
-                )
-                out[start + r] = tied[np.argmin(means)]  # argmin keeps lower label on ties
-        return out
+        r, c = d2.shape
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        hit = np.flatnonzero(d2 <= kth[:, np.newaxis])  # row-major
+        row = hit // c
+        lab = labels[hit - row * c] + g * row
+        votes = np.bincount(lab, minlength=r * g).reshape(r, g)
+        best = np.argmax(votes, axis=1)  # lower label first
+        top = votes[np.arange(r), best]
+        unsure = np.bincount(row, minlength=r) > k  # a tie at the k-th distance
+        tied = np.flatnonzero(np.count_nonzero(votes == top[:, np.newaxis], axis=1) > 1)
+        if tied.size:
+            sums = np.bincount(lab, weights=np.sqrt(d2.ravel()[hit]), minlength=r * g)
+            sums = np.where(votes[tied] == top[tied, np.newaxis],
+                            sums.reshape(r, g)[tied], np.inf)
+            best[tied] = np.argmin(sums, axis=1)
+            first = sums[np.arange(tied.size), best[tied]]
+            sums[np.arange(tied.size), best[tied]] = np.inf
+            unsure[tied] |= sums.min(axis=1) <= first * (1.0 + 4.0 * _gamma(k + 2))
+        for i in np.flatnonzero(unsure):
+            best[i] = _vote_row(d2[i], kth[i], labels, k, g)
+        return best
 
 
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
@@ -192,14 +377,8 @@ class FlatTree(NamedTuple):
     label: np.ndarray      # (nodes,) int
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 # Margin on the screening tolerance, on top of a bound that is already worst case.
 _SCREEN_SAFETY = 4.0
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u): relative error bound of k roundings."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _xlog2x(counts: np.ndarray) -> np.ndarray:

@@ -53,19 +53,20 @@ def cmd_simulate(plan: experiment.ExperimentPlan, out_path: str) -> None:
 
 
 def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
+    """The csv.writer text (excel dialect: "\\r\\n" line ends; method names and
+    numbers need no quoting), built in bulk: the shared query columns are
+    formatted once for all methods."""
+    shared = [f"{t},{g},{x:.9g},{y:.9g},"
+              for t, g, x, y in zip(table.trial.tolist(), table.grid_index.tolist(),
+                                    table.truth[:, 0].tolist(), table.truth[:, 1].tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "trial", "grid_index", "true_x", "true_y",
-                         "est_x", "est_y", "error_m"])
+        fh.write("method,trial,grid_index,true_x,true_y,est_x,est_y,error_m\r\n")
         for method in table.methods:
-            est, errs = table.est[method], table.errors(method)
-            for i in range(table.trial.size):
-                writer.writerow([
-                    method, table.trial[i], table.grid_index[i],
-                    format(table.truth[i, 0], ".9g"), format(table.truth[i, 1], ".9g"),
-                    format(est[i, 0], ".9g"), format(est[i, 1], ".9g"),
-                    format(errs[i], ".9g"),
-                ])
+            est = table.est[method]
+            fh.write("".join(
+                f"{method},{row}{ex:.9g},{ey:.9g},{err:.9g}\r\n"
+                for row, ex, ey, err in zip(shared, est[:, 0].tolist(), est[:, 1].tolist(),
+                                            table.errors(method).tolist())))
 
 
 def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:

@@ -10,6 +10,7 @@ from the plan seed through named SeedSequence children).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -130,6 +131,19 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # written so that NaN fails every check
+        for name in ("knn_k", "elm_hidden", "rf_trees", "rf_depth"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.rank_tol is not None and not 0.0 <= self.rank_tol < math.inf:
+            raise ValueError(f"rank_tol must be None or finite and >= 0, got {self.rank_tol}")
+        if not 0.0 < self.rssr_scan_resolution < math.inf:
+            raise ValueError(f"rssr_scan_resolution must be positive, got {self.rssr_scan_resolution}")
+        if not 0.0 <= self.rssr_margin < math.inf:
+            raise ValueError(f"rssr_margin must be finite and >= 0, got {self.rssr_margin}")
+        thr = np.asarray(self.cdf_thresholds, dtype=float)
+        if thr.ndim != 1 or not np.isfinite(thr).all() or np.any(np.diff(thr) < 0.0):
+            raise ValueError(f"cdf_thresholds must be finite and ascending, got {self.cdf_thresholds}")
         freqs = [led.frequency for led in self.leds]
         if len(set(freqs)) != len(freqs):
             raise ValueError("LED tone frequencies must be distinct")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knn_reference
 import rf_reference
 from rf_reference import entropy
 from vlcloc.classifiers import (ElmClassifier, KnnClassifier, RandomForest,
@@ -107,6 +108,100 @@ class TestKnn:
         train = TrainSet(feats, labels, rng.normal(size=(g, 2)))
         clf = KnnClassifier(train, k=q_blocks)
         np.testing.assert_array_equal(clf.predict_labels(feats), labels)
+
+
+@st.composite
+def integer_knn_case(draw):
+    """(train, k, queries) with small integer features, so that every squared
+    distance is exact and distance, vote and mean ties are real: duplicated
+    rows, k from 1 to n, M from 1 to 4, n below and above one tree leaf and
+    queries that repeat training rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 5, 8, 9, 17, 40, 130]))
+    span = draw(st.sampled_from([1, 2, 4, 30]))
+    feats = rng.integers(-span, span + 1, (n, m)).astype(float)
+    if draw(st.booleans()):  # more duplicated rows
+        feats = feats[rng.integers(0, max(1, n // 3), n)]
+    g = draw(st.integers(1, 6))
+    labels = rng.integers(0, g, n)
+    k = draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]))
+    n_q = draw(st.sampled_from([1, 2, 3, 70, 150]))
+    queries = rng.integers(-span - 1, span + 2, (n_q, m)).astype(float)
+    repeat = rng.random(n_q) < 0.3
+    queries[repeat] = feats[rng.integers(0, n, repeat.sum())]
+    return TrainSet(feats, labels, rng.normal(size=(g, 2))), k, queries
+
+
+class TestKnnAgainstDenseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_knn_case())
+    def test_integer_features_match_the_dense_oracle(self, case):
+        train, k, queries = case
+        np.testing.assert_array_equal(KnnClassifier(train, k).predict_labels(queries),
+                                      knn_reference.knn_labels(train, k, queries))
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_knn_case(), st.integers(0, 2**32 - 1))
+    def test_labels_do_not_depend_on_query_batching(self, case, seed):
+        train, k, queries = case
+        clf = KnnClassifier(train, k)
+        whole = clf.predict_labels(queries)
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, queries.shape[0] + 1),
+                                  rng.integers(0, 4), replace=True))
+        pieces = [clf.predict_labels(p) for p in np.split(queries, cuts) if p.size]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        np.testing.assert_array_equal([clf.predict_labels(row)[0] for row in queries], whole)
+
+    def test_real_valued_features_match_the_dense_oracle(self):
+        # a many-leaf tree, many query batches, and squared distances that
+        # must equal the dense product's bit for bit
+        rng = np.random.default_rng(11)
+        centres = rng.normal(-40.0, 6.0, (30, 4))
+        labels = np.repeat(np.arange(30), 100)
+        feats = centres[labels] + rng.normal(0.0, 1.5, (3000, 4))
+        train = TrainSet(feats, labels, rng.normal(size=(30, 2)))
+        queries = centres[rng.integers(0, 30, 2000)] + rng.normal(0.0, 1.5, (2000, 4))
+        for k in (1, 7, 50):
+            np.testing.assert_array_equal(KnnClassifier(train, k).predict_labels(queries),
+                                          knn_reference.knn_labels(train, k, queries))
+
+    def test_candidate_blocks_reproduce_the_full_product_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        feats = rng.normal(-40.0, 8.0, (512, 4))
+        clf = KnnClassifier(TrainSet(feats, np.zeros(512, dtype=int), np.zeros((1, 2))), k=1)
+        q = rng.normal(-40.0, 8.0, (64, 4))
+        qn = np.einsum("ij,ij->i", q, q)
+        full = np.maximum(clf._sq_norms + qn[:, np.newaxis] - 2.0 * q @ feats.T, 0.0)
+        for rows in (slice(0, 1), slice(3, 6), slice(0, 64)):
+            for width in (1, 2, 7, 17, 100, 512):
+                cols = np.sort(rng.choice(512, width, replace=False))
+                np.testing.assert_array_equal(clf._sq_dists(q[rows], qn[rows], cols),
+                                              full[rows][:, cols])
+
+    def test_vote_tie_with_equal_means_takes_the_lower_label(self):
+        # labels 3 and 1 tie on votes and on mean distance; label 2 is farther
+        feats = np.array([[0.0, 2.0], [0.0, -2.0], [2.0, 0.0], [-2.0, 0.0], [5.0, 5.0]])
+        train = TrainSet(feats, np.array([3, 3, 1, 1, 2]), np.zeros((4, 2)))
+        assert KnnClassifier(train, k=4).predict_labels([[0.0, 0.0]])[0] == 1
+
+    def test_equal_means_whose_sums_round_apart_by_row_order(self):
+        # both labels have neighbours at 1, sqrt(2) and sqrt(10), so their mean
+        # distances tie and label 0 wins; summed in training-row order instead
+        # of distance order, (1 + sqrt(10)) + sqrt(2) exceeds (1 + sqrt(2)) + sqrt(10)
+        feats = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, 1.0],
+                          [0.0, 1.0], [-1.0, -1.0], [3.0, 1.0]])
+        train = TrainSet(feats, np.array([0, 0, 0, 1, 1, 1]), np.zeros((2, 2)))
+        assert KnnClassifier(train, k=6).predict_labels([[0.0, 0.0]])[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_or_misshaped_queries(self, bad):
+        clf = KnnClassifier(random_train_set(np.random.default_rng(12), m=3), k=3)
+        with pytest.raises(ValueError, match="finite"):
+            clf.predict_labels([[0.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="features"):
+            clf.predict_labels([[0.0, 0.0]])
 
 
 class TestElm:

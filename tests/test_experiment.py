@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import functools
 import json
 import math
 
@@ -7,7 +9,7 @@ import pytest
 
 import rf_reference
 from vlcloc import cli, config, experiment, fusion, spectral
-from vlcloc.channel import ChannelParams, LedConfig
+from vlcloc.channel import ChannelParams, LedConfig, PdPose
 from vlcloc.classifiers import TrainSet
 from vlcloc.experiment import SplitRatios
 
@@ -184,6 +186,14 @@ BAD_FIELDS = {
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
     "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()), grid_spacing=NAN),
+    **{f"ExperimentPlan.{name}={value}": functools.partial(
+        lambda name, value: dataclasses.replace(
+            config.plan_from_config(tiny_config()), **{name: value}), name, value)
+       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0),
+                           ("rank_tol", NAN), ("rssr_margin", NAN),
+                           ("rssr_scan_resolution", 0.0), ("cdf_thresholds", (NAN,))]},
+    "PdPose.x": lambda: PdPose.at(NAN, 0.0),
+    "PdPose.y": lambda: PdPose.at(0.0, math.inf),
     "ls_svd_weights.rank_tol=nan": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), NAN),
     "ls_svd_weights.rank_tol=inf": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), math.inf),
     "ls_svd_weights.rank_tol<0": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), -1.0),
@@ -194,3 +204,32 @@ BAD_FIELDS = {
 def test_python_api_rejects_nan_in_each_field(field):
     with pytest.raises(ValueError):
         BAD_FIELDS[field]()
+
+
+def _csv_writer_results(table, path):
+    """The row-at-a-time csv.writer form of cli._write_results_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "trial", "grid_index", "true_x", "true_y",
+                         "est_x", "est_y", "error_m"])
+        for method in table.methods:
+            est, errs = table.est[method], table.errors(method)
+            for i in range(table.trial.size):
+                writer.writerow([method, table.trial[i], table.grid_index[i],
+                                 *(format(v, ".9g") for v in (*table.truth[i], *est[i], errs[i]))])
+
+
+def test_results_csv_equals_the_csv_writer_text(tmp_path):
+    rng = np.random.default_rng(14)
+    edge = np.array([-0.0, 1e-10, 1e21, 3.0, -2.0, 0.1, 123456789.0, 1.0 / 3.0])
+    truth = np.column_stack([edge, edge[::-1]])
+    table = experiment.ResultTable(
+        methods=("knn", "gi-ls", "rss-match"),
+        trial=np.repeat([0, 1], 4), grid_index=np.array([0, 5, 12, 224, 3, 3, 7, 0]),
+        truth=truth,
+        est={"knn": truth.copy(), "gi-ls": truth + rng.normal(size=truth.shape),
+             "rss-match": -truth},
+        cdf_thresholds=np.array(experiment.cdf_grid()))
+    cli._write_results_csv(table, tmp_path / "bulk.csv")
+    _csv_writer_results(table, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
