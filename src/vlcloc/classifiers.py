@@ -79,11 +79,10 @@ def _gamma(k: int) -> float:
 
 
 # KNN search layout: leaves of at most 8 training rows, queries batched by
-# the cell of 4 sibling leaves they route to, at most 64 to a batch, and each
-# batch's first bound taken over a subtree of at least 4 k training rows.
+# the cell of 4 sibling leaves they route to, and each batch's first bound
+# taken over a subtree of at least 4 k training rows.
 _LEAF_ROWS = 8
 _CELL_LEAVES = 4
-_GROUP_QUERIES = 64
 _BOUND_ROWS_PER_K = 4
 # Candidate blocks are padded to a multiple of this many columns: a matmul
 # column past the last full block of the BLAS kernel can take another
@@ -172,10 +171,12 @@ class KnnClassifier(_GridClassifier):
     then to the lower label.
 
     Squared distances are the norm expansion |x|^2 + |q|^2 - 2 q.x clipped
-    at 0, and the labels are those of computing that for every training row
-    (tests/knn_reference.py), found without doing so. A k-d tree
-    (KdTree) splits the training rows into leaves with bounding
-    boxes. Queries are routed to leaves and batched by cell; per batch:
+    at 0, computed only for rows that can be among the k nearest. Where
+    those entries equal the full product's bit for bit (see Same bits), the
+    labels are those of computing every training row
+    (tests/knn_reference.py). A k-d tree (KdTree) splits the training rows
+    into leaves with bounding boxes. Queries are routed to leaves and
+    batched by cell; per batch:
 
     1. U_i, the k-th smallest squared distance from query i to the rows of
        a subtree holding >= min(4 k, n) rows, bounds its k-th distance over
@@ -198,21 +199,21 @@ class KnnClassifier(_GridClassifier):
     still. So every row the full computation ranks within the k nearest is
     a candidate, and the tie rules see the same candidate order.
 
-    Same bits. Each candidate block is a matmul of >= 2 query rows and a
-    column count padded to a multiple of 16, so every entry is the fused
-    multiply-add chain over the M features, as in the full blocks of the
-    full product: a one-row product goes through gemv, and the columns of a
-    kernel's tail block can sum in another order (both seen with the
-    SkylakeX kernels of OpenBLAS 0.3.31). The labels therefore do not
-    depend on how queries are batched.
+    Same bits, as measured with the SkylakeX kernels of OpenBLAS 0.3.31
+    only. There, a one-row product goes through gemv, and in a product of
+    more than ~1e6 multiply-adds the columns of the kernel's tail block (the
+    last n mod 8) sum in two accumulators; every other matmul entry is the
+    fused multiply-add chain over the M features. Each candidate block is a
+    matmul of >= 2 query rows and a column count padded to a multiple of
+    16, so its entries are that chain, and the labels do not depend on how
+    queries are batched. They equal the full product's entries except in
+    its tail columns when it is that large: there, and under any other BLAS
+    kernel, a tie within an ulp could take another label.
 
     Votes. With no tie at the k-th distance the k nearest rows are exactly
-    those with d2 <= k-th d2, and one offset bincount counts their votes. A
-    vote tie compares mean distances of labels with equal counts, i.e. sums
-    of the same square roots; any summation order is within gamma_k of the
-    exact sum, so a gap wider than 4 gamma_{k+2} of the larger sum decides
-    it as np.mean would. Rows with a tie at the k-th distance, or a closer
-    mean gap, take the per-row rule (_vote_row).
+    those with d2 <= k-th d2, and one offset bincount counts their votes.
+    Rows with a tie at the k-th distance or a vote tie take the per-row
+    rule (_vote_row).
     """
 
     name = "knn"
@@ -261,24 +262,21 @@ class KnnClassifier(_GridClassifier):
         row_subtree = tree.row_leaf >> shift
         out = np.empty(q.shape[0], dtype=int)
         subtree = -1
-        starts = np.flatnonzero(np.diff(cell, prepend=-1))
-        for a, end in zip(starts, np.append(starts[1:], q.shape[0])):
-            for b in range(a, end, _GROUP_QUERIES):
-                idx = order[b : min(b + _GROUP_QUERIES, end)]
-                qg, qng = q[idx], qn[idx]
-                if leaf[idx[0]] >> shift != subtree:
-                    subtree = leaf[idx[0]] >> shift
-                    rows = np.flatnonzero(row_subtree == subtree)
-                    x_rows, sn_rows = x[rows], self._sq_norms[rows]
-                d2 = sn_rows + qng[:, np.newaxis] - 2.0 * qg @ x_rows.T
-                bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
-                reach = (bound * (1.0 + 4.0 * gamma) + slack[idx]).max()
-                gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
-                                 qg.min(axis=0)[:, np.newaxis] - tree.hi)
-                np.maximum(gap, 0.0, out=gap)
-                near = np.einsum("ij,ij->j", gap, gap) <= reach
-                cols = np.flatnonzero(near[tree.row_leaf])
-                out[idx] = self._vote(self._sq_dists(qg, qng, cols), cols)
+        for idx in np.split(order, np.flatnonzero(np.diff(cell)) + 1):
+            qg, qng = q[idx], qn[idx]
+            if leaf[idx[0]] >> shift != subtree:
+                subtree = leaf[idx[0]] >> shift
+                rows = np.flatnonzero(row_subtree == subtree)
+                x_rows, sn_rows = x[rows], self._sq_norms[rows]
+            d2 = sn_rows + qng[:, np.newaxis] - 2.0 * qg @ x_rows.T
+            bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            reach = (bound * (1.0 + 4.0 * gamma) + slack[idx]).max()
+            gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
+                             qg.min(axis=0)[:, np.newaxis] - tree.hi)
+            np.maximum(gap, 0.0, out=gap)
+            near = np.einsum("ij,ij->j", gap, gap) <= reach
+            cols = np.flatnonzero(near[tree.row_leaf])
+            out[idx] = self._vote(self._sq_dists(qg, qng, cols), cols)
         return out
 
     def _vote(self, d2: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -295,15 +293,7 @@ class KnnClassifier(_GridClassifier):
         best = np.argmax(votes, axis=1)  # lower label first
         top = votes[np.arange(r), best]
         unsure = np.bincount(row, minlength=r) > k  # a tie at the k-th distance
-        tied = np.flatnonzero(np.count_nonzero(votes == top[:, np.newaxis], axis=1) > 1)
-        if tied.size:
-            sums = np.bincount(lab, weights=np.sqrt(d2.ravel()[hit]), minlength=r * g)
-            sums = np.where(votes[tied] == top[tied, np.newaxis],
-                            sums.reshape(r, g)[tied], np.inf)
-            best[tied] = np.argmin(sums, axis=1)
-            first = sums[np.arange(tied.size), best[tied]]
-            sums[np.arange(tied.size), best[tied]] = np.inf
-            unsure[tied] |= sums.min(axis=1) <= first * (1.0 + 4.0 * _gamma(k + 2))
+        unsure |= np.count_nonzero(votes == top[:, np.newaxis], axis=1) > 1  # a vote tie
         for i in np.flatnonzero(unsure):
             best[i] = _vote_row(d2[i], kth[i], labels, k, g)
         return best

@@ -177,8 +177,11 @@ class TestKnnAgainstDenseReference:
         for rows in (slice(0, 1), slice(3, 6), slice(0, 64)):
             for width in (1, 2, 7, 17, 100, 512):
                 cols = np.sort(rng.choice(512, width, replace=False))
-                np.testing.assert_array_equal(clf._sq_dists(q[rows], qn[rows], cols),
-                                              full[rows][:, cols])
+                np.testing.assert_array_equal(
+                    clf._sq_dists(q[rows], qn[rows], cols), full[rows][:, cols],
+                    err_msg="written for the SkylakeX kernels of OpenBLAS 0.3.31: on another "
+                            "BLAS build or CPU this reads as a change of summation order, "
+                            "not of the KNN rule")
 
     def test_vote_tie_with_equal_means_takes_the_lower_label(self):
         # labels 3 and 1 tie on votes and on mean distance; label 2 is farther
@@ -194,6 +197,20 @@ class TestKnnAgainstDenseReference:
                           [0.0, 1.0], [-1.0, -1.0], [3.0, 1.0]])
         train = TrainSet(feats, np.array([0, 0, 0, 1, 1, 1]), np.zeros((2, 2)))
         assert KnnClassifier(train, k=6).predict_labels([[0.0, 0.0]])[0] == 0
+
+    def test_rounding_margin_keeps_a_leaf_the_norm_expansion_ties(self):
+        # Near 1e4 the norm expansion rounds both d2 to 2**-25: row 5 (3e-5
+        # away, in the query's leaf) and row 0 (2.2e-4 away, in the other
+        # leaf) tie, and the lower row index wins. The other leaf's box has
+        # squared gap 4.8e-8 > 2**-25, the computed bound; only the rounding
+        # margin keeps that leaf.
+        b = 1.0e4
+        feats = np.array([b + 2.2e-4, b + 2e-3, b + 3e-3, b + 4e-3, b + 5e-3,
+                          b - 3e-5, b - 2e-3, b - 3e-3, b - 4e-3])[:, np.newaxis]
+        train = TrainSet(feats, np.array([1, 1, 1, 1, 1, 0, 0, 0, 0]), np.zeros((2, 2)))
+        queries = np.array([[b]])
+        assert knn_reference.knn_labels(train, 1, queries)[0] == 1
+        assert KnnClassifier(train, k=1).predict_labels(queries)[0] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_or_misshaped_queries(self, bad):
