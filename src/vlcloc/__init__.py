@@ -15,8 +15,7 @@ from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, cdf_grid, error_cdf, run_experiment,
                          rss_vs_fft_len, synthesize_fingerprint_db)
 from .spectral import (FingerprintDB, build_fingerprints, from_db,
-                       load_fingerprints, peak_powers, periodogram,
-                       save_fingerprints, to_db)
+                       load_fingerprints, save_fingerprints, to_db)
 from .config import ConfigError, benchmark_config, load_config, plan_from_config
 
 __version__ = "0.1.0"

@@ -9,6 +9,10 @@ with Lambertian attenuation alpha_i, propagation delay tau_i = d_i / c and
 additive white Gaussian noise n(t). Geometry is fixed vertical: LEDs point
 straight down from height h, the PD points straight up from the z = 0 plane,
 so the radiation and incidence angles share cos = h / d.
+
+Synthesis works on a tone basis: cut into rows of B samples, the noise-free
+signal is one (rows, 2M) @ (2M, B) product of per-row cos / sin coefficients
+and per-column cos / sin tones (angle addition), plus the DC sum.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+_ROW_LEN = 2048  # samples per tone-basis row; 512-2048 cost the same within 20 %
 
 
 def lambertian_order_from_semiangle(semi_angle_deg: float) -> float:
@@ -120,6 +125,15 @@ def propagation_delay(led: LedConfig, pd: PdPose, params: ChannelParams) -> floa
     return distance(led, pd) / params.speed_of_light
 
 
+def _tone_angles(n: np.ndarray, freq: np.ndarray, fs: float) -> np.ndarray:
+    """(len(n), M) angles 2*pi*(f*n mod fs)/fs of sample indices n. f splits
+    into its float32 rounding, whose product with n < 2**29 fmod reduces
+    exactly, and a small tail: the rounding stays ~1 ulp however large n."""
+    head = freq.astype(np.float32).astype(float)
+    n = n[:, np.newaxis]
+    return (2.0 * math.pi / fs) * (np.fmod(n * head, fs) + n * (freq - head))
+
+
 def synthesize_received(
     leds: list[LedConfig],
     pd: PdPose,
@@ -138,19 +152,20 @@ def synthesize_received(
         raise ValueError("at least one LED is required")
     if duration_samples <= 0:
         raise ValueError(f"duration_samples must be positive, got {duration_samples}")
-    f_max = max(led.frequency for led in leds)
-    if params.sample_rate <= 2.0 * f_max:
-        raise ValueError(
-            f"sample_rate {params.sample_rate} Hz must exceed twice the highest "
-            f"tone ({f_max} Hz)"
-        )
+    freq = np.array([led.frequency for led in leds])
+    fs = params.sample_rate
+    if fs <= 2.0 * freq.max():
+        raise ValueError(f"sample_rate {fs} Hz must exceed twice the highest tone ({freq.max()} Hz)")
+    amp = np.array([attenuation(led, pd, params) * led.gain * led.amplitude for led in leds])
+    phase = 2.0 * math.pi * freq * [propagation_delay(led, pd, params) for led in leds]
 
-    t = np.arange(duration_samples, dtype=float) / params.sample_rate
-    y = np.zeros(duration_samples)
-    for led in leds:
-        a = attenuation(led, pd, params) * led.gain * led.amplitude
-        phase = 2.0 * math.pi * led.frequency * propagation_delay(led, pd, params)
-        y += a * (1.0 + np.cos(2.0 * math.pi * led.frequency * t - phase))
+    # sample r * B + j: cos(theta_r + w j) = cos(theta_r) cos(w j) - sin(theta_r) sin(w j)
+    rows = -(-duration_samples // _ROW_LEN)
+    theta = _tone_angles(np.arange(rows) * float(_ROW_LEN), freq, fs) - phase
+    wj = _tone_angles(np.arange(_ROW_LEN, dtype=float), freq, fs).T
+    coeff = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
+    y = (coeff @ np.vstack([np.cos(wj), np.sin(wj)])).ravel()[:duration_samples]
+    y += amp.sum()
     if params.noise_std > 0.0:
         rng = np.random.default_rng(rng_seed)
         y += rng.normal(0.0, params.noise_std, duration_samples)

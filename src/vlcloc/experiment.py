@@ -324,8 +324,10 @@ def run_experiment(plan: ExperimentPlan,
         with _stage("evaluate"):
             on_q, on_labels, on_truth = _flatten_split(trial_db, on_idx)
             on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
+            nearest = (fusion.nearest_mean_labels(on_q, mean_fps)
+                       if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
             for method in plan.methods:
-                est = _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd)
+                est = _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd)
                 acc[method].append(est)
             trials.append(np.full(on_labels.size, trial))
             grids.append(on_labels)
@@ -342,16 +344,16 @@ def run_experiment(plan: ExperimentPlan,
     )
 
 
-def _estimate(plan, method, on_q, on_pred, mean_fps, coords, gi, gd) -> np.ndarray:
+def _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd) -> np.ndarray:
     if method in SINGLE_CLASSIFIERS:
         col = on_pred.classifier_order.index(method)
         return np.column_stack([on_pred.x_hat[:, col], on_pred.y_hat[:, col]])
     if method == METHOD_GI:
         return fusion.gi_ls_predict_all(gi, on_pred)
     if method == METHOD_GD:
-        return fusion.gd_ls_predict_all(gd, on_q, on_pred)
+        return fusion.gd_ls_predict_all(gd, nearest, on_pred)
     if method == METHOD_MATCH:
-        return coords[fusion.nearest_mean_labels(on_q, mean_fps)]
+        return coords[nearest]
     if method == METHOD_RSSR:
         solver = baselines.RssrSolver(plan.rssr_config())
         # PSD peaks are squared electrical amplitudes; the optical power the
@@ -370,7 +372,7 @@ def _check_db_matches(plan: ExperimentPlan, db: spectral.FingerprintDB):
         raise ExperimentError("synthesize", "fingerprint DB grid size does not match plan")
     if not np.allclose(db.grid_coords, coords, atol=1e-9):
         raise ExperimentError("synthesize", "fingerprint DB grid coordinates do not match plan")
-    if not np.allclose(db.tones, plan.tones, rtol=1e-12):
+    if db.num_tones != plan.tones.size or not np.allclose(db.tones, plan.tones, rtol=1e-12):
         raise ExperimentError("synthesize", "fingerprint DB tones do not match plan LEDs")
     if db.fft_len != plan.fft_len:
         raise ExperimentError("synthesize", "fingerprint DB FFT length does not match plan")
@@ -395,15 +397,13 @@ def rss_vs_fft_len(plan: ExperimentPlan, fft_lens=(2000, 4000, 6000, 8000),
         raise ValueError(f"grid_index {grid_index} outside [0, {coords.shape[0]})")
     q = blocks if blocks is not None else plan.blocks_per_grid
     pd = PdPose.at(coords[grid_index, 0], coords[grid_index, 1])
-    tones = plan.tones
-    table = np.empty((tones.size, len(lens)))
+    table = np.empty((plan.tones.size, len(lens)))
     for j, n in enumerate(lens):
         stream = synthesize_received(
             list(plan.leds), pd, plan.channel, q * n,
             _seed(plan, 0, _SEED_TABLE, j),
         )
-        blocks_mat = stream[: q * n].reshape(q, n)
-        psd_rows = spectral.periodogram(blocks_mat)
-        peaks = spectral.peak_powers(psd_rows, n, plan.channel.sample_rate, tones)
-        table[:, j] = spectral.to_db(peaks).mean(axis=0)
-    return tones, lens, table
+        db = spectral.build_fingerprints([stream], coords[grid_index : grid_index + 1], n,
+                                         plan.tones, plan.channel.sample_rate)
+        table[:, j] = db.rss[0].mean(axis=0)
+    return plan.tones, lens, table

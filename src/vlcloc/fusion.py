@@ -176,11 +176,11 @@ def nearest_mean_labels(queries, mean_fps) -> np.ndarray:
     return out
 
 
-def gd_ls_predict_all(bank: GdWeightBank, queries, online_pred: PredictionMatrix) -> np.ndarray:
-    """(L, 2) fused coordinates: each online row uses the weight column of
-    the grid whose mean fingerprint is nearest its query."""
-    sel = nearest_mean_labels(queries, bank.mean_fps)
+def gd_ls_predict_all(bank: GdWeightBank, nearest, online_pred: PredictionMatrix) -> np.ndarray:
+    """(L, 2) fused coordinates: online row r uses weight column nearest[r],
+    the grid whose mean fingerprint is nearest its query
+    (nearest_mean_labels(queries, bank.mean_fps))."""
     return np.column_stack([
-        (online_pred.x_hat * bank.wx[:, sel].T).sum(axis=1),
-        (online_pred.y_hat * bank.wy[:, sel].T).sum(axis=1),
+        (online_pred.x_hat * bank.wx[:, nearest].T).sum(axis=1),
+        (online_pred.y_hat * bank.wy[:, nearest].T).sum(axis=1),
     ])

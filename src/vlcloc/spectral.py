@@ -4,7 +4,9 @@ The periodogram of an N-sample block is S[k] = |DFT(y)[k]|^2 / N. Received
 signal strengths are read off as the PSD peaks at the known tone
 frequencies and stored in dB (10*log10 of the peak). A fingerprint database
 collects Q such RSS vectors per grid point from non-overlapping blocks of
-the site-survey recording.
+the site-survey recording. Only the K bins within +-1 of each tone's bin
+are read, so the DFT is evaluated at those alone (a direct DFT at a few
+bins, as in Goertzel's algorithm): one real (N, 2K) matrix product per grid.
 """
 
 from __future__ import annotations
@@ -70,36 +72,9 @@ class FingerprintDB:
 
     def tone_alignment(self) -> list[tuple[float, int, bool]]:
         """Per tone: (frequency, nearest DFT bin, exactly on-bin?)."""
-        out = []
-        for f in self.tones:
-            exact = f * self.fft_len / self.sample_rate
-            nominal = int(round(exact))
-            out.append((float(f), nominal, abs(exact - nominal) < 1e-9))
-        return out
-
-
-def periodogram(blocks) -> np.ndarray:
-    """Periodogram S[k] = |DFT[k]|^2 / N of each row of a (B, N) block matrix."""
-    blocks = np.asarray(blocks, dtype=float)
-    n = blocks.shape[-1]
-    spec = np.fft.fft(blocks, axis=-1)
-    return (spec.real**2 + spec.imag**2) / n
-
-
-def peak_powers(psd_rows: np.ndarray, fft_len: int, sample_rate: float, tones: np.ndarray) -> np.ndarray:
-    """(B, M) max PSD value within +-1 bin of each tone's nominal bin, per row."""
-    half = fft_len // 2
-    peaks = np.empty((psd_rows.shape[0], tones.size))
-    for j, f in enumerate(tones):
-        if f <= 0.0:
-            raise ValueError(f"tone frequencies must be positive, got {f} Hz")
-        if f > sample_rate / 2.0:
-            raise ValueError(f"tone {f} Hz exceeds Nyquist ({sample_rate / 2.0} Hz)")
-        nominal = int(round(f * fft_len / sample_rate))
-        lo = max(nominal - 1, 0)
-        hi = min(nominal + 1, half)
-        peaks[:, j] = psd_rows[:, lo : hi + 1].max(axis=1)
-    return peaks
+        exact = self.tones * self.fft_len / self.sample_rate
+        return [(float(f), int(k), bool(abs(e - k) < 1e-9))
+                for f, e, k in zip(self.tones, exact, np.round(exact))]
 
 
 def to_db(linear, floor_db: float = DB_FLOOR) -> np.ndarray:
@@ -121,7 +96,8 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
     """Build the fingerprint database from per-grid sample streams.
 
     Each stream of T samples is cut into Q = floor(T / N) non-overlapping
-    N-blocks; every block yields one periodogram and one RSS vector. All
+    N-blocks; every block yields its periodogram at the tones' window bins
+    and one RSS vector (the window maxima, in dB). All
     streams must supply the same Q. streams may be any iterable (including
     a generator, so site-survey recordings never need to coexist in memory).
     """
@@ -129,6 +105,16 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
     grid = np.asarray(grid_coords, dtype=float)
     if fft_len < 2:
         raise ValueError("fft_len must be at least 2")
+    bad = tones[~((tones > 0.0) & (tones <= sample_rate / 2.0))]
+    if bad.size:
+        raise ValueError(f"tone {bad[0]} Hz is not in (0, Nyquist = {sample_rate / 2.0} Hz]")
+    # +-1 bin around each tone's nominal bin, clipped to [0, N/2] (a clipped
+    # window repeats its edge bin); exact k * j mod N for the twiddle angles
+    nominal = np.round(tones * fft_len / sample_rate).astype(np.int64)
+    windows = np.clip(nominal[:, np.newaxis] + np.arange(-1, 2), 0, fft_len // 2)
+    bins, window = np.unique(windows, return_inverse=True)
+    angle = (2.0 * math.pi / fft_len) * (np.outer(np.arange(fft_len), bins) % fft_len)
+    twiddle = np.hstack([np.cos(angle), np.sin(angle)])
 
     per_grid = []
     q_common = None
@@ -143,10 +129,9 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
             q_common = q
         elif q != q_common:
             raise ValueError(f"stream {g} yields {q} blocks, expected {q_common}")
-        blocks = y[: q * fft_len].reshape(q, fft_len)
-        psd_rows = periodogram(blocks)
-        peaks = peak_powers(psd_rows, fft_len, sample_rate, tones)
-        per_grid.append(to_db(peaks))
+        dft = y[: q * fft_len].reshape(q, fft_len) @ twiddle
+        power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
+        per_grid.append(to_db(power[:, window.reshape(windows.shape)].max(axis=2)))
 
     if len(per_grid) != grid.shape[0]:
         raise ValueError(

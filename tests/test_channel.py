@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import synth_reference
+from vlcloc import channel, config
 from vlcloc.channel import (ChannelParams, LedConfig, PdPose, attenuation,
                             distance, lambertian_order_from_semiangle,
                             propagation_delay, synthesize_received)
@@ -83,18 +86,50 @@ class TestAttenuation:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def assert_near_longdouble(leds, pd, params, n):
+    """Noise-free synthesis within 4 ulps of the signal peak 2 * sum(a) of the
+    longdouble reference, and no further from it than the per-sample formula."""
+    y = synthesize_received(leds, pd, params, n, rng_seed=0)
+    ref = synth_reference.longdouble_received(leds, pd, params, n)
+    peak = 2.0 * sum(a for a, _ in synth_reference.tone_terms(leds, pd, params))
+    err = float(np.abs(y - ref).max())
+    assert y.shape == (n,)
+    assert err <= 4.0 * np.spacing(peak)
+    old = synth_reference.reference_received(leds, pd, params, n, rng_seed=0)
+    assert err <= float(np.abs(old - ref).max())
+
+
 class TestSynthesize:
     def test_single_led_closed_form(self):
         led = LedConfig(position=[0.3, -0.2, 1.48], frequency=850e3, amplitude=1.3, gain=7.0)
+        assert_near_longdouble([led], PdPose.at(0.1, 0.1), make_params(order=2.0), 400_000)
+
+    @pytest.mark.parametrize("xy", [(0.0, 0.0), (0.35, 0.2), (0.7, 0.7)])
+    def test_benchmark_leds_match_longdouble_over_a_full_survey(self, xy):
+        plan = config.plan_from_config(config.benchmark_config())
+        params = dataclasses.replace(plan.channel, noise_std=0.0)
+        n = plan.blocks_per_grid * plan.fft_len
+        assert_near_longdouble(list(plan.leds), PdPose.at(*xy), params, n)
+
+    @pytest.mark.parametrize("n", [1, channel._ROW_LEN - 1, channel._ROW_LEN,
+                                   channel._ROW_LEN + 1, 2 * channel._ROW_LEN + 7, 400_000])
+    def test_lengths_and_non_integer_tones(self, n):
+        # a tone on a 2**-23 Hz grid, 44 significant bits: f * n rounds in
+        # double from n = 2**9 on (so the reduction must split f), but stays
+        # exact in the longdouble reference up to n = 2**20
+        odd_tone = round(1.23456789e6 * 2**23) / 2**23
+        leds = [LedConfig(position=[0.5, 0.2, 1.5], frequency=801.5e3, gain=3.0),
+                LedConfig(position=[-0.4, 0.1, 1.5], frequency=odd_tone, gain=2.0)]
+        assert_near_longdouble(leds, PdPose.at(0.1, -0.2), make_params(order=1.5), n)
+
+    def test_noise_is_the_seeded_normal_draw(self):
+        led = LedConfig(position=[0.3, -0.2, 1.48], frequency=850e3, gain=20.0)
         pd = PdPose.at(0.1, 0.1)
-        params = make_params(order=2.0, noise=0.0)
-        n = 4000
-        y = synthesize_received([led], pd, params, n, rng_seed=0)
-        a = attenuation(led, pd, params) * led.gain * led.amplitude
-        t = np.arange(n) / params.sample_rate
-        phase = 2.0 * math.pi * led.frequency * propagation_delay(led, pd, params)
-        expected = a * (1.0 + np.cos(2.0 * math.pi * led.frequency * t - phase))
-        np.testing.assert_array_equal(y, expected)
+        noisy = synthesize_received([led], pd, make_params(noise=0.01), 10_001, rng_seed=5)
+        clean = synthesize_received([led], pd, make_params(noise=0.0), 10_001, rng_seed=5)
+        draws = np.random.default_rng(5).normal(0.0, 0.01, 10_001)
+        np.testing.assert_allclose(noisy - clean, draws, rtol=0,
+                                   atol=2.0 * np.spacing(np.abs(noisy).max()))
 
     def test_superposition_of_two_leds(self):
         led1 = LedConfig(position=[1.0, 0.5, 1.5], frequency=800e3, gain=3.0)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import rf_reference
+import spectral_reference
+import synth_reference
 from vlcloc import cli, config, experiment, fusion, spectral
 from vlcloc.channel import ChannelParams, LedConfig, PdPose
 from vlcloc.classifiers import TrainSet
@@ -39,6 +41,26 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
     online_q, _, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
     np.testing.assert_array_equal(first.est["rf"], plan.grid_coords[labels])
+
+
+def test_survey_matches_the_time_domain_full_fft_oracle():
+    plan = config.plan_from_config(tiny_config())
+    db = experiment.synthesize_fingerprint_db(plan, trial=0)
+    samples = plan.blocks_per_grid * plan.fft_len
+    oracle_rss = np.stack([
+        spectral_reference.stream_rss_db(
+            synth_reference.reference_received(
+                list(plan.leds), PdPose.at(x, y), plan.channel, samples,
+                experiment._seed(plan, 0, experiment._SEED_SYNTH, g)),
+            plan.fft_len, plan.channel.sample_rate, plan.tones)
+        for g, (x, y) in enumerate(plan.grid_coords)])
+    np.testing.assert_allclose(db.rss, oracle_rss, rtol=0, atol=1e-7)
+
+    oracle = spectral.FingerprintDB(db.grid_coords, oracle_rss, db.tones, db.fft_len,
+                                    db.sample_rate)
+    got, want = experiment.run_experiment(plan, db), experiment.run_experiment(plan, oracle)
+    for method in experiment.SINGLE_CLASSIFIERS:
+        np.testing.assert_array_equal(got.est[method], want.est[method])
 
 
 def test_nearest_mean_labels_match_the_one_piece_formula():
@@ -112,6 +134,26 @@ def test_evaluate_rejects_a_truncated_db_with_exit_3(tmp_path, capsys):
     assert f"{db_path}: expected {len(lines)} lines, found {len(lines) - 3}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [2, 5])
+def test_db_with_another_tone_count_is_a_synthesize_error(tmp_path, capsys, m):
+    cfg_path, db_path = simulate(tmp_path, tiny_config())
+    db = spectral.load_fingerprints(db_path)
+    # the plan's 4 tones, cut to m or extended by a 1 MHz tone
+    tones = np.append(db.tones, 1e6)[:m]
+    rss = np.concatenate([db.rss, db.rss[:, :, :1]], axis=2)[:, :, :m]
+    other = spectral.FingerprintDB(db.grid_coords, rss, tones, db.fft_len, db.sample_rate)
+    with pytest.raises(experiment.ExperimentError, match="tones do not match") as err:
+        experiment.run_experiment(config.plan_from_config(tiny_config()), other)
+    assert err.value.stage == "synthesize"
+
+    spectral.save_fingerprints(other, db_path)
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--config", cfg_path, "--db", db_path,
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "[synthesize] fingerprint DB tones do not match plan LEDs" in capsys.readouterr().err
+
+
 def _raise(*args, **kwargs):
     raise RuntimeError("injected failure")
 
@@ -154,6 +196,18 @@ def test_noise_free_equal_gain_rssr_is_exact_end_to_end():
     table = experiment.run_experiment(config.plan_from_config(cfg))
     assert table.errors("rssr").size == 9 * 4
     assert table.errors("rssr").max() <= 1e-7
+
+
+def test_table1_follows_the_fft_length_law_on_noise_free_tones():
+    cfg = tiny_config()
+    cfg["channel"]["noise_std"] = 0.0
+    plan = config.plan_from_config(cfg)
+    tones, lens, table = experiment.rss_vs_fft_len(plan, (2000, 4000, 6000), grid_index=4,
+                                                   blocks=3)
+    np.testing.assert_array_equal(tones, plan.tones)
+    # an on-bin tone's periodogram peak is N a^2 / 4
+    np.testing.assert_allclose(np.diff(table, axis=1),
+                               10.0 * np.log10([[4000 / 2000, 6000 / 4000]] * 4), atol=1e-9)
 
 
 def test_split_counts_are_exact_for_whole_percent_fractions():

@@ -317,7 +317,8 @@ class TestGdLs:
                                   np.array([[0.44, 0.55, 0.66], [0.44, 0.55, 0.66]]),
                                   ("a", "b", "c"))
         queries = np.array([[10.1, 9.9], [19.0, 21.0]])  # select grids 1 and 2
-        np.testing.assert_allclose(gd_ls_predict_all(bank, queries, online),
+        nearest = nearest_mean_labels(queries, bank.mean_fps)
+        np.testing.assert_allclose(gd_ls_predict_all(bank, nearest, online),
                                    [[0.22, 0.55], [0.33, 0.66]], atol=1e-15)
 
     def test_identical_columns_reduce_to_gi(self):
@@ -329,7 +330,7 @@ class TestGdLs:
         fw = FusionWeights(wx=LsFit(w, 3), wy=LsFit(w, 3))
         online = PredictionMatrix(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)),
                                   ("a", "b", "c"))
-        gd_est = gd_ls_predict_all(bank, rng.normal(size=(5, 2)), online)
+        gd_est = gd_ls_predict_all(bank, rng.integers(0, 4, size=5), online)
         np.testing.assert_allclose(gd_est, gi_ls_predict_all(fw, online), rtol=1e-12)
 
     def test_predict_rows_match_hand_dot_products(self):
@@ -339,8 +340,9 @@ class TestGdLs:
         online = PredictionMatrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
                                   ("a", "b", "c"))
         queries = rng.normal(size=(6, 2))
-        est = gd_ls_predict_all(bank, queries, online)
-        for r, g in enumerate(nearest_mean_labels(queries, bank.mean_fps)):
+        nearest = nearest_mean_labels(queries, bank.mean_fps)
+        est = gd_ls_predict_all(bank, nearest, online)
+        for r, g in enumerate(nearest):
             assert est[r, 0] == pytest.approx(
                 sum(a * b for a, b in zip(online.x_hat[r], bank.wx[:, g])), rel=1e-12)
             assert est[r, 1] == pytest.approx(

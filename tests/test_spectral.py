@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import spectral_reference
+from spectral_reference import periodogram
 from vlcloc import config, experiment
 from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
-                             from_db, load_fingerprints, peak_powers,
-                             periodogram, save_fingerprints, to_db)
+                             from_db, load_fingerprints, save_fingerprints,
+                             to_db)
 
 
 def dft_oracle(samples):
@@ -23,14 +25,13 @@ def dft_oracle(samples):
 
 
 def psd(samples):
-    """Periodogram of one block, through the batched function."""
+    """Periodogram of one block, through the batched reference function."""
     return periodogram(np.asarray(samples, dtype=float)[np.newaxis, :])[0]
 
 
 def rss_db(samples, rate, tones):
-    """RSS extraction of one block: peak capture within +-1 bin, in dB."""
-    n = len(samples)
-    return to_db(peak_powers(periodogram([samples]), n, rate, np.asarray(tones, dtype=float)))[0]
+    """RSS extraction of one block through build_fingerprints, in dB."""
+    return build_fingerprints([samples], [[0.0, 0.0]], len(samples), tones, rate).rss[0, 0]
 
 
 class TestPeriodogram:
@@ -78,7 +79,7 @@ class TestPeriodogram:
 
 
 class TestExtractRss:
-    """RSS extraction: peak_powers over the periodogram rows, then to_db."""
+    """RSS extraction: the tone-bin DFT's window max, then to_db."""
 
     def test_on_bin_tone_db_value(self):
         n, rate, amp = 2000, 4e6, 1e-3
@@ -99,6 +100,15 @@ class TestExtractRss:
             vals.append(rss_db(y, rate, [800e3])[0])
         assert vals[1] - vals[0] == pytest.approx(10.0 * math.log10(2.0), abs=1e-6)
 
+    def test_on_bin_tone_power_exact_at_large_n(self):
+        # twiddle angles from the exact k * j mod N keep the power of a
+        # noise-free on-bin tone within ~1e-15 of N a^2 / 4 at N = 1e5;
+        # unreduced angles of up to 3e5 rad miss by ~2e-12
+        n, k0, amp = 100_000, 49_997, 0.5
+        y = amp * np.cos(2.0 * math.pi * ((k0 * np.arange(n)) % n) / n)
+        rss = rss_db(y, 4e6, [k0 * 4e6 / n])
+        assert from_db(rss[0]) == pytest.approx(n * amp**2 / 4.0, rel=1e-13)
+
     def test_zero_signal_hits_floor(self):
         assert rss_db(np.zeros(256), 4e6, [800e3])[0] == DB_FLOOR
 
@@ -116,10 +126,52 @@ class TestExtractRss:
         assert from_db(rss_db(y, rate, [f])[0]) == pytest.approx(window.max(), rel=1e-12)
 
     def test_each_row_takes_its_own_window_max(self):
-        rows = np.array([[0.0, 1.0, 5.0, 4.0, 7.0, 0.0, 0.0, 0.0],
-                         [0.0, 9.0, 1.0, 3.0, 0.0, 0.0, 0.0, 0.0]])
-        # tone 2 Hz at N = 8, 8 Hz sampling: nominal bin 2, window bins 1..3
-        np.testing.assert_array_equal(peak_powers(rows, 8, 8.0, np.array([2.0])), [[5.0], [9.0]])
+        # tone 4 Hz at N = 16, 16 Hz sampling: nominal bin 4, window bins 3..5;
+        # a cosine of amplitude a on bin k has power N a^2 / 4 there
+        j = np.arange(16)
+        rows = [1.0 * np.cos(2.0 * math.pi * 4 * j / 16) + 3.0 * np.cos(2.0 * math.pi * 7 * j / 16),
+                2.0 * np.cos(2.0 * math.pi * 3 * j / 16) + 1.0 * np.cos(2.0 * math.pi * 5 * j / 16)]
+        db = build_fingerprints([np.concatenate(rows)], [[0.0, 0.0]], 16, [4.0], 16.0)
+        np.testing.assert_allclose(from_db(db.rss[0]), [[4.0], [16.0]], rtol=1e-12)
+
+
+class TestToneBinDftAgainstFullFft:
+    """build_fingerprints' powers against the full-FFT periodogram oracle in
+    spectral_reference, in linear units."""
+
+    @staticmethod
+    def assert_matches_oracle(streams, n, rate, tones, rtol=1e-9):
+        db = build_fingerprints(streams, [[0.0, float(g)] for g in range(len(streams))],
+                                n, tones, rate)
+        for g, stream in enumerate(streams):
+            want = spectral_reference.stream_peaks(stream, n, rate, tones)
+            np.testing.assert_allclose(from_db(db.rss[g]), want, rtol=rtol, atol=0)
+
+    def test_on_bin_tone(self):
+        y = synth_tone_stream(3, 2000, 4e6, [800e3, 950e3], [1e-3, 4e-4])
+        self.assert_matches_oracle([y], 2000, 4e6, [800e3, 950e3])
+
+    def test_off_bin_tone(self):
+        # 801.5 kHz at N = 1000 sits 0.375 bins above bin 200: every window
+        # bin carries leakage, including that of the DC term and the image
+        y = synth_tone_stream(4, 1000, 4e6, [801.5e3], [1.0])
+        self.assert_matches_oracle([y], 1000, 4e6, [801.5e3])
+
+    @pytest.mark.parametrize("n", [1000, 999])
+    def test_windows_clipped_at_dc_and_nyquist(self, n):
+        # 1 kHz rounds to bin 0 (window 0..1); 2 MHz is Nyquist, whose window
+        # is clipped at bin N // 2; 1.996 MHz rounds to the bin below it
+        tones = [1e3, 1.996e6, 2e6]
+        y = synth_tone_stream(3, n, 4e6, tones, [1e-2, 3e-3, 2e-3], noise=1e-3, seed=n)
+        self.assert_matches_oracle([y], n, 4e6, tones)
+
+    def test_noisy_random_blocks(self):
+        rng = np.random.default_rng(21)
+        tones = [800e3, 850e3, 900e3, 950e3]
+        streams = [synth_tone_stream(7, 2000, 4e6, tones, rng.uniform(1e-4, 1e-2, size=4),
+                                     noise=4.5e-3, seed=s) for s in range(3)]
+        streams.append(rng.normal(size=7 * 2000 + 123))  # pure noise, ragged tail
+        self.assert_matches_oracle(streams, 2000, 4e6, tones)
 
 
 class TestDbConversion:
