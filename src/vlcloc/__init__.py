@@ -6,10 +6,9 @@ from .channel import (ChannelParams, LedConfig, PdPose, attenuation, distance,
                       lambertian_order_from_semiangle, propagation_delay,
                       synthesize_received)
 from .classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
-from .fusion import (FusionWeights, GdWeightBank, LsFit, PredictionMatrix,
-                     build_prediction_matrix, gd_ls_fit, gd_ls_predict_all,
-                     gi_ls_fit, gi_ls_predict_all, ls_svd_weights,
-                     nearest_mean_labels)
+from .fusion import (FusionWeights, LsFit, build_prediction_matrix, gd_ls_fit,
+                     gd_ls_predict_all, gi_ls_fit, gi_ls_predict_all,
+                     ls_svd_weights, nearest_mean_labels)
 from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, cdf_grid, error_cdf, run_experiment,

@@ -11,6 +11,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import config as config_mod
 from . import experiment, spectral
 
@@ -86,18 +88,13 @@ def _write_weights_csv(table: experiment.ResultTable, order, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for detail in table.fusion_weights:
-            trial = detail["trial"]
-            if detail["gi"] is not None:
-                gi = detail["gi"]
-                writer.writerow(["gi-ls", trial, -1]
-                                + [format(w, ".9g") for w in gi.wx.weights]
-                                + [format(w, ".9g") for w in gi.wy.weights])
-            if detail["gd"] is not None:
-                gd = detail["gd"]
-                for g in range(gd.wx.shape[1]):
-                    writer.writerow(["gd-ls", trial, g]
-                                    + [format(w, ".9g") for w in gd.wx[:, g]]
-                                    + [format(w, ".9g") for w in gd.wy[:, g]])
+            for method, fit in (("gi-ls", detail["gi"]), ("gd-ls", detail["gd"])):
+                if fit is None:
+                    continue
+                rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
+                grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
+                for g, row in zip(grids, rows.tolist()):
+                    writer.writerow([method, detail["trial"], g] + [format(w, ".9g") for w in row])
 
 
 def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,

@@ -151,12 +151,13 @@ class ExperimentPlan:
         object.__setattr__(
             self, "leds", tuple(sorted(self.leds, key=lambda led: led.frequency))
         )
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        for c in self.classifier_order:
-            if c not in SINGLE_CLASSIFIERS:
-                raise ValueError(f"unknown classifier {c!r}")
+        for kind, names, known in (("method", self.methods, ALL_METHODS),
+                                   ("classifier", self.classifier_order, SINGLE_CLASSIFIERS)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"{kind} {name!r} is listed twice")
         for m in self.methods:
             if m in SINGLE_CLASSIFIERS and m not in self.classifier_order:
                 raise ValueError(f"method {m!r} requires classifier {m!r} in classifier_order")
@@ -318,7 +319,7 @@ def run_experiment(plan: ExperimentPlan,
                 if METHOD_GI in plan.methods:
                     gi = fusion.gi_ls_fit(off_pred, off_truth, plan.rank_tol)
                 if METHOD_GD in plan.methods:
-                    gd = fusion.gd_ls_fit(off_pred, off_labels, coords, mean_fps, plan.rank_tol)
+                    gd = fusion.gd_ls_fit(off_pred, off_labels, coords, plan.rank_tol)
         fusion_details.append({"trial": trial, "gi": gi, "gd": gd})
 
         with _stage("evaluate"):
@@ -346,8 +347,7 @@ def run_experiment(plan: ExperimentPlan,
 
 def _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd) -> np.ndarray:
     if method in SINGLE_CLASSIFIERS:
-        col = on_pred.classifier_order.index(method)
-        return np.column_stack([on_pred.x_hat[:, col], on_pred.y_hat[:, col]])
+        return on_pred[:, :, plan.classifier_order.index(method)].T
     if method == METHOD_GI:
         return fusion.gi_ls_predict_all(gi, on_pred)
     if method == METHOD_GD:

@@ -1,11 +1,13 @@
 """Least-squares fusion of per-classifier position estimates.
 
-The H classifiers' coordinate predictions for L queries form an L x H
-prediction matrix per axis. Fusion weights solve min ||truth - X w||_2;
-the SVD route truncates small singular values and returns the minimum-norm
-solution, which stays stable when classifiers agree and X is rank
-deficient. GI fits one global weight pair; GD fits one pair per grid point
-and selects at query time by nearest mean fingerprint.
+The H classifiers' coordinate predictions for L queries form one
+(2, L, H) array: an L x H prediction matrix per axis. Fusion weights solve
+min ||truth - X w||_2 through a truncated SVD, which returns the
+minimum-norm solution and stays stable when classifiers agree and X is rank
+deficient. GI-LS and GD-LS are the same solve on different stacks: GI fits
+one weight vector per axis over all offline rows, GD one per axis and grid
+point over the rows labelled with it, and selects at query time by nearest
+mean fingerprint.
 """
 
 from __future__ import annotations
@@ -17,71 +19,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LsFit:
-    """Solved weight vector for one coordinate axis."""
+    """Solved weights for one coordinate axis: (H,) with an int rank for one
+    fit, (G, H) with (G,) ranks for a stack of G fits."""
 
-    weights: np.ndarray  # (H,)
-    rank_used: int
+    weights: np.ndarray
+    rank_used: int | np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be a finite vector")
-        if self.rank_used > w.size:
+        r = np.asarray(self.rank_used)
+        if w.ndim < 1 or r.shape != w.shape[:-1] or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite, with one rank per weight vector")
+        if np.any(r > w.shape[-1]):
             raise ValueError("rank_used cannot exceed the number of classifiers")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "rank_used", int(r) if r.ndim == 0 else r)
 
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Grid-independent weight pair (one LsFit per coordinate axis)."""
+    """GI or GD weights: one LsFit per coordinate axis."""
 
     wx: LsFit
     wy: LsFit
 
 
-@dataclass(frozen=True)
-class GdWeightBank:
-    """Grid-dependent weights: column g fuses queries matched to grid g."""
-
-    wx: np.ndarray        # (H, G)
-    wy: np.ndarray        # (H, G)
-    mean_fps: np.ndarray  # (G, M) dB, used for grid selection
-
-
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Per-axis L x H prediction matrices; column eta belongs to classifier eta."""
-
-    x_hat: np.ndarray
-    y_hat: np.ndarray
-    classifier_order: tuple[str, ...]
-
-    def __post_init__(self):
-        xh = np.atleast_2d(np.asarray(self.x_hat, dtype=float))
-        yh = np.atleast_2d(np.asarray(self.y_hat, dtype=float))
-        if xh.shape != yh.shape:
-            raise ValueError("x_hat and y_hat must have identical shapes")
-        if xh.shape[1] != len(self.classifier_order):
-            raise ValueError("one column per classifier required")
-        object.__setattr__(self, "x_hat", xh)
-        object.__setattr__(self, "y_hat", yh)
-        object.__setattr__(self, "classifier_order", tuple(self.classifier_order))
-
-
-def build_prediction_matrix(classifiers, queries) -> PredictionMatrix:
-    """Run every classifier over the queries and stack the coordinates."""
+def build_prediction_matrix(classifiers, queries) -> np.ndarray:
+    """(2, L, H) C-contiguous: [axis, query, classifier] coordinate predictions."""
     if not classifiers:
         raise ValueError("at least one classifier is required")
-    cols_x, cols_y = [], []
-    for clf in classifiers:
-        coords = clf.predict_coords(queries)
-        cols_x.append(coords[:, 0])
-        cols_y.append(coords[:, 1])
-    return PredictionMatrix(
-        x_hat=np.column_stack(cols_x),
-        y_hat=np.column_stack(cols_y),
-        classifier_order=tuple(clf.name for clf in classifiers),
-    )
+    coords = np.stack([clf.predict_coords(queries) for clf in classifiers])  # (H, L, 2)
+    return np.ascontiguousarray(coords.transpose(2, 1, 0))
 
 
 def default_rank_tol(shape: tuple[int, int]) -> float:
@@ -91,69 +59,69 @@ def default_rank_tol(shape: tuple[int, int]) -> float:
 
 def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
                    rank_tol: float | None = None) -> LsFit:
-    """Minimum-norm least-squares weights through truncated SVD.
+    """Minimum-norm least-squares weights through truncated SVD, for one
+    (L, H) matrix or a stack (..., L, H) against truths (..., L).
 
-    With X = U diag(sigma) V', the solution keeps the K singular values
-    above rank_tol * sigma_max and returns
-    w = sum_k (u_k' truth / sigma_k) v_k. An all-zero matrix yields zero
-    weights with rank 0 rather than an error.
+    With X = U diag(sigma) V', each solution keeps the K nonzero singular
+    values at or above rank_tol * sigma_max and returns
+    w = sum_k (u_k' truth / sigma_k) v_k; an all-zero matrix yields zero
+    weights with rank 0. One SVD covers the stack; each distinct rank takes
+    one u' t product over the whole stack and one V product over its fits.
     """
-    x = np.atleast_2d(np.asarray(pred, dtype=float))
+    x = np.asarray(pred, dtype=float)
     t = np.asarray(truth, dtype=float)
-    l, h = x.shape
-    if t.shape != (l,):
-        raise ValueError(f"truth must have length {l}")
+    if x.ndim < 2 or t.shape != x.shape[:-1]:
+        raise ValueError(f"truth must have shape {x.shape[:-1]}")
     if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
-    tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
+    tol = default_rank_tol(x.shape[-2:]) if rank_tol is None else rank_tol
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return LsFit(np.zeros(h), 0)
-    k = int(np.count_nonzero(sv >= tol * sv[0]))
-    coeff = (u[:, :k].T @ t) / sv[:k]
-    return LsFit(vt[:k].T @ coeff, k)
+    ranks = np.count_nonzero((sv > 0.0) & (sv >= tol * sv[..., :1]), axis=-1)
+    w = np.zeros(x.shape[:-2] + x.shape[-1:])
+    for k in np.unique(ranks[ranks > 0]):
+        at_k = ranks == k
+        # u' t over the whole stack: indexing t would copy a strided truth
+        # column, and BLAS sums a contiguous copy in another order
+        ut = (np.swapaxes(u[..., :k], -1, -2) @ t[..., np.newaxis])[at_k][..., 0]
+        coeff = ut / sv[at_k][..., :k]
+        w[at_k] = (np.swapaxes(vt[at_k][..., :k, :], -1, -2) @ coeff[..., np.newaxis])[..., 0]
+    return LsFit(w, ranks)
 
 
-def gi_ls_fit(pred: PredictionMatrix, truth_xy,
-              rank_tol: float | None = None) -> FusionWeights:
-    """Grid-independent fit: one weight vector per axis over all offline samples."""
+def _per_axis(fit: LsFit) -> FusionWeights:
+    return FusionWeights(*(LsFit(w, r) for w, r in zip(fit.weights, fit.rank_used)))
+
+
+def gi_ls_fit(pred: np.ndarray, truth_xy, rank_tol: float | None = None) -> FusionWeights:
+    """Grid-independent fit: one weight vector per axis over all offline rows."""
     truth = np.asarray(truth_xy, dtype=float)
-    if truth.ndim != 2 or truth.shape != (pred.x_hat.shape[0], 2):
+    if truth.shape != (pred.shape[1], 2):
         raise ValueError("truth_xy must have shape (L, 2)")
-    return FusionWeights(
-        wx=ls_svd_weights(pred.x_hat, truth[:, 0], rank_tol),
-        wy=ls_svd_weights(pred.y_hat, truth[:, 1], rank_tol),
-    )
+    return _per_axis(ls_svd_weights(pred, truth.T, rank_tol))
 
 
-def gi_ls_predict_all(weights: FusionWeights, online_pred: PredictionMatrix) -> np.ndarray:
+def gi_ls_predict_all(weights: FusionWeights, online_pred: np.ndarray) -> np.ndarray:
     """(L, 2) fused coordinates for every online row."""
-    return np.column_stack([
-        online_pred.x_hat @ weights.wx.weights,
-        online_pred.y_hat @ weights.wy.weights,
-    ])
+    w = np.stack([weights.wx.weights, weights.wy.weights])
+    return (online_pred @ w[..., np.newaxis])[..., 0].T
 
 
-def gd_ls_fit(pred: PredictionMatrix, labels, grid_coords, mean_fps,
-              rank_tol: float | None = None) -> GdWeightBank:
+def gd_ls_fit(pred: np.ndarray, labels, grid_coords,
+              rank_tol: float | None = None) -> FusionWeights:
     """Grid-dependent fit: per grid point g, regress the offline predictions
     of the rows labelled g, in their original order, onto the constant truth
-    (x_g, y_g)."""
+    (x_g, y_g). Every grid point needs the same number of rows."""
     labels = np.asarray(labels)
     coords = np.asarray(grid_coords, dtype=float)
-    fps = np.asarray(mean_fps, dtype=float)
     g = coords.shape[0]
-    if labels.shape != (pred.x_hat.shape[0],) or fps.shape[0] != g:
-        raise ValueError("labels must align with prediction rows, mean_fps with grid_coords")
-    h = pred.x_hat.shape[1]
-    wx = np.empty((h, g))
-    wy = np.empty((h, g))
-    for gi in range(g):
-        rows = np.flatnonzero(labels == gi)
-        x, y = coords[gi]
-        wx[:, gi] = ls_svd_weights(pred.x_hat[rows], np.full(rows.size, x), rank_tol).weights
-        wy[:, gi] = ls_svd_weights(pred.y_hat[rows], np.full(rows.size, y), rank_tol).weights
-    return GdWeightBank(wx=wx, wy=wy, mean_fps=fps)
+    if labels.shape != (pred.shape[1],) or np.any((labels < 0) | (labels >= g)):
+        raise ValueError(f"labels must be one grid index in [0, {g}) per prediction row")
+    counts = np.bincount(labels, minlength=g)
+    if np.any(counts != counts[0]):
+        raise ValueError("every grid point needs the same number of rows")
+    rows = np.argsort(labels, kind="stable").reshape(g, counts[0])
+    truth = np.repeat(coords.T[..., np.newaxis], counts[0], axis=2)
+    return _per_axis(ls_svd_weights(pred[:, rows], truth, rank_tol))
 
 
 def nearest_mean_labels(queries, mean_fps) -> np.ndarray:
@@ -176,11 +144,9 @@ def nearest_mean_labels(queries, mean_fps) -> np.ndarray:
     return out
 
 
-def gd_ls_predict_all(bank: GdWeightBank, nearest, online_pred: PredictionMatrix) -> np.ndarray:
-    """(L, 2) fused coordinates: online row r uses weight column nearest[r],
-    the grid whose mean fingerprint is nearest its query
-    (nearest_mean_labels(queries, bank.mean_fps))."""
-    return np.column_stack([
-        (online_pred.x_hat * bank.wx[:, nearest].T).sum(axis=1),
-        (online_pred.y_hat * bank.wy[:, nearest].T).sum(axis=1),
-    ])
+def gd_ls_predict_all(weights: FusionWeights, nearest, online_pred: np.ndarray) -> np.ndarray:
+    """(L, 2) fused coordinates: online row r uses the weights of grid
+    nearest[r], the grid whose mean fingerprint is nearest its query
+    (nearest_mean_labels)."""
+    w = np.stack([weights.wx.weights[nearest], weights.wy.weights[nearest]])
+    return (online_pred * w).sum(axis=2).T

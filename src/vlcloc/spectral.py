@@ -150,10 +150,6 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
     return db
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
-
-
 def save_fingerprints(db: FingerprintDB, path) -> None:
     """Write the database as text.
 
@@ -163,16 +159,12 @@ def save_fingerprints(db: FingerprintDB, path) -> None:
     file byte for byte.
     """
     g, q, m = db.rss.shape
-    lines = [
-        f"{g} {q} {m} {db.fft_len} {_fmt(db.sample_rate)}",
-        " ".join(_fmt(f) for f in db.tones),
-    ]
-    for gi in range(g):
-        lines.append(" ".join(_fmt(c) for c in db.grid_coords[gi]))
-        for qi in range(q):
-            lines.append(" ".join(_fmt(v) for v in db.rss[gi, qi]))
+    row = " ".join(["{:.9g}"] * m) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{g} {q} {m} {db.fft_len} {db.sample_rate:.9g}\n" + row.format(*db.tones))
+        for xy, block in zip(db.grid_coords.tolist(), db.rss):
+            fh.write("{:.9g} {:.9g}\n".format(*xy)
+                     + "".join(row.format(*v) for v in block.tolist()))
 
 
 def load_fingerprints(path) -> FingerprintDB:

@@ -143,6 +143,23 @@ def test_each_config_error_exits_2_naming_its_json_path(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, names, prefix", [
+    ("run", "methods", ["knn", "knn", "gi-ls"], "method 'knn' is listed twice"),
+    ("classifiers", "order", ["knn", "knn", "elm", "rf"], "classifier 'knn' is listed twice"),
+])
+def test_repeated_method_or_classifier_exits_2_before_any_work(tmp_path, capsys, section,
+                                                               key, names, prefix):
+    cfg = minimal_config()
+    cfg["run"]["methods"] = ["knn", "gi-ls"]
+    cfg.setdefault(section, {})[key] = names
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("contents, prefix", [
     (None, "cannot read "),
     ("{", "{path} is not valid JSON"),

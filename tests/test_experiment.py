@@ -124,7 +124,8 @@ def test_simulated_db_round_trips_byte_for_byte(tmp_path):
 
 def test_evaluate_rejects_a_truncated_db_with_exit_3(tmp_path, capsys):
     cfg_path, db_path = simulate(tmp_path, tiny_config())
-    lines = open(db_path).read().splitlines()
+    with open(db_path) as fh:
+        lines = fh.read().splitlines()
     with open(db_path, "w") as fh:
         fh.write("\n".join(lines[:-3]) + "\n")
     capsys.readouterr()
@@ -252,6 +253,14 @@ BAD_FIELDS = {
     "ls_svd_weights.rank_tol=inf": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), math.inf),
     "ls_svd_weights.rank_tol<0": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), -1.0),
 }
+
+
+@pytest.mark.parametrize("field, names", [("methods", ("knn", "knn", "gi-ls")),
+                                          ("classifier_order", ("knn", "knn", "elm", "rf"))])
+def test_plan_rejects_a_repeated_method_or_classifier(field, names):
+    plan = config.plan_from_config(tiny_config())
+    with pytest.raises(ValueError, match="'knn' is listed twice"):
+        dataclasses.replace(plan, **{field: names})
 
 
 @pytest.mark.parametrize("field", sorted(BAD_FIELDS))

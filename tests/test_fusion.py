@@ -1,41 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vlcloc.fusion import (FusionWeights, GdWeightBank, LsFit, PredictionMatrix,
-                           build_prediction_matrix, default_rank_tol,
+import fusion_reference
+from fusion_reference import RankDeficientError, ls_weights
+from vlcloc.fusion import (FusionWeights, LsFit, build_prediction_matrix,
                            gd_ls_fit, gd_ls_predict_all, gi_ls_fit,
                            gi_ls_predict_all, nearest_mean_labels,
                            ls_svd_weights)
-
-
-class RankDeficientError(ValueError):
-    """Raised by ls_weights when X'X is not safely invertible."""
-
-
-def ls_weights(pred, truth, rank_tol=None) -> np.ndarray:
-    """Plain least-squares weights (X'X)^-1 X' truth: the oracle for
-    ls_svd_weights on full-rank problems.
-
-    Requires more rows than columns and numerically full column rank;
-    otherwise raises RankDeficientError pointing at ls_svd_weights.
-    """
-    x = np.atleast_2d(np.asarray(pred, dtype=float))
-    t = np.asarray(truth, dtype=float)
-    l, h = x.shape
-    if t.shape != (l,):
-        raise ValueError(f"truth must have length {l}")
-    if l <= h:
-        raise RankDeficientError(
-            f"plain LS needs more samples than classifiers (L={l}, H={h}); "
-            "use ls_svd_weights"
-        )
-    tol = default_rank_tol(x.shape) if rank_tol is None else rank_tol
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < tol * sv[0]:
-        raise RankDeficientError(
-            "prediction matrix is rank deficient; use ls_svd_weights"
-        )
-    return np.linalg.solve(x.T @ x, x.T @ t)
 
 
 def normal_equations_oracle(x, t):
@@ -43,11 +16,11 @@ def normal_equations_oracle(x, t):
 
 
 def grid_major(per_grid):
-    """One PredictionMatrix plus grid labels from per-grid blocks of rows."""
-    return (PredictionMatrix(np.concatenate([p.x_hat for p in per_grid]),
-                             np.concatenate([p.y_hat for p in per_grid]),
-                             per_grid[0].classifier_order),
-            np.repeat(np.arange(len(per_grid)), [p.x_hat.shape[0] for p in per_grid]))
+    """One (2, L, H) prediction array plus grid labels from per-grid
+    (x_hat, y_hat) blocks of rows."""
+    return (np.stack([np.concatenate([xh for xh, _ in per_grid]),
+                      np.concatenate([yh for _, yh in per_grid])]),
+            np.repeat(np.arange(len(per_grid)), [xh.shape[0] for xh, _ in per_grid]))
 
 
 class TestLsWeights:
@@ -109,6 +82,12 @@ class TestLsSvdWeights:
         fit = ls_svd_weights(np.zeros((4, 3)), np.ones(4))
         np.testing.assert_array_equal(fit.weights, np.zeros(3))
         assert fit.rank_used == 0
+
+    def test_zero_tolerance_drops_exact_zero_singular_values(self):
+        x = np.column_stack([np.ones(4), np.zeros(4)])  # singular values 2 and exactly 0
+        fit = ls_svd_weights(x, np.ones(4), rank_tol=0.0)
+        np.testing.assert_array_equal(fit.weights, [1.0, 0.0])
+        assert fit.rank_used == 1
 
     def test_minimum_norm_under_null_space_perturbation(self):
         rng = np.random.default_rng(5)
@@ -178,9 +157,9 @@ class TestPredictionMatrix:
         clf = FakeClassifier("a", lambda q: (q[0], q[0] + 1.0))
         queries = np.arange(4.0)[:, None]
         pred = build_prediction_matrix([clf], queries)
-        np.testing.assert_array_equal(pred.x_hat[:, 0], queries[:, 0])
-        np.testing.assert_array_equal(pred.y_hat[:, 0], queries[:, 0] + 1.0)
-        assert pred.classifier_order == ("a",)
+        assert pred.shape == (2, 4, 1) and pred.flags.c_contiguous
+        np.testing.assert_array_equal(pred[0, :, 0], queries[:, 0])
+        np.testing.assert_array_equal(pred[1, :, 0], queries[:, 0] + 1.0)
 
     def test_columns_match_per_classifier_calls(self):
         fns = [lambda q: (q[0], -q[0]),
@@ -191,8 +170,7 @@ class TestPredictionMatrix:
         pred = build_prediction_matrix(clfs, queries)
         for eta, fn in enumerate(fns):
             want = np.array([fn(q) for q in queries])
-            np.testing.assert_array_equal(pred.x_hat[:, eta], want[:, 0])
-            np.testing.assert_array_equal(pred.y_hat[:, eta], want[:, 1])
+            np.testing.assert_array_equal(pred[:, :, eta], want.T)
 
     def test_empty_classifier_list_rejected(self):
         with pytest.raises(ValueError):
@@ -203,8 +181,7 @@ class TestGiLs:
     def test_perfect_agreeing_classifiers_get_uniform_weights(self):
         rng = np.random.default_rng(9)
         truth = rng.normal(size=(10, 2))
-        pred = PredictionMatrix(np.tile(truth[:, :1], (1, 3)),
-                                np.tile(truth[:, 1:], (1, 3)), ("a", "b", "c"))
+        pred = np.stack([np.tile(truth[:, :1], (1, 3)), np.tile(truth[:, 1:], (1, 3))])
         fw = gi_ls_fit(pred, truth)
         np.testing.assert_allclose(fw.wx.weights, np.full(3, 1 / 3), atol=1e-10)
         np.testing.assert_allclose(fw.wy.weights, np.full(3, 1 / 3), atol=1e-10)
@@ -212,9 +189,8 @@ class TestGiLs:
     def test_perfect_plus_constant_zero_classifier(self):
         rng = np.random.default_rng(10)
         truth = rng.normal(size=(8, 2))
-        pred = PredictionMatrix(
-            np.column_stack([truth[:, 0], np.zeros(8)]),
-            np.column_stack([truth[:, 1], np.zeros(8)]), ("good", "zero"))
+        pred = np.stack([np.column_stack([truth[:, 0], np.zeros(8)]),
+                         np.column_stack([truth[:, 1], np.zeros(8)])])
         fw = gi_ls_fit(pred, truth)
         np.testing.assert_allclose(fw.wx.weights, [1.0, 0.0], atol=1e-10)
         np.testing.assert_allclose(fw.wy.weights, [1.0, 0.0], atol=1e-10)
@@ -224,7 +200,7 @@ class TestGiLs:
         truth = rng.normal(size=(6, 2))
         xh = truth[:, :1] * 1.5
         yh = truth[:, 1:] * 0.5
-        fw = gi_ls_fit(PredictionMatrix(xh, yh, ("solo",)), truth)
+        fw = gi_ls_fit(np.stack([xh, yh]), truth)
         np.testing.assert_allclose(
             fw.wx.weights, ls_svd_weights(xh, truth[:, 0]).weights, rtol=1e-12)
         np.testing.assert_allclose(
@@ -233,8 +209,7 @@ class TestGiLs:
     def test_predict_is_dot_product(self):
         fw = FusionWeights(wx=LsFit(np.array([1 / 3, 1 / 3, 1 / 3]), 3),
                            wy=LsFit(np.array([1.0, 0.0, 0.0]), 3))
-        online = PredictionMatrix(np.array([[0.10, 0.20, 0.30]]),
-                                  np.array([[0.35, 9.0, -9.0]]), ("a", "b", "c"))
+        online = np.array([[[0.10, 0.20, 0.30]], [[0.35, 9.0, -9.0]]])
         np.testing.assert_allclose(gi_ls_predict_all(fw, online), [[0.20, 0.35]],
                                    atol=1e-15)
 
@@ -245,7 +220,7 @@ class TestGiLs:
         rows_x = rng.normal(size=(4, 3))
         rows_y = rng.normal(size=(4, 3))
         fw = FusionWeights(wx=LsFit(wx, 3), wy=LsFit(wy, 3))
-        est = gi_ls_predict_all(fw, PredictionMatrix(rows_x, rows_y, ("a", "b", "c")))
+        est = gi_ls_predict_all(fw, np.stack([rows_x, rows_y]))
         for r in range(4):
             assert est[r, 0] == pytest.approx(sum(a * b for a, b in zip(rows_x[r], wx)), rel=1e-12)
             assert est[r, 1] == pytest.approx(sum(a * b for a, b in zip(rows_y[r], wy)), rel=1e-12)
@@ -258,44 +233,44 @@ class TestGdLs:
         for g in range(3):
             xh = np.full((4, 2), coords[g, 0])
             yh = np.full((4, 2), coords[g, 1])
-            per_grid.append(PredictionMatrix(xh, yh, ("a", "b")))
-        bank = gd_ls_fit(*grid_major(per_grid), coords, np.zeros((3, 4)))
-        np.testing.assert_allclose(bank.wx[:, 1], [0.5, 0.5], atol=1e-10)
-        np.testing.assert_allclose(bank.wy[:, 2], [0.5, 0.5], atol=1e-10)
+            per_grid.append((xh, yh))
+        gd = gd_ls_fit(*grid_major(per_grid), coords)
+        np.testing.assert_allclose(gd.wx.weights[1], [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(gd.wy.weights[2], [0.5, 0.5], atol=1e-10)
 
     def test_single_grid_matches_gi_fit(self):
         rng = np.random.default_rng(13)
         xh = rng.normal(size=(5, 2))
         yh = rng.normal(size=(5, 2))
         coords = np.array([[0.3, 0.7]])
-        pred = PredictionMatrix(xh, yh, ("a", "b"))
-        bank = gd_ls_fit(pred, np.zeros(5, dtype=int), coords, np.zeros((1, 4)))
+        pred = np.stack([xh, yh])
+        gd = gd_ls_fit(pred, np.zeros(5, dtype=int), coords)
         fw = gi_ls_fit(pred, np.tile(coords, (5, 1)))
-        np.testing.assert_allclose(bank.wx[:, 0], fw.wx.weights, rtol=1e-12)
-        np.testing.assert_allclose(bank.wy[:, 0], fw.wy.weights, rtol=1e-12)
+        np.testing.assert_allclose(gd.wx.weights[0], fw.wx.weights, rtol=1e-12)
+        np.testing.assert_allclose(gd.wy.weights[0], fw.wy.weights, rtol=1e-12)
 
     def test_columns_match_direct_solver_calls(self):
         rng = np.random.default_rng(14)
         coords = rng.normal(size=(4, 2))
-        per_grid = [PredictionMatrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
-                                     ("a", "b", "c")) for _ in range(4)]
-        bank = gd_ls_fit(*grid_major(per_grid), coords, np.zeros((4, 5)))
+        per_grid = [(rng.normal(size=(6, 3)), rng.normal(size=(6, 3))) for _ in range(4)]
+        gd = gd_ls_fit(*grid_major(per_grid), coords)
         for g in range(4):
-            wx = ls_svd_weights(per_grid[g].x_hat, np.full(6, coords[g, 0])).weights
-            np.testing.assert_array_equal(bank.wx[:, g], wx)
+            wx, rank = fusion_reference.ls_svd_weights(per_grid[g][0], np.full(6, coords[g, 0]))
+            np.testing.assert_array_equal(gd.wx.weights[g], wx)
+            assert gd.wx.rank_used[g] == rank
 
     def test_interleaved_rows_grouped_by_label_in_order(self):
         rng = np.random.default_rng(17)
         coords = rng.normal(size=(3, 2))
         labels = rng.permutation(np.repeat(np.arange(3), 5))
-        pred = PredictionMatrix(rng.normal(size=(15, 2)), rng.normal(size=(15, 2)), ("a", "b"))
-        bank = gd_ls_fit(pred, labels, coords, np.zeros((3, 1)))
+        pred = rng.normal(size=(2, 15, 2))
+        gd = gd_ls_fit(pred, labels, coords)
         for g in range(3):
             rows = [r for r in range(15) if labels[r] == g]  # ascending row order
-            wx = ls_svd_weights(pred.x_hat[rows], np.full(5, coords[g, 0])).weights
-            wy = ls_svd_weights(pred.y_hat[rows], np.full(5, coords[g, 1])).weights
-            np.testing.assert_array_equal(bank.wx[:, g], wx)
-            np.testing.assert_array_equal(bank.wy[:, g], wy)
+            wx, _ = fusion_reference.ls_svd_weights(pred[0, rows], np.full(5, coords[g, 0]))
+            wy, _ = fusion_reference.ls_svd_weights(pred[1, rows], np.full(5, coords[g, 1]))
+            np.testing.assert_array_equal(gd.wx.weights[g], wx)
+            np.testing.assert_array_equal(gd.wy.weights[g], wy)
 
     def test_select_grid_exact_and_ties(self):
         fps = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -311,42 +286,37 @@ class TestGdLs:
 
     def test_predict_uses_selected_column(self):
         fps = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 20.0]])
-        bank_wx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bank = GdWeightBank(wx=bank_wx, wy=bank_wx, mean_fps=fps)
-        online = PredictionMatrix(np.array([[0.11, 0.22, 0.33], [0.11, 0.22, 0.33]]),
-                                  np.array([[0.44, 0.55, 0.66], [0.44, 0.55, 0.66]]),
-                                  ("a", "b", "c"))
+        per_grid = LsFit(np.eye(3), np.full(3, 3))  # row g picks classifier g
+        gd = FusionWeights(per_grid, per_grid)
+        online = np.array([[[0.11, 0.22, 0.33], [0.11, 0.22, 0.33]],
+                           [[0.44, 0.55, 0.66], [0.44, 0.55, 0.66]]])
         queries = np.array([[10.1, 9.9], [19.0, 21.0]])  # select grids 1 and 2
-        nearest = nearest_mean_labels(queries, bank.mean_fps)
-        np.testing.assert_allclose(gd_ls_predict_all(bank, nearest, online),
+        nearest = nearest_mean_labels(queries, fps)
+        np.testing.assert_allclose(gd_ls_predict_all(gd, nearest, online),
                                    [[0.22, 0.55], [0.33, 0.66]], atol=1e-15)
 
     def test_identical_columns_reduce_to_gi(self):
         rng = np.random.default_rng(16)
         w = rng.normal(size=3)
-        bank = GdWeightBank(wx=np.tile(w[:, None], (1, 4)),
-                            wy=np.tile(w[:, None], (1, 4)),
-                            mean_fps=rng.normal(size=(4, 2)))
+        tiled = LsFit(np.tile(w, (4, 1)), np.full(4, 3))
+        gd = FusionWeights(tiled, tiled)
         fw = FusionWeights(wx=LsFit(w, 3), wy=LsFit(w, 3))
-        online = PredictionMatrix(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)),
-                                  ("a", "b", "c"))
-        gd_est = gd_ls_predict_all(bank, rng.integers(0, 4, size=5), online)
+        online = rng.normal(size=(2, 5, 3))
+        gd_est = gd_ls_predict_all(gd, rng.integers(0, 4, size=5), online)
         np.testing.assert_allclose(gd_est, gi_ls_predict_all(fw, online), rtol=1e-12)
 
     def test_predict_rows_match_hand_dot_products(self):
         rng = np.random.default_rng(18)
-        bank = GdWeightBank(wx=rng.normal(size=(3, 4)), wy=rng.normal(size=(3, 4)),
-                            mean_fps=rng.normal(size=(4, 2)))
-        online = PredictionMatrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
-                                  ("a", "b", "c"))
-        queries = rng.normal(size=(6, 2))
-        nearest = nearest_mean_labels(queries, bank.mean_fps)
-        est = gd_ls_predict_all(bank, nearest, online)
+        gd = FusionWeights(LsFit(rng.normal(size=(4, 3)), np.full(4, 3)),
+                           LsFit(rng.normal(size=(4, 3)), np.full(4, 3)))
+        online = rng.normal(size=(2, 6, 3))
+        nearest = nearest_mean_labels(rng.normal(size=(6, 2)), rng.normal(size=(4, 2)))
+        est = gd_ls_predict_all(gd, nearest, online)
         for r, g in enumerate(nearest):
             assert est[r, 0] == pytest.approx(
-                sum(a * b for a, b in zip(online.x_hat[r], bank.wx[:, g])), rel=1e-12)
+                sum(a * b for a, b in zip(online[0, r], gd.wx.weights[g])), rel=1e-12)
             assert est[r, 1] == pytest.approx(
-                sum(a * b for a, b in zip(online.y_hat[r], bank.wy[:, g])), rel=1e-12)
+                sum(a * b for a, b in zip(online[1, r], gd.wy.weights[g])), rel=1e-12)
 
 
 class TestValidation:
@@ -356,8 +326,96 @@ class TestValidation:
         with pytest.raises(ValueError):
             ls_svd_weights(np.ones((4, 2)), np.ones(3))
 
-    def test_prediction_matrix_shapes(self):
-        with pytest.raises(ValueError):
-            PredictionMatrix(np.ones((3, 2)), np.ones((3, 3)), ("a", "b"))
-        with pytest.raises(ValueError):
-            PredictionMatrix(np.ones((3, 2)), np.ones((3, 2)), ("a",))
+
+
+@st.composite
+def mixed_rank_stack(draw):
+    """(G, L, H) stack mixing full-rank, all-zero, duplicated-column and
+    low-rank matrices, with (G, L) truths."""
+    g = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 300))
+    h = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(size=(g, l, h))
+    for i in range(g):
+        kind = draw(st.sampled_from(["full", "zero", "duplicate", "low-rank"]))
+        if kind == "zero":
+            stack[i] = 0.0
+        elif kind == "duplicate":
+            stack[i] = stack[i][:, rng.integers(0, h, size=h)]
+        elif kind == "low-rank":
+            stack[i] = rng.normal(size=(l, 1)) @ rng.normal(size=(1, h))
+    return stack, rng.normal(size=(g, l))
+
+
+class TestStackedSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_rank_stack())
+    def test_stack_equals_the_per_matrix_oracle_bit_for_bit(self, case):
+        stack, truth = case
+        fit = ls_svd_weights(stack, truth)
+        assert fit.weights.shape == (stack.shape[0], stack.shape[2])
+        for i in range(stack.shape[0]):
+            want, rank = fusion_reference.ls_svd_weights(stack[i], truth[i])
+            np.testing.assert_array_equal(fit.weights[i], want)
+            assert fit.rank_used[i] == rank
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_gi_fit_on_9000_rows_matches_the_oracle_on_strided_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(0.0, 0.7, size=(9000, 2))
+        pred = truth.T[:, :, np.newaxis] + rng.normal(scale=0.05, size=(2, 9000, 3))
+        pred[1, :, 2] = pred[1, :, 0]  # y has rank 2, x rank 3
+        fw = gi_ls_fit(pred, truth)
+        for axis, fit in enumerate((fw.wx, fw.wy)):
+            want, rank = fusion_reference.ls_svd_weights(pred[axis], truth[:, axis])
+            np.testing.assert_array_equal(fit.weights, want)
+            assert type(fit.rank_used) is int and fit.rank_used == rank
+        assert (fw.wx.rank_used, fw.wy.rank_used) == (3, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.permutations(range(4)))
+    def test_permuting_classifier_columns_permutes_gi_weights(self, seed, perm):
+        rng = np.random.default_rng(seed)
+        truth = rng.normal(size=(30, 2))
+        pred = truth.T[:, :, np.newaxis] + rng.normal(size=(2, 30, 4))
+        fw, fw_perm = gi_ls_fit(pred, truth), gi_ls_fit(pred[:, :, perm], truth)
+        for fit, fit_perm in ((fw.wx, fw_perm.wx), (fw.wy, fw_perm.wy)):
+            np.testing.assert_allclose(fit_perm.weights, fit.weights[list(perm)],
+                                       rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_rank_stack(), st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-3))
+    def test_scaling_the_truth_scales_the_weights(self, case, c):
+        stack, truth = case
+        fit, scaled = ls_svd_weights(stack, truth), ls_svd_weights(stack, c * truth)
+        np.testing.assert_array_equal(scaled.rank_used, fit.rank_used)
+        np.testing.assert_allclose(scaled.weights, c * fit.weights, rtol=1e-9,
+                                   atol=1e-9 * abs(c) * np.abs(fit.weights).max(initial=1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 40))
+    def test_full_rank_equals_plain_least_squares(self, seed, h, extra_rows):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(h + 1 + extra_rows, h))
+        t = rng.normal(size=x.shape[0])
+        fit = ls_svd_weights(x, t)
+        assert fit.rank_used == h
+        np.testing.assert_allclose(fit.weights, ls_weights(x, t), rtol=1e-7, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=6).filter(
+        lambda counts: len(set(counts)) > 1))
+    def test_gd_fit_rejects_unequal_per_grid_counts(self, counts):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        with pytest.raises(ValueError, match="same number of rows"):
+            gd_ls_fit(np.ones((2, labels.size, 2)), labels, np.zeros((len(counts), 2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from([-1, 0, 3]), st.integers(0, 9))
+    def test_gd_fit_rejects_out_of_range_labels(self, g, offset, row):
+        labels = np.repeat(np.arange(g), 2)
+        labels[row % labels.size] = -1 if offset == -1 else g + offset
+        with pytest.raises(ValueError, match="grid index in"):
+            gd_ls_fit(np.ones((2, labels.size, 2)), labels, np.zeros((g, 2)))

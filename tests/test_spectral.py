@@ -5,7 +5,7 @@ import pytest
 
 import spectral_reference
 from spectral_reference import periodogram
-from vlcloc import config, experiment
+from vlcloc import config, experiment, fusion
 from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
                              from_db, load_fingerprints, save_fingerprints,
                              to_db)
@@ -250,8 +250,9 @@ class TestBuildFingerprints:
 
 
 def pipeline_mean_fingerprints(rss, split):
-    """The per-grid mean fingerprints run_experiment fits GD-LS with (rss-match
-    uses the same), for a DB of these (4, Q, 4) RSS values on a 2 x 2 grid."""
+    """The per-grid mean fingerprints run_experiment hands nearest_mean_labels
+    to select GD-LS weights (rss-match uses the same labels), for a DB of
+    these (4, Q, 4) RSS values on a 2 x 2 grid."""
     cfg = config.benchmark_config()
     cfg["geometry"]["grid"]["q"] = 2
     cfg["spectral"]["blocks_per_grid"] = rss.shape[1]
@@ -260,7 +261,18 @@ def pipeline_mean_fingerprints(rss, split):
     cfg["run"]["methods"] = ["gd-ls"]
     plan = config.plan_from_config(cfg)
     db = FingerprintDB(plan.grid_coords, rss, plan.tones, plan.fft_len, plan.channel.sample_rate)
-    return experiment.run_experiment(plan, db).fusion_weights[0]["gd"].mean_fps
+    seen = []
+
+    def spy(queries, mean_fps):
+        seen.append(mean_fps)
+        return nearest(queries, mean_fps)
+
+    nearest = fusion.nearest_mean_labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "nearest_mean_labels", spy)
+        experiment.run_experiment(plan, db)
+    assert len(seen) == 1
+    return seen[0]
 
 
 class TestMeanFingerprints:
@@ -305,6 +317,22 @@ class TestPersistence:
         save_fingerprints(db, p1)
         save_fingerprints(load_fingerprints(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bulk_writer_equals_the_per_value_formatter(self, tmp_path):
+        def fmt(x):
+            return format(x, ".9g")
+
+        awkward = np.array([-0.0, 1e-10, 1e21, -7.0, 3.0, DB_FLOOR, 1.0 / 3.0, -123456789.5])
+        rss = np.resize(awkward, (2, 3, 4))
+        grid = np.array([[-0.0, 1e-10], [1e21, 2.0]])
+        db = FingerprintDB(grid, rss, [800e3, 850e3, 900.5e3, 1e6], 2000, 4e6)
+        lines = [f"2 3 4 2000 {fmt(db.sample_rate)}", " ".join(fmt(f) for f in db.tones)]
+        for g in range(2):
+            lines.append(" ".join(fmt(c) for c in grid[g]))
+            lines.extend(" ".join(fmt(v) for v in rss[g, q]) for q in range(3))
+        save_fingerprints(db, tmp_path / "fp.txt")
+        assert (tmp_path / "fp.txt").read_text() == "\n".join(lines) + "\n"
+        assert "-0 1e-10" in lines[2] and "1e+21" in lines[6] and "-300" in lines[4]
 
     def test_header_layout(self, tmp_path):
         db = self.make_db()
