@@ -47,19 +47,23 @@ class TrainSet:
         return self.grid_coords.shape[0]
 
 
-def _as_query_matrix(queries) -> np.ndarray:
+def _as_query_matrix(queries, m: int) -> np.ndarray:
+    """queries as a finite (n, m) float matrix; a vector is one row."""
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q[np.newaxis, :]
     if q.ndim != 2:
         raise ValueError("queries must be a vector or an (n, M) matrix")
+    if q.shape[1] != m:
+        raise ValueError(f"queries have {q.shape[1]} features, training rows {m}")
+    if not np.isfinite(q).all():
+        raise ValueError("queries must be finite")
     return q
 
 
 class _GridClassifier:
     """Shared prediction plumbing; subclasses implement predict_labels."""
 
-    name: str
     train_set: TrainSet
 
     def predict_labels(self, queries) -> np.ndarray:
@@ -216,8 +220,6 @@ class KnnClassifier(_GridClassifier):
     rule (_vote_row).
     """
 
-    name = "knn"
-
     def __init__(self, train: TrainSet, k: int):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -242,12 +244,8 @@ class KnnClassifier(_GridClassifier):
         return np.maximum(d2, 0.0, out=d2)[:r, :c]
 
     def predict_labels(self, queries) -> np.ndarray:
-        q = _as_query_matrix(queries)
         x = self.train_set.features
-        if q.shape[1] != x.shape[1]:
-            raise ValueError(f"queries have {q.shape[1]} features, training rows {x.shape[1]}")
-        if not np.isfinite(q).all():
-            raise ValueError("queries must be finite")
+        q = _as_query_matrix(queries, x.shape[1])
         tree, k, n = self.tree, self.k, x.shape[0]
         qn = np.einsum("ij,ij->i", q, q)
         gamma = _gamma(x.shape[1] + 2)
@@ -318,8 +316,6 @@ class ElmClassifier(_GridClassifier):
     Features are z-scored with training statistics before the hidden layer.
     """
 
-    name = "elm"
-
     def __init__(self, train: TrainSet, hidden: int, seed):
         if hidden < 1:
             raise ValueError(f"hidden must be at least 1, got {hidden}")
@@ -345,7 +341,8 @@ class ElmClassifier(_GridClassifier):
 
     def scores(self, queries) -> np.ndarray:
         """(n, G) output-layer activations."""
-        return self._hidden_out(_as_query_matrix(queries)) @ self.output_weights
+        q = _as_query_matrix(queries, self.train_set.features.shape[1])
+        return self._hidden_out(q) @ self.output_weights
 
     def predict_labels(self, queries) -> np.ndarray:
         return np.argmax(self.scores(queries), axis=1)  # argmax: lower label wins ties
@@ -487,8 +484,6 @@ class RandomForest(_GridClassifier):
     (value, bootstrap row) and no node sorts again.
     """
 
-    name = "rf"
-
     def __init__(self, train: TrainSet, trees: int, depth: int, seed):
         if trees < 1 or depth < 1:
             raise ValueError("trees and depth must be at least 1")
@@ -556,7 +551,7 @@ class RandomForest(_GridClassifier):
 
     def tree_labels(self, queries) -> np.ndarray:
         """(trees, n) per-tree predicted labels."""
-        q = _as_query_matrix(queries)
+        q = _as_query_matrix(queries, self.train_set.features.shape[1])
         n = q.shape[0]
         by_feature = q.T.ravel()  # value of (query i, feature f) at f * n + i
         rows = np.arange(n)

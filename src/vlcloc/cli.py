@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(plan: experiment.ExperimentPlan, out_path: str) -> None:
-    db = experiment.synthesize_fingerprint_db(plan, trial=0)
+    db = experiment.synthesize_fingerprint_db(plan)
     spectral.save_fingerprints(db, out_path)
     g, q, m = db.rss.shape
     print(f"wrote {out_path}: G={g} Q={q} M={m} N={db.fft_len} "
@@ -58,11 +58,11 @@ def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
     """The csv.writer text (excel dialect: "\\r\\n" line ends; method names and
     numbers need no quoting), built in bulk: the shared query columns are
     formatted once for all methods."""
-    shared = [f"{t},{g},{x:.9g},{y:.9g},"
-              for t, g, x, y in zip(table.trial.tolist(), table.grid_index.tolist(),
-                                    table.truth[:, 0].tolist(), table.truth[:, 1].tolist())]
+    shared = [f"{g},{x:.9g},{y:.9g},"
+              for g, x, y in zip(table.grid_index.tolist(), table.truth[:, 0].tolist(),
+                                 table.truth[:, 1].tolist())]
     with open(path, "w", newline="") as fh:
-        fh.write("method,trial,grid_index,true_x,true_y,est_x,est_y,error_m\r\n")
+        fh.write("method,grid_index,true_x,true_y,est_x,est_y,error_m\r\n")
         for method in table.methods:
             est = table.est[method]
             fh.write("".join(
@@ -82,19 +82,17 @@ def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
 
 
 def _write_weights_csv(table: experiment.ResultTable, order, path: str) -> None:
-    header = (["method", "trial", "grid_index"]
-              + [f"wx_{c}" for c in order] + [f"wy_{c}" for c in order])
+    header = ["method", "grid_index"] + [f"wx_{c}" for c in order] + [f"wy_{c}" for c in order]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for detail in table.fusion_weights:
-            for method, fit in (("gi-ls", detail["gi"]), ("gd-ls", detail["gd"])):
-                if fit is None:
-                    continue
-                rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
-                grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
-                for g, row in zip(grids, rows.tolist()):
-                    writer.writerow([method, detail["trial"], g] + [format(w, ".9g") for w in row])
+        for method, fit in (("gi-ls", table.gi), ("gd-ls", table.gd)):
+            if fit is None:
+                continue
+            rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
+            grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
+            for g, row in zip(grids, rows.tolist()):
+                writer.writerow([method, g] + [format(w, ".9g") for w in row])
 
 
 def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
@@ -104,7 +102,7 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
     os.makedirs(out_dir, exist_ok=True)
     _write_results_csv(table, os.path.join(out_dir, "results.csv"))
     _write_cdf_csv(table, os.path.join(out_dir, "cdf.csv"))
-    if any(d["gi"] is not None or d["gd"] is not None for d in table.fusion_weights):
+    if table.gi is not None or table.gd is not None:
         _write_weights_csv(table, plan.classifier_order,
                            os.path.join(out_dir, "weights.csv"))
     print(f"{'method':<10} {'MSPE_m':>10} {'P(err<=5cm)':>12}")
@@ -114,9 +112,9 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
     print(f"results written to {out_dir}")
 
 
-def cmd_table1(plan: experiment.ExperimentPlan, **settings) -> None:
-    """Print rss_vs_fft_len(plan, **settings) with its inter-column deltas."""
-    tones, lens, table = experiment.rss_vs_fft_len(plan, **settings)
+def cmd_table1(plan: experiment.ExperimentPlan) -> None:
+    """Print rss_vs_fft_len(plan) with its inter-column deltas."""
+    tones, lens, table = experiment.rss_vs_fft_len(plan)
     header = "tone_hz".ljust(12) + "".join(f"N{n}".rjust(12) for n in lens)
     print("# mean RSS (dB) per tone vs FFT length")
     print(header)
@@ -148,7 +146,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(plan, args.db, args.out)
         elif args.command == "table1":
-            cmd_table1(plan, **config_mod.table1_settings(cfg))
+            cmd_table1(plan)
     except Exception as e:  # noqa: BLE001 - CLI boundary maps failures to exit 3
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ Config layout (every key shown; `?` marks an optional key)::
         ]
       },
       "channel": {
-        "semi_angle_deg": deg,           # or "lambertian_order" (exactly one)
+        "semi_angle_deg": deg,
         "pd_area_m2": m2,
         "noise_std": std,
         "sample_rate_hz": hz,
@@ -24,16 +24,15 @@ Config layout (every key shown; `?` marks an optional key)::
                        "elm"?: {"hidden"?: int}, "rf"?: {"trees"?: int, "depth"?: int}},
       "fusion"?: {"rank_tol"?: tol or null},
       "rssr"?: {"scan_resolution_m"?: m, "margin_m"?: m},
-      "run": {"methods": [...], "trials"?: int, "seed": int,
-              "cdf_max_m"?: m, "cdf_step_m"?: m},
-      "table1"?: {"fft_lens"?: [int, ...], "grid_index"?: int, "blocks"?: int}
+      "run": {"methods": [...], "seed": int, "cdf_max_m"?: m, "cdf_step_m"?: m}
     }
 
 An omitted optional key takes the default of the field it sets: those of
-`LedConfig`, `ChannelParams`, `SplitRatios` and `ExperimentPlan`,
-`experiment.cdf_grid` for the CDF thresholds, and `rss_vs_fft_len` for
-`table1`. Those defaults are the only copy; `benchmark_config()` is the
-calibrated testbed, not a list of defaults.
+`LedConfig`, `ChannelParams`, `SplitRatios` and `ExperimentPlan`, and
+`experiment.cdf_grid` for the CDF thresholds. Those defaults are the only
+copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
+`vlcloc table1` takes its FFT lengths, grid point and block count from
+`rss_vs_fft_len`'s defaults, so no config key sets them.
 
 plan_from_config checks each key as it reads it and rejects unknown keys
 anywhere, before any computation, so a bad config fails fast.
@@ -127,20 +126,14 @@ def _led(led: dict, path: str) -> LedConfig:
 
 
 def _channel(chan: dict) -> ChannelParams:
-    _check_keys(chan, "channel", required={"pd_area_m2", "noise_std", "sample_rate_hz"},
-                optional={"semi_angle_deg", "lambertian_order", "speed_of_light_mps"})
-    has_angle = chan.get("semi_angle_deg") is not None
-    if has_angle == (chan.get("lambertian_order") is not None):
-        raise ConfigError("channel: give exactly one of semi_angle_deg / lambertian_order")
-    if has_angle:
-        angle = _number(chan, "semi_angle_deg", "channel")
-        if not 0.0 < angle < 90.0:
-            raise ConfigError(f"channel.semi_angle_deg: must be in (0, 90), got {angle}")
-        order = lambertian_order_from_semiangle(angle)
-    else:
-        order = _number(chan, "lambertian_order", "channel", minimum=1e-9)
+    _check_keys(chan, "channel",
+                required={"semi_angle_deg", "pd_area_m2", "noise_std", "sample_rate_hz"},
+                optional={"speed_of_light_mps"})
+    angle = _number(chan, "semi_angle_deg", "channel")
+    if not 0.0 < angle < 90.0:
+        raise ConfigError(f"channel.semi_angle_deg: must be in (0, 90), got {angle}")
     return ChannelParams(
-        lambertian_order=order,
+        lambertian_order=lambertian_order_from_semiangle(angle),
         pd_area=_number(chan, "pd_area_m2", "channel", minimum=1e-12),
         noise_std=_number(chan, "noise_std", "channel", minimum=0.0),
         sample_rate=_number(chan, "sample_rate_hz", "channel", minimum=1e-9),
@@ -152,7 +145,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     """Check cfg against the schema and build its ExperimentPlan, reading
     each key once; a bad key raises ConfigError naming its JSON path."""
     _check_keys(cfg, "config", required={"geometry", "channel", "spectral", "run"},
-                optional={"split", "classifiers", "fusion", "rssr", "table1"})
+                optional={"split", "classifiers", "fusion", "rssr"})
     geo = _check_keys(cfg["geometry"], "geometry", required={"grid", "leds"})
     grid = _check_keys(geo["grid"], "geometry.grid", required={"q", "spacing_m"})
     if not isinstance(geo["leds"], list) or not geo["leds"]:
@@ -184,14 +177,13 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     rssr = _check_keys(cfg.get("rssr", {}), "rssr", optional={"scan_resolution_m", "margin_m"})
 
     run = _check_keys(cfg["run"], "run", required={"methods", "seed"},
-                      optional={"trials", "cdf_max_m", "cdf_step_m"})
+                      optional={"cdf_max_m", "cdf_step_m"})
     if (not isinstance(run["methods"], list) or not run["methods"]
             or any(m not in ALL_METHODS for m in run["methods"])):
         raise ConfigError(f"run.methods: expected a non-empty list drawn from {ALL_METHODS}")
     cdf = _set(max_m=_number(run, "cdf_max_m", "run", minimum=1e-6),
                step_m=_number(run, "cdf_step_m", "run", minimum=1e-9))
 
-    table1_settings(cfg)  # a bad table1 section fails every command
     return ExperimentPlan(
         leds=leds,
         channel=channel,
@@ -207,27 +199,11 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
                rf_trees=_integer(rf, "trees", "classifiers.rf", minimum=1),
                rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1),
                classifier_order=tuple(clf["order"]) if "order" in clf else None,
-               trials=_integer(run, "trials", "run", minimum=1),
                rank_tol=_number(fus, "rank_tol", "fusion", minimum=0.0, allow_none=True),
                rssr_scan_resolution=_number(rssr, "scan_resolution_m", "rssr", minimum=1e-6),
                rssr_margin=_number(rssr, "margin_m", "rssr", minimum=0.0)),
         **({"cdf_thresholds": cdf_grid(**cdf)} if cdf else {}),
     )
-
-
-def table1_settings(cfg: dict) -> dict:
-    """Check the table1 section; rss_vs_fft_len keyword arguments for the
-    keys it sets."""
-    t1 = _check_keys(cfg.get("table1", {}), "table1",
-                     optional={"fft_lens", "grid_index", "blocks"})
-    if "fft_lens" in t1:
-        lens = t1["fft_lens"]
-        if (not isinstance(lens, list) or not lens
-                or any(isinstance(n, bool) or not isinstance(n, int) or n < 2 for n in lens)):
-            raise ConfigError("table1.fft_lens: expected a list of integers >= 2")
-    return _set(fft_lens=t1.get("fft_lens"),
-                grid_index=_integer(t1, "grid_index", "table1", minimum=0),
-                blocks=_integer(t1, "blocks", "table1", minimum=1))
 
 
 # Default desk-scale benchmark mirroring the reference testbed: four ceiling
@@ -269,8 +245,6 @@ def benchmark_config() -> dict:
         "rssr": {"scan_resolution_m": 0.01, "margin_m": 0.05},
         "run": {
             "methods": list(ALL_METHODS),
-            "trials": 1,
             "seed": 1729,
         },
-        "table1": {"fft_lens": [2000, 4000, 6000, 8000], "grid_index": 0, "blocks": 200},
     })

@@ -115,7 +115,6 @@ class ExperimentPlan:
     rf_depth: int = 5
     classifier_order: tuple[str, ...] = SINGLE_CLASSIFIERS
     methods: tuple[str, ...] = ALL_METHODS
-    trials: int = 1
     seed: int = 0
     rank_tol: float | None = None
     rssr_scan_resolution: float = 0.01
@@ -127,8 +126,6 @@ class ExperimentPlan:
             raise ValueError("grid needs q >= 2 and positive spacing")
         if self.fft_len < 2 or self.blocks_per_grid < 1:
             raise ValueError("fft_len >= 2 and blocks_per_grid >= 1 required")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         # written so that NaN fails every check
@@ -194,16 +191,17 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Per-query records, concatenated over trials: the query columns every
-    method shares, and each method's (n, 2) estimates."""
+    """Per-query records of the online split: the query columns every method
+    shares, each method's (n, 2) estimates, and the run's GI-LS and GD-LS
+    fits (None when that method was not requested)."""
 
     methods: tuple[str, ...]
-    trial: np.ndarray       # (n,)
     grid_index: np.ndarray  # (n,) true grid of each query
     truth: np.ndarray       # (n, 2)
     est: dict[str, np.ndarray]
     cdf_thresholds: np.ndarray
-    fusion_weights: tuple = ()  # per trial: dict with optional gi / gd fits
+    gi: fusion.FusionWeights | None = None
+    gd: fusion.FusionWeights | None = None
 
     def errors(self, method: str) -> np.ndarray:
         return np.sqrt(((self.est[method] - self.truth) ** 2).sum(axis=1))
@@ -222,17 +220,19 @@ class ResultTable:
         """Bit-exact comparison of every record (determinism audits)."""
         if self.methods != other.methods:
             return False
-        shared = ("cdf_thresholds", "trial", "grid_index", "truth")
+        shared = ("cdf_thresholds", "grid_index", "truth")
         if not all(np.array_equal(getattr(self, f), getattr(other, f)) for f in shared):
             return False
         return all(np.array_equal(self.est[m], other.est[m]) for m in self.methods)
 
 
 def _seed(plan: ExperimentPlan, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([plan.seed, *path])
+    # The 0 stands where a run once put its trial index; keeping it keeps
+    # every random stream, and so every output, as it was.
+    return np.random.SeedSequence([plan.seed, 0, *path])
 
 
-def synthesize_fingerprint_db(plan: ExperimentPlan, trial: int = 0) -> spectral.FingerprintDB:
+def synthesize_fingerprint_db(plan: ExperimentPlan) -> spectral.FingerprintDB:
     """Run the site survey: one noisy recording per grid point, fingerprinted."""
     coords = plan.grid_coords
     samples = plan.blocks_per_grid * plan.fft_len
@@ -242,7 +242,7 @@ def synthesize_fingerprint_db(plan: ExperimentPlan, trial: int = 0) -> spectral.
             pd = PdPose.at(coords[g, 0], coords[g, 1])
             yield synthesize_received(
                 list(plan.leds), pd, plan.channel, samples,
-                _seed(plan, trial, _SEED_SYNTH, g),
+                _seed(plan, _SEED_SYNTH, g),
             )
 
     return spectral.build_fingerprints(
@@ -250,11 +250,11 @@ def synthesize_fingerprint_db(plan: ExperimentPlan, trial: int = 0) -> spectral.
     )
 
 
-def _split_indices(plan: ExperimentPlan, q: int, trial: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_indices(plan: ExperimentPlan, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_tr, n_off, n_on = plan.split.counts(q)
     idx = np.arange(q)
     if plan.split.shuffle:
-        rng = np.random.default_rng(_seed(plan, trial, _SEED_SHUFFLE))
+        rng = np.random.default_rng(_seed(plan, _SEED_SHUFFLE))
         idx = rng.permutation(q)
     return idx[:n_tr], idx[n_tr : n_tr + n_off], idx[n_tr + n_off :]
 
@@ -269,79 +269,70 @@ def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
     return queries, labels, truths
 
 
-def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet, trial: int):
+def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet):
     built = []
     for kind in plan.classifier_order:
         if kind == METHOD_KNN:
             built.append(KnnClassifier(train_set, plan.knn_k))
         elif kind == METHOD_ELM:
-            built.append(ElmClassifier(train_set, plan.elm_hidden, _seed(plan, trial, _SEED_ELM)))
+            built.append(ElmClassifier(train_set, plan.elm_hidden, _seed(plan, _SEED_ELM)))
         elif kind == METHOD_RF:
             built.append(RandomForest(train_set, plan.rf_trees, plan.rf_depth,
-                                      _seed(plan, trial, _SEED_RF)))
+                                      _seed(plan, _SEED_RF)))
     return built
 
 
 def run_experiment(plan: ExperimentPlan,
                    db: spectral.FingerprintDB | None = None) -> ResultTable:
-    """Execute the full protocol and score every requested method.
+    """Execute the full protocol once and score every requested method.
 
     When db is given it replaces the synthesized site survey (it must match
-    the plan geometry); otherwise each trial synthesizes its own.
+    the plan geometry); otherwise the run synthesizes its own.
     """
     coords = plan.grid_coords
     needs_clf = bool(set(plan.methods) & {*SINGLE_CLASSIFIERS, METHOD_GI, METHOD_GD})
-    acc: dict[str, list] = {m: [] for m in plan.methods}
-    trials, grids, truths = [], [], []
-    fusion_details = []
 
     if db is not None:
         _check_db_matches(plan, db)
+    with _stage("synthesize"):
+        if db is None:
+            db = synthesize_fingerprint_db(plan)
 
-    for trial in range(plan.trials):
-        with _stage("synthesize"):
-            trial_db = db if db is not None else synthesize_fingerprint_db(plan, trial)
+    with _stage("split"):
+        tr_idx, off_idx, on_idx = _split_indices(plan, db.blocks_per_grid)
+        train_q, train_labels, _ = _flatten_split(db, tr_idx)
+        train_set = TrainSet(train_q, train_labels, coords)
+        mean_fps = db.rss[:, tr_idx, :].mean(axis=1)
 
-        with _stage("split"):
-            tr_idx, off_idx, on_idx = _split_indices(plan, trial_db.blocks_per_grid, trial)
-            train_q, train_labels, _ = _flatten_split(trial_db, tr_idx)
-            train_set = TrainSet(train_q, train_labels, coords)
-            mean_fps = trial_db.rss[:, tr_idx, :].mean(axis=1)
+    with _stage("train"):
+        clfs = _build_classifiers(plan, train_set) if needs_clf else []
 
-        with _stage("train"):
-            clfs = _build_classifiers(plan, train_set, trial) if needs_clf else []
+    gi = gd = None
+    with _stage("fusion-fit"):
+        if METHOD_GI in plan.methods or METHOD_GD in plan.methods:
+            off_q, off_labels, off_truth = _flatten_split(db, off_idx)
+            off_pred = fusion.build_prediction_matrix(clfs, off_q)
+            if METHOD_GI in plan.methods:
+                gi = fusion.gi_ls_fit(off_pred, off_truth, plan.rank_tol)
+            if METHOD_GD in plan.methods:
+                gd = fusion.gd_ls_fit(off_pred, off_labels, coords, plan.rank_tol)
 
-        gi = gd = None
-        with _stage("fusion-fit"):
-            if METHOD_GI in plan.methods or METHOD_GD in plan.methods:
-                off_q, off_labels, off_truth = _flatten_split(trial_db, off_idx)
-                off_pred = fusion.build_prediction_matrix(clfs, off_q)
-                if METHOD_GI in plan.methods:
-                    gi = fusion.gi_ls_fit(off_pred, off_truth, plan.rank_tol)
-                if METHOD_GD in plan.methods:
-                    gd = fusion.gd_ls_fit(off_pred, off_labels, coords, plan.rank_tol)
-        fusion_details.append({"trial": trial, "gi": gi, "gd": gd})
-
-        with _stage("evaluate"):
-            on_q, on_labels, on_truth = _flatten_split(trial_db, on_idx)
-            on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
-            nearest = (fusion.nearest_mean_labels(on_q, mean_fps)
-                       if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
-            for method in plan.methods:
-                est = _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd)
-                acc[method].append(est)
-            trials.append(np.full(on_labels.size, trial))
-            grids.append(on_labels)
-            truths.append(on_truth)
+    with _stage("evaluate"):
+        on_q, on_labels, on_truth = _flatten_split(db, on_idx)
+        on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
+        nearest = (fusion.nearest_mean_labels(on_q, mean_fps)
+                   if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
+        est = {m: _estimate(plan, m, on_q, on_pred, nearest, coords, gi, gd)
+               for m in plan.methods}
 
     return ResultTable(
         methods=tuple(plan.methods),
-        trial=np.concatenate(trials),
-        grid_index=np.concatenate(grids),
-        truth=np.concatenate(truths),
-        est={m: np.concatenate(acc[m]) for m in plan.methods},
+        grid_index=on_labels,
+        truth=on_truth,
+        est=est,
         cdf_thresholds=np.asarray(plan.cdf_thresholds, dtype=float),
-        fusion_weights=tuple(fusion_details),
+        gi=gi,
+        gd=gd,
     )
 
 
@@ -401,7 +392,7 @@ def rss_vs_fft_len(plan: ExperimentPlan, fft_lens=(2000, 4000, 6000, 8000),
     for j, n in enumerate(lens):
         stream = synthesize_received(
             list(plan.leds), pd, plan.channel, q * n,
-            _seed(plan, 0, _SEED_TABLE, j),
+            _seed(plan, _SEED_TABLE, j),
         )
         db = spectral.build_fingerprints([stream], coords[grid_index : grid_index + 1], n,
                                          plan.tones, plan.channel.sample_rate)

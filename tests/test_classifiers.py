@@ -408,6 +408,22 @@ class TestCommonInvariants:
             assert labels.min() >= 0 and labels.max() < 6
             np.testing.assert_array_equal(clf.predict_coords(queries), train.grid_coords[labels])
 
+    @pytest.mark.parametrize("queries, message", [
+        ([[0.0] * 5], "queries have 5 features, training rows 3"),
+        ([[0.0] * 2], "queries have 2 features, training rows 3"),
+        ([[0.0] * 3, [np.nan] * 3], "queries must be finite"),
+        ([[0.0, np.inf, 0.0]], "queries must be finite"),
+    ], ids=["wider", "narrower", "nan-row", "inf-row"])
+    @pytest.mark.parametrize("build", [
+        lambda train: KnnClassifier(train, 3),
+        lambda train: ElmClassifier(train, 10, seed=1),
+        lambda train: RandomForest(train, 3, 2, seed=1),
+    ], ids=["knn", "elm", "rf"])
+    def test_malformed_queries_are_rejected(self, build, queries, message):
+        clf = build(random_train_set(np.random.default_rng(12), m=3))
+        with pytest.raises(ValueError, match=message):
+            clf.predict_labels(queries)
+
     def test_train_set_validation(self):
         with pytest.raises(ValueError):
             TrainSet(np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2)))

@@ -110,8 +110,6 @@ CONFIG_ERRORS = {
     "no-leds": (_set_in("geometry", "leds", []), [], "geometry.leds: expected a non-empty list"),
     "led-position": (lambda cfg: _led_position(cfg).pop(), [],
                      "geometry.leds[0].position_m: expected [x, y, h]"),
-    "order-and-angle": (_set_in("channel", "lambertian_order", 1.0), [],
-                        "channel: give exactly one of semi_angle_deg / lambertian_order"),
     "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0), [],
                          "channel.semi_angle_deg: must be in (0, 90)"),
     "shuffle": (_set_in("split", "shuffle", "yes"), [], "split.shuffle: expected a boolean"),
@@ -121,9 +119,10 @@ CONFIG_ERRORS = {
     "rank-tol": (_set_in("fusion", "rank_tol", -1.0), [], "fusion.rank_tol: must be >= 0.0"),
     "methods": (_set_in("run", "methods", ["magic"]), [], "run.methods: expected a non-empty list"),
     "seed": (_set_in("run", "seed", -1), [], "run.seed: must be >= 0"),
+    # the table1 section is retired: any table1 content is now an unknown top-level key
     "table1-fft-lens": (_set_in("table1", "fft_lens", [1]), [],
-                        "table1.fft_lens: expected a list of integers >= 2"),
-    "table1-unknown-key": (_set_in("table1", "bogus", 1), [], "table1: unknown keys ['bogus']"),
+                        "config: unknown keys ['table1']"),
+    "table1-unknown-key": (_set_in("table1", "bogus", 1), [], "config: unknown keys ['table1']"),
     "no-run-with-seed": (_delete("run"), ["--seed", "3"],
                          "config: missing required keys ['run']"),
     "rssr-solver": (_set_in("rssr", "solver", "grid-scan"), [], "rssr: unknown keys ['solver']"),
@@ -141,6 +140,36 @@ def test_each_config_error_exits_2_naming_its_json_path(tmp_path, capsys, case):
     assert cli.main(["simulate", "--config", str(path), "--out", str(out), *extra]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {prefix}")
     assert not out.exists()
+
+
+def _angle_as_order(cfg):
+    del cfg["channel"]["semi_angle_deg"]
+    cfg["channel"]["lambertian_order"] = 1.0
+
+
+# retired key -> (mutation of minimal_config(), stderr prefix)
+RETIRED_KEYS = {
+    "run.trials": (_set_in("run", "trials", 1), "run: unknown keys ['trials']"),
+    "table1": (_set_in("table1", {"fft_lens": [2000, 4000], "grid_index": 0, "blocks": 20}),
+               "config: unknown keys ['table1']"),
+    "channel.lambertian_order": (_angle_as_order, "channel: unknown keys ['lambertian_order']"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+def test_retired_key_exits_2_before_any_work(tmp_path, capsys, key):
+    mutate, prefix = RETIRED_KEYS[key]
+    cfg = minimal_config()
+    mutate(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for argv in (["simulate", "--out", str(out)], ["evaluate", "--out", str(out)], ["table1"]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(f"config error: {prefix}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, names, prefix", [

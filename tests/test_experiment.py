@@ -32,12 +32,12 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
     first = experiment.run_experiment(plan)
     assert first.equals(experiment.run_experiment(plan))
 
-    db = experiment.synthesize_fingerprint_db(plan, trial=0)
-    train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid, 0)
+    db = experiment.synthesize_fingerprint_db(plan)
+    train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
     train_q, train_labels, _ = experiment._flatten_split(db, train_idx)
     roots = rf_reference.reference_forest(
         TrainSet(train_q, train_labels, plan.grid_coords), plan.rf_trees, plan.rf_depth,
-        experiment._seed(plan, 0, experiment._SEED_RF))
+        experiment._seed(plan, experiment._SEED_RF))
     online_q, _, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
     np.testing.assert_array_equal(first.est["rf"], plan.grid_coords[labels])
@@ -45,13 +45,13 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
 
 def test_survey_matches_the_time_domain_full_fft_oracle():
     plan = config.plan_from_config(tiny_config())
-    db = experiment.synthesize_fingerprint_db(plan, trial=0)
+    db = experiment.synthesize_fingerprint_db(plan)
     samples = plan.blocks_per_grid * plan.fft_len
     oracle_rss = np.stack([
         spectral_reference.stream_rss_db(
             synth_reference.reference_received(
                 list(plan.leds), PdPose.at(x, y), plan.channel, samples,
-                experiment._seed(plan, 0, experiment._SEED_SYNTH, g)),
+                experiment._seed(plan, experiment._SEED_SYNTH, g)),
             plan.fft_len, plan.channel.sample_rate, plan.tones)
         for g, (x, y) in enumerate(plan.grid_coords)])
     np.testing.assert_allclose(db.rss, oracle_rss, rtol=0, atol=1e-7)
@@ -211,6 +211,60 @@ def test_table1_follows_the_fft_length_law_on_noise_free_tones():
                                10.0 * np.log10([[4000 / 2000, 6000 / 4000]] * 4), atol=1e-9)
 
 
+def test_table1_command_prints_the_fft_length_law(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["channel"]["noise_std"] = 0.0
+    cfg["spectral"]["blocks_per_grid"] = 2
+    cfg_path = write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli.main(["table1", "--config", cfg_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["tone_hz", "N2000", "N4000", "N6000", "N8000"]
+    at = lines.index("# inter-column deltas (dB)")
+    assert [len(line.split()) for line in lines[2:at]] == [5] * 4
+    assert lines[at + 1].split() == ["tone_hz", "N4000-N2000", "N6000-N4000", "N8000-N6000"]
+    want = [f"{10.0 * math.log10(n2 / n1):.4f}" for n1, n2 in ((2000, 4000), (4000, 6000),
+                                                               (6000, 8000))]
+    assert want == ["3.0103", "1.7609", "1.2494"]
+    rows = [line.split() for line in lines[at + 2:]]
+    assert [row[0] for row in rows] == [f"{f:g}" for f in config.plan_from_config(cfg).tones]
+    assert all(row[1:] == want for row in rows)
+
+
+def test_shuffled_split_is_a_seeded_partition_and_the_run_repeats():
+    cfg = tiny_config()
+    cfg["split"]["shuffle"] = True
+    plan = config.plan_from_config(cfg)
+    q = plan.blocks_per_grid
+    parts = experiment._split_indices(plan, q)
+    assert tuple(p.size for p in parts) == plan.split.counts(q)
+    np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(q))
+    # the contiguous split concatenates to 0 .. q - 1 in order
+    assert not np.array_equal(np.concatenate(parts), np.arange(q))
+    again = experiment._split_indices(plan, q)
+    assert all(np.array_equal(a, b) for a, b in zip(parts, again))
+    other = experiment._split_indices(dataclasses.replace(plan, seed=plan.seed + 1), q)
+    assert not all(np.array_equal(a, b) for a, b in zip(parts, other))
+    assert experiment.run_experiment(plan).equals(experiment.run_experiment(plan))
+
+
+def test_weights_csv_holds_the_run_gi_and_gd_fits(tmp_path):
+    cfg = tiny_config()
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    table = experiment.run_experiment(config.plan_from_config(cfg))
+    with open(tmp_path / "out" / "weights.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "grid_index", "wx_knn", "wx_elm", "wx_rf",
+                       "wy_knn", "wy_elm", "wy_rf"]
+
+    def row(method, g, wx, wy):
+        return [method, str(g), *(format(w, ".9g") for w in (*wx, *wy))]
+    want = [row("gi-ls", -1, table.gi.wx.weights, table.gi.wy.weights)]
+    want += [row("gd-ls", g, table.gd.wx.weights[g], table.gd.wy.weights[g]) for g in range(9)]
+    assert rows[1:] == want
+
+
 def test_split_counts_are_exact_for_whole_percent_fractions():
     assert SplitRatios(0.29, 0.21, 0.5).counts(100) == (29, 21, 50)
     assert SplitRatios(0.6, 0.2, 0.2).counts(200) == (120, 40, 40)
@@ -273,12 +327,12 @@ def _csv_writer_results(table, path):
     """The row-at-a-time csv.writer form of cli._write_results_csv."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "trial", "grid_index", "true_x", "true_y",
-                         "est_x", "est_y", "error_m"])
+        writer.writerow(["method", "grid_index", "true_x", "true_y", "est_x", "est_y",
+                         "error_m"])
         for method in table.methods:
             est, errs = table.est[method], table.errors(method)
-            for i in range(table.trial.size):
-                writer.writerow([method, table.trial[i], table.grid_index[i],
+            for i in range(table.grid_index.size):
+                writer.writerow([method, table.grid_index[i],
                                  *(format(v, ".9g") for v in (*table.truth[i], *est[i], errs[i]))])
 
 
@@ -288,7 +342,7 @@ def test_results_csv_equals_the_csv_writer_text(tmp_path):
     truth = np.column_stack([edge, edge[::-1]])
     table = experiment.ResultTable(
         methods=("knn", "gi-ls", "rss-match"),
-        trial=np.repeat([0, 1], 4), grid_index=np.array([0, 5, 12, 224, 3, 3, 7, 0]),
+        grid_index=np.array([0, 5, 12, 224, 3, 3, 7, 0]),
         truth=truth,
         est={"knn": truth.copy(), "gi-ls": truth + rng.normal(size=truth.shape),
              "rss-match": -truth},

@@ -1,0 +1,71 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import settable_values
+
+MODULE = textwrap.dedent('''
+    from dataclasses import dataclass, field
+    from typing import ClassVar, NamedTuple
+
+
+    @dataclass(frozen=True)
+    class Plan:                      # 3 fields; ClassVar and __post_init__ not counted
+        a: int
+        b: float = 1.0
+        c: list = field(default_factory=list)
+        kind: ClassVar[str] = "plan"
+
+        def __post_init__(self):
+            pass
+
+        def scaled(self, by, *, clip=None):  # 2 parameters
+            return self.b * by
+
+
+    class Pair(NamedTuple):          # NamedTuple fields not counted
+        x: float
+        y: float
+
+
+    class _Hidden:                   # a private class: __init__ 2, public method 1
+        size: int
+
+        def __init__(self, size, name="h"):
+            self.size = size
+
+        def grow(self, step):
+            return self.size + step
+
+        def _private(self, anything):
+            return anything
+
+        @classmethod
+        def make(cls, *args, **kwargs):  # 2 parameters
+            return cls(*args, **kwargs)
+
+
+    def run(plan, db=None, /, *extra, strict=True):  # 4 parameters
+        def inner(unseen):
+            return unseen
+        return inner(plan)
+
+
+    def _helper(a, b, c):            # private function not counted
+        return a
+''')
+
+
+def test_counts_fields_and_public_parameters():
+    assert settable_values.count_source(MODULE) == (3, 2 + 2 + 1 + 2 + 4)
+
+
+def test_command_line_sums_every_module(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(MODULE)
+    (tmp_path / "pkg" / "b.py").write_text("def f(x, y):\n    return x\n")
+    script = Path(settable_values.__file__)
+    out = subprocess.run([sys.executable, str(script), str(tmp_path / "pkg")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "16 settable values (3 dataclass fields, 13 parameters)\n"
