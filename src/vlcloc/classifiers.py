@@ -62,12 +62,16 @@ def _as_query_matrix(queries, m: int) -> np.ndarray:
 
 
 class _GridClassifier:
-    """Shared prediction plumbing; subclasses implement predict_labels."""
+    """Shared prediction plumbing; subclasses label one block (_block_labels)."""
 
     train_set: TrainSet
 
     def predict_labels(self, queries) -> np.ndarray:
-        raise NotImplementedError
+        """(n,) labels of ceil(n / _BLOCK_ROWS) row blocks of near-equal size,
+        so past one block each has at least _BLOCK_ROWS / 2 rows."""
+        q = _as_query_matrix(queries, self.train_set.features.shape[1])
+        blocks = np.array_split(q, max(1, math.ceil(q.shape[0] / _BLOCK_ROWS)))
+        return np.concatenate([self._block_labels(b) for b in blocks])
 
     def predict_coords(self, queries) -> np.ndarray:
         """(n, 2) coordinates of the predicted grid labels."""
@@ -75,6 +79,7 @@ class _GridClassifier:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_BLOCK_ROWS = 4096  # ELM / RF query rows per block, so predict memory is fixed
 
 
 def _gamma(k: int) -> float:
@@ -246,6 +251,8 @@ class KnnClassifier(_GridClassifier):
     def predict_labels(self, queries) -> np.ndarray:
         x = self.train_set.features
         q = _as_query_matrix(queries, x.shape[1])
+        if q.shape[0] == 0:
+            return np.empty(0, dtype=int)
         tree, k, n = self.tree, self.k, x.shape[0]
         qn = np.einsum("ij,ij->i", q, q)
         gamma = _gamma(x.shape[1] + 2)
@@ -314,6 +321,10 @@ class ElmClassifier(_GridClassifier):
     weights are the minimum-norm least-squares solution of
     sigmoid(X W + b) B = T for one-hot targets T, solved through SVD.
     Features are z-scored with training statistics before the hidden layer.
+
+    Past one block of queries (predict_labels) each has >= _BLOCK_ROWS / 2
+    rows, so no product takes OpenBLAS's gemv or small-product path; a block's
+    last rows still sum the G mod 8 tail columns unlike `scores` on all rows.
     """
 
     def __init__(self, train: TrainSet, hidden: int, seed):
@@ -344,8 +355,9 @@ class ElmClassifier(_GridClassifier):
         q = _as_query_matrix(queries, self.train_set.features.shape[1])
         return self._hidden_out(q) @ self.output_weights
 
-    def predict_labels(self, queries) -> np.ndarray:
-        return np.argmax(self.scores(queries), axis=1)  # argmax: lower label wins ties
+    def _block_labels(self, q: np.ndarray) -> np.ndarray:
+        scores = self._hidden_out(q) @ self.output_weights
+        return np.argmax(scores, axis=1)  # argmax: lower label wins ties
 
 
 class FlatTree(NamedTuple):
@@ -481,7 +493,8 @@ class RandomForest(_GridClassifier):
 
     Each tree sorts every feature of its bootstrap sample once; a split
     partitions those orders stably, so the rows of a node stay sorted by
-    (value, bootstrap row) and no node sorts again.
+    (value, bootstrap row) and no node sorts again. Query row blocks
+    (predict_labels) bound the vote arrays and cannot change a label.
     """
 
     def __init__(self, train: TrainSet, trees: int, depth: int, seed):
@@ -551,7 +564,9 @@ class RandomForest(_GridClassifier):
 
     def tree_labels(self, queries) -> np.ndarray:
         """(trees, n) per-tree predicted labels."""
-        q = _as_query_matrix(queries, self.train_set.features.shape[1])
+        return self._tree_labels(_as_query_matrix(queries, self.train_set.features.shape[1]))
+
+    def _tree_labels(self, q: np.ndarray) -> np.ndarray:
         n = q.shape[0]
         by_feature = q.T.ravel()  # value of (query i, feature f) at f * n + i
         rows = np.arange(n)
@@ -566,8 +581,8 @@ class RandomForest(_GridClassifier):
             all_labels[t] = tree.label[node]
         return all_labels
 
-    def predict_labels(self, queries) -> np.ndarray:
-        per_tree = self.tree_labels(queries)
+    def _block_labels(self, q: np.ndarray) -> np.ndarray:
+        per_tree = self._tree_labels(q)
         g = self.train_set.num_grid_points
         n = per_tree.shape[1]
         votes = np.bincount((per_tree + g * np.arange(n)).ravel(), minlength=n * g)

@@ -1,9 +1,16 @@
 """Dense KNN oracle: the squared distance to every training row.
 
 This is the implementation KnnClassifier replaced with its k-d-tree search,
-kept verbatim as the reference its labels must equal: the norm expansion
+kept as the reference its labels must equal: the norm expansion
 |x|^2 + |q|^2 - 2 q.x over the full (rows, n) matrix in row chunks, the k-th
 distance by np.partition, and the tie rules row by row.
+
+Each chunk's product is padded as KnnClassifier._sq_dists pads its blocks:
+to at least 2 query rows (a 1-row product goes through gemv) and to a
+multiple of 16 training columns by repeating the last row (the tail columns
+of a large product can sum in two accumulators), then cropped. So every d2
+is the fused multiply-add chain over the features, whatever the chunk
+layout, and the labels do not depend on how the queries are chunked.
 """
 
 import numpy as np
@@ -15,17 +22,20 @@ def knn_labels(train, k: int, queries) -> np.ndarray:
     x = train.features
     labels = train.labels
     g = train.num_grid_points
-    sq_norms = np.einsum("ij,ij->i", x, x)
+    n = x.shape[0]
+    xp = np.concatenate([x, np.repeat(x[-1:], -n % 16, axis=0)])
+    sq_norms = np.einsum("ij,ij->i", xp, xp)
     out = np.empty(q.shape[0], dtype=int)
-    chunk = max(1, int(4e6) // max(1, x.shape[0]))
+    chunk = max(1, int(4e6) // max(1, n))
     for start in range(0, q.shape[0], chunk):
         qc = q[start : start + chunk]
+        qp = np.repeat(qc, 2, axis=0) if qc.shape[0] == 1 else qc
         d2 = np.maximum(
             sq_norms[np.newaxis, :]
-            + np.einsum("ij,ij->i", qc, qc)[:, np.newaxis]
-            - 2.0 * qc @ x.T,
+            + np.einsum("ij,ij->i", qp, qp)[:, np.newaxis]
+            - 2.0 * qp @ xp.T,
             0.0,
-        )
+        )[: qc.shape[0], :n]
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
         for r in range(qc.shape[0]):
             cand = np.nonzero(d2[r] <= kth[r])[0]  # ascending index order

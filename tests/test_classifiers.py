@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,18 @@ from hypothesis import strategies as st
 import knn_reference
 import rf_reference
 from rf_reference import entropy
+from vlcloc import classifiers
 from vlcloc.classifiers import (ElmClassifier, KnnClassifier, RandomForest,
                                 TrainSet, best_stump_split)
 
 # the O(n) presorted search and the one-hot reference it must reproduce
 SPLITS = (best_stump_split, rf_reference.best_stump_split)
+
+each_classifier = pytest.mark.parametrize("build", [
+    lambda train: KnnClassifier(train, 3),
+    lambda train: ElmClassifier(train, 10, seed=1),
+    lambda train: RandomForest(train, 3, 2, seed=1),
+], ids=["knn", "elm", "rf"])
 
 
 def random_train_set(rng, n=20, m=3, g=4):
@@ -414,15 +422,18 @@ class TestCommonInvariants:
         ([[0.0] * 3, [np.nan] * 3], "queries must be finite"),
         ([[0.0, np.inf, 0.0]], "queries must be finite"),
     ], ids=["wider", "narrower", "nan-row", "inf-row"])
-    @pytest.mark.parametrize("build", [
-        lambda train: KnnClassifier(train, 3),
-        lambda train: ElmClassifier(train, 10, seed=1),
-        lambda train: RandomForest(train, 3, 2, seed=1),
-    ], ids=["knn", "elm", "rf"])
+    @each_classifier
     def test_malformed_queries_are_rejected(self, build, queries, message):
         clf = build(random_train_set(np.random.default_rng(12), m=3))
         with pytest.raises(ValueError, match=message):
             clf.predict_labels(queries)
+
+    @each_classifier
+    def test_an_empty_query_matrix_has_no_labels(self, build):
+        clf = build(random_train_set(np.random.default_rng(12), m=3))
+        labels = clf.predict_labels(np.empty((0, 3)))
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+        assert clf.predict_coords(np.empty((0, 3))).shape == (0, 2)
 
     def test_train_set_validation(self):
         with pytest.raises(ValueError):
@@ -437,6 +448,59 @@ class TestCommonInvariants:
         feats[4, 0] = bad
         with pytest.raises(ValueError, match="features row 3 is not finite"):
             TrainSet(feats, np.zeros(5, dtype=int), np.zeros((1, 2)))
+
+
+BLOCK = 5  # a patched block size: near-equal blocks past one then hold >= 3 rows
+
+
+def blocked_pair(monkeypatch, hidden=40, g=12, block=BLOCK):
+    """An ELM and a forest on one training set, with _BLOCK_ROWS patched to
+    block; the row count of each block they label is appended to sizes."""
+    monkeypatch.setattr(classifiers, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(21)
+    train = random_train_set(rng, n=200, m=4, g=g)
+    sizes = []
+    for cls in (ElmClassifier, RandomForest):
+        def spy(self, q, inner=cls._block_labels):
+            sizes.append(q.shape[0])
+            return inner(self, q)
+        monkeypatch.setattr(cls, "_block_labels", spy)
+    return ElmClassifier(train, hidden, seed=3), RandomForest(train, 7, 4, seed=3), sizes
+
+
+class TestBlockedPrediction:
+    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    def test_labels_equal_the_unblocked_reference(self, monkeypatch, n):
+        elm, forest, sizes = blocked_pair(monkeypatch)
+        q = np.random.default_rng(n).normal(size=(n, 4)) * 2.0
+        g = forest.train_set.num_grid_points
+        want_elm = np.argmax(elm.scores(q), axis=1)
+        per_tree = forest.tree_labels(q)
+        votes = np.bincount((per_tree + g * np.arange(n)).ravel(), minlength=n * g)
+        want_rf = np.argmax(votes.reshape(n, g), axis=1)
+        for clf, want in ((elm, want_elm), (forest, want_rf)):
+            sizes.clear()
+            np.testing.assert_array_equal(clf.predict_labels(q), want)
+            assert len(sizes) == math.ceil(n / BLOCK) and max(sizes) - min(sizes) <= 1
+            assert n <= BLOCK or min(sizes) >= BLOCK / 2
+            np.testing.assert_array_equal(clf.predict_coords(q),
+                                          clf.train_set.grid_coords[want])
+
+    def test_peak_memory_does_not_grow_with_the_query_count(self, monkeypatch):
+        # 16 blocks of 256 rows; one whole (n, hidden) float matrix is 6.6 MB,
+        # and unblocked RF's (n, G) vote counts alone would be 3.3 MB
+        hidden = 200
+        elm, forest, _ = blocked_pair(monkeypatch, hidden=hidden, g=100, block=256)
+        q = np.random.default_rng(22).normal(size=(16 * 256, 4))
+        whole = q.shape[0] * hidden * q.itemsize
+        for clf in (elm, forest):
+            tracemalloc.start()
+            try:
+                clf.predict_labels(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < whole / 4, (type(clf).__name__, peak, whole)
 
 
 def same_split(got, want) -> bool:
