@@ -13,8 +13,8 @@ from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, cdf_grid, error_cdf, run_experiment,
                          rss_vs_fft_len, synthesize_fingerprint_db)
-from .spectral import (FingerprintDB, build_fingerprints, from_db,
-                       load_fingerprints, save_fingerprints, to_db)
+from .spectral import (FingerprintDB, build_fingerprints, load_fingerprints,
+                       save_fingerprints, to_db)
 from .config import ConfigError, benchmark_config, load_config, plan_from_config
 
 __version__ = "0.1.0"

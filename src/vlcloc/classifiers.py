@@ -25,7 +25,7 @@ class TrainSet:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         coords = np.asarray(self.grid_coords, dtype=float)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (n, M) matrix")
@@ -34,12 +34,19 @@ class TrainSet:
             raise ValueError(f"features row {bad[0]} is not finite: {feats[bad[0]]}")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must align with feature rows")
+        if labels.dtype.kind == "f":
+            whole = np.isfinite(labels) & (labels == np.trunc(labels))
+        else:  # bool, complex, str or object labels are no grid indices
+            whole = np.full(labels.shape, labels.dtype.kind in "iu")
+        bad = np.flatnonzero(~whole)
+        if bad.size:
+            raise ValueError(f"labels row {bad[0]} is not an integer: {labels[bad[0]]}")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("grid_coords must have shape (G, 2)")
         if labels.min() < 0 or labels.max() >= coords.shape[0]:
             raise ValueError("labels must index into grid_coords")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
         object.__setattr__(self, "grid_coords", coords)
 
     @property
@@ -67,11 +74,9 @@ class _GridClassifier:
     train_set: TrainSet
 
     def predict_labels(self, queries) -> np.ndarray:
-        """(n,) labels of ceil(n / _BLOCK_ROWS) row blocks of near-equal size,
-        so past one block each has at least _BLOCK_ROWS / 2 rows."""
+        """(n,) labels, found block by block (_row_blocks)."""
         q = _as_query_matrix(queries, self.train_set.features.shape[1])
-        blocks = np.array_split(q, max(1, math.ceil(q.shape[0] / _BLOCK_ROWS)))
-        return np.concatenate([self._block_labels(b) for b in blocks])
+        return np.concatenate([self._block_labels(b) for b in _row_blocks(q)])
 
     def predict_coords(self, queries) -> np.ndarray:
         """(n, 2) coordinates of the predicted grid labels."""
@@ -79,7 +84,13 @@ class _GridClassifier:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-_BLOCK_ROWS = 4096  # ELM / RF query rows per block, so predict memory is fixed
+_BLOCK_ROWS = 4096  # rows per block of ELM fit and ELM / RF queries, so memory is fixed
+
+
+def _row_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """a split into ceil(n / _BLOCK_ROWS) row blocks of near-equal size (at
+    least one), so past one block each has at least _BLOCK_ROWS / 2 rows."""
+    return np.array_split(a, max(1, math.ceil(a.shape[0] / _BLOCK_ROWS)))
 
 
 def _gamma(k: int) -> float:
@@ -304,6 +315,25 @@ class KnnClassifier(_GridClassifier):
         return best
 
 
+def _distinct_rows(x: np.ndarray) -> int:
+    """Number of distinct rows of a non-empty matrix."""
+    ordered = x[np.lexsort(x.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
+def _one_hot(labels: np.ndarray, g: int) -> np.ndarray:
+    """(n, g) float targets: 1 at each row's label, 0 elsewhere."""
+    targets = np.zeros((labels.size, g))
+    targets[np.arange(labels.size), labels] = 1.0
+    return targets
+
+
+# Corrected semi-normal equation passes after ELM's Cholesky solve, and the
+# largest last correction, relative to the weights, that counts as converged.
+_REFINE_STEPS = 2
+_REFINE_TOL = 1e-2
+
+
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-clip(x, -500, 500))), overwriting x: the (n, hidden)
     activations are the largest arrays ELM makes, so no temporaries."""
@@ -318,13 +348,28 @@ class ElmClassifier(_GridClassifier):
     """Single-hidden-layer network trained in closed form.
 
     Input weights and biases are drawn uniformly from [-1, 1]; the output
-    weights are the minimum-norm least-squares solution of
-    sigmoid(X W + b) B = T for one-hot targets T, solved through SVD.
-    Features are z-scored with training statistics before the hidden layer.
+    weights B solve H B = T in the least-squares sense, where H =
+    sigmoid(X W + b) is the hidden-layer output of the training rows and T
+    their one-hot targets. Features are z-scored with training statistics
+    before the hidden layer.
+
+    B comes from the normal equations H^T H B = H^T T, summed over row
+    blocks (_row_blocks) so that neither H nor T exists whole, and solved
+    by Cholesky. As cond(H^T H) = cond(H)^2 is near 1 / eps on the
+    benchmark, _REFINE_STEPS passes of the corrected semi-normal equations
+    (Bjorck 1996, section 2.9) follow: each adds the Cholesky solution of
+    H^T (T - H B), with H recomputed block by block. On the benchmark this
+    gives lstsq's labels. B is instead lstsq's minimum-norm solution on the
+    whole H, as before, when there are fewer distinct training rows than
+    hidden units (H is rank deficient, as in a noise-free survey), when
+    Cholesky fails, or when the last correction exceeds _REFINE_TOL of |B|.
+    An H with enough distinct rows but a numerically deficient rank can
+    still pass these checks with a least-squares solution other than the
+    minimum-norm one.
 
     Past one block of queries (predict_labels) each has >= _BLOCK_ROWS / 2
     rows, so no product takes OpenBLAS's gemv or small-product path; a block's
-    last rows still sum the G mod 8 tail columns unlike `scores` on all rows.
+    last rows still sum the G mod 8 tail columns unlike one product on all rows.
     """
 
     def __init__(self, train: TrainSet, hidden: int, seed):
@@ -340,20 +385,54 @@ class ElmClassifier(_GridClassifier):
         m = x.shape[1]
         self._w = rng.uniform(-1.0, 1.0, (m, hidden))
         self._b = rng.uniform(-1.0, 1.0, hidden)
-        h = self._hidden_out(x)
-        targets = np.zeros((x.shape[0], train.num_grid_points))
-        targets[np.arange(x.shape[0]), train.labels] = 1.0
-        self.output_weights = np.linalg.lstsq(h, targets, rcond=None)[0]
+        self.output_weights = self._fit_output_weights(x, train.labels, train.num_grid_points)
 
     def _hidden_out(self, x: np.ndarray) -> np.ndarray:
         h = (x - self._mu) / self._sigma @ self._w
         h += self._b
         return _sigmoid_inplace(h)
 
-    def scores(self, queries) -> np.ndarray:
-        """(n, G) output-layer activations."""
-        q = _as_query_matrix(queries, self.train_set.features.shape[1])
-        return self._hidden_out(q) @ self.output_weights
+    def _fit_output_weights(self, x: np.ndarray, labels: np.ndarray, g: int) -> np.ndarray:
+        """(hidden, G) output weights (see the class docstring)."""
+        if _distinct_rows(x) >= self.hidden:
+            weights = self._refined_cholesky_weights(
+                list(zip(_row_blocks(x), _row_blocks(labels))), g)
+            if weights is not None:
+                return weights
+        return np.linalg.lstsq(self._hidden_out(x), _one_hot(labels, g), rcond=None)[0]
+
+    def _refined_cholesky_weights(self, blocks: list, g: int) -> np.ndarray | None:
+        """Output weights from the normal equations summed over (features,
+        labels) row blocks, refined; None where the Cholesky factorisation
+        fails or the last correction is not small."""
+        gram = np.zeros((self.hidden, self.hidden))
+        rhs = np.zeros((self.hidden, g))
+        for xb, yb in blocks:
+            h = self._hidden_out(xb)
+            gram += h.T @ h
+            rhs += h.T @ _one_hot(yb, g)
+            del h  # one block's H at a time: free it before the next is built
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+
+        def solve(b):
+            return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+        weights = solve(rhs)
+        for _ in range(_REFINE_STEPS):
+            rhs.fill(0.0)
+            for xb, yb in blocks:
+                h = self._hidden_out(xb)
+                residual = h @ weights
+                np.negative(residual, out=residual)
+                residual[np.arange(yb.size), yb] += 1.0  # T - H B, as if T were built
+                rhs += h.T @ residual
+                del h, residual
+            step = solve(rhs)
+            weights += step
+        return weights if np.linalg.norm(step) <= _REFINE_TOL * np.linalg.norm(weights) else None
 
     def _block_labels(self, q: np.ndarray) -> np.ndarray:
         scores = self._hidden_out(q) @ self.output_weights
@@ -398,7 +477,13 @@ def _class_ids(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
                   xlog2x: np.ndarray) -> tuple[float, float]:
-    """best_stump_split on presorted input.
+    """(information gain, threshold) of the best cut of one node's feature.
+
+    Candidate thresholds are midpoints between consecutive distinct values
+    (the lower value where the midpoint does not fall below the upper one);
+    gain is the entropy reduction (bits) of the induced two-way split, and
+    the smallest threshold wins gain ties. Returns (-inf, nan) when the
+    feature is constant over the node.
 
     vs holds the node's values in ascending order, ys their dense class ids
     (see _class_ids) in the same order, totals the class counts, and xlog2x
@@ -460,24 +545,6 @@ def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
     if not lo <= thr < hi:  # a midpoint that rounds to hi or overflows separates nothing
         thr = lo
     return float(gains[j]), thr
-
-
-def best_stump_split(values, labels) -> tuple[float, float]:
-    """(information gain, threshold) of the best single-feature threshold.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values (the lower value where the midpoint does not fall below the
-    upper one); gain is the entropy reduction (bits) of the induced two-way
-    split, and the smallest threshold wins gain ties. labels must be
-    non-negative integers. Returns (-inf, nan) when the feature is constant
-    over the node.
-    """
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    order = np.argsort(values, kind="stable")
-    lookup, totals = _class_ids(np.bincount(labels))
-    return _split_sorted(values[order], lookup[labels[order]], totals,
-                         _xlog2x(np.arange(values.size + 1.0)))
 
 
 class RandomForest(_GridClassifier):
@@ -562,11 +629,8 @@ class RandomForest(_GridClassifier):
         return FlatTree(np.array(feature), np.array(threshold), np.array(left),
                         np.array(right), np.array(label))
 
-    def tree_labels(self, queries) -> np.ndarray:
-        """(trees, n) per-tree predicted labels."""
-        return self._tree_labels(_as_query_matrix(queries, self.train_set.features.shape[1]))
-
     def _tree_labels(self, q: np.ndarray) -> np.ndarray:
+        """(trees, n) per-tree labels of a finite (n, M) query matrix."""
         n = q.shape[0]
         by_feature = q.T.ravel()  # value of (query i, feature f) at f * n + i
         rows = np.arange(n)

@@ -86,11 +86,6 @@ def to_db(linear, floor_db: float = DB_FLOOR) -> np.ndarray:
     return np.maximum(out, floor_db)
 
 
-def from_db(db) -> np.ndarray:
-    """Inverse of to_db: linear power 10^(dB/10)."""
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
 def build_fingerprints(streams, grid_coords, fft_len: int, tones,
                        sample_rate: float) -> FingerprintDB:
     """Build the fingerprint database from per-grid sample streams.

@@ -3,7 +3,8 @@
 best_stump_split scores every cut from an n x C one-hot cumulative-count
 matrix, and reference_forest grows each tree recursively with it, drawing
 from the RNG in the same order as vlcloc's RandomForest. The fast
-implementation in vlcloc.classifiers must reproduce both bit for bit.
+implementation in vlcloc.classifiers must reproduce both bit for bit;
+presorted_stump_split and tree_labels are the tests' entry points into it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from vlcloc import classifiers
 
 
 def entropy(labels: np.ndarray) -> float:
@@ -62,6 +65,21 @@ def best_stump_split(values: np.ndarray, labels: np.ndarray) -> tuple[float, flo
     if not lo <= thr < hi:  # a midpoint that rounds to hi or overflows separates nothing
         thr = lo
     return float(gains[j]), thr
+
+
+def presorted_stump_split(values, labels) -> tuple[float, float]:
+    """best_stump_split by vlcloc's O(n) presorted scan (classifiers._split_sorted)."""
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    order = np.argsort(values, kind="stable")
+    lookup, totals = classifiers._class_ids(np.bincount(labels))
+    return classifiers._split_sorted(values[order], lookup[labels[order]], totals,
+                                     classifiers._xlog2x(np.arange(values.size + 1.0)))
+
+
+def tree_labels(forest, queries) -> np.ndarray:
+    """(trees, n) per-tree labels of a vlcloc RandomForest, all rows at once."""
+    return forest._tree_labels(np.asarray(queries, dtype=float))
 
 
 @dataclass

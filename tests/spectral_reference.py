@@ -11,6 +11,11 @@ import numpy as np
 from vlcloc.spectral import to_db
 
 
+def from_db(db) -> np.ndarray:
+    """Inverse of to_db: linear power 10^(dB/10)."""
+    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+
+
 def periodogram(blocks) -> np.ndarray:
     """Periodogram S[k] = |DFT[k]|^2 / N of each row of a (B, N) block matrix."""
     blocks = np.asarray(blocks, dtype=float)

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elm_reference
 import knn_reference
 import rf_reference
-from rf_reference import entropy
-from vlcloc import classifiers
-from vlcloc.classifiers import (ElmClassifier, KnnClassifier, RandomForest,
-                                TrainSet, best_stump_split)
+from rf_reference import entropy, presorted_stump_split, tree_labels
+from vlcloc import classifiers, config, experiment
+from vlcloc.classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
 
 # the O(n) presorted search and the one-hot reference it must reproduce
-SPLITS = (best_stump_split, rf_reference.best_stump_split)
+SPLITS = (presorted_stump_split, rf_reference.best_stump_split)
 
 each_classifier = pytest.mark.parametrize("build", [
     lambda train: KnnClassifier(train, 3),
@@ -283,7 +284,8 @@ class TestElm:
         permuted = TrainSet(train.features, perm[train.labels], train.grid_coords[np.argsort(perm)])
         clf_p = ElmClassifier(permuted, hidden=25, seed=2)
         queries = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(clf_p.scores(queries), clf.scores(queries)[:, np.argsort(perm)],
+        np.testing.assert_allclose(elm_reference.scores(clf_p, queries),
+                                   elm_reference.scores(clf, queries)[:, np.argsort(perm)],
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(clf_p.predict_labels(queries),
                                       perm[clf.predict_labels(queries)])
@@ -299,6 +301,88 @@ class TestElm:
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
             ElmClassifier(random_train_set(rng), hidden=0, seed=0)
+
+
+def no_lstsq(*args, **kwargs):
+    raise AssertionError("the fit fell back to np.linalg.lstsq")
+
+
+def survey_split(q, blocks):
+    """(train set, offline + online query rows) of a benchmark-geometry
+    survey with a q x q grid and the given blocks per grid point."""
+    cfg = config.benchmark_config()
+    cfg["geometry"]["grid"]["q"] = q
+    cfg["spectral"]["blocks_per_grid"] = blocks
+    plan = config.plan_from_config(cfg)
+    db = experiment.synthesize_fingerprint_db(plan)
+    train_idx, off_idx, on_idx = experiment._split_indices(plan, blocks)
+    train_q, train_labels, _ = experiment._flatten_split(db, train_idx)
+    queries = np.vstack([experiment._flatten_split(db, idx)[0] for idx in (off_idx, on_idx)])
+    return TrainSet(train_q, train_labels, plan.grid_coords), queries
+
+
+def with_weights(clf, weights):
+    other = copy.copy(clf)
+    other.output_weights = weights
+    return other
+
+
+class TestElmSolve:
+    """The blocked Cholesky fit against the whole-matrix lstsq oracle."""
+
+    def test_refined_cholesky_matches_the_lstsq_oracle_on_a_survey(self, monkeypatch):
+        # 1200 training rows against 300 hidden units, cond(H) ~ 1e7: in
+        # relative norm the unrefined Cholesky solution is ~2e-4 off, one
+        # refinement step leaves ~7e-8 and two ~4e-10, about the oracle's own
+        # accuracy. (At q = 5 with 600 hidden units cond(H) is ~5e8 and the
+        # fit falls back to lstsq.)
+        train, queries = survey_split(q=5, blocks=80)
+        hidden, seed = 300, 7
+        want = elm_reference.output_weights(train, hidden, seed)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        clf = ElmClassifier(train, hidden, seed)
+        assert np.linalg.norm(clf.output_weights - want) <= 5e-9 * np.linalg.norm(want)
+        np.testing.assert_array_equal(clf.predict_labels(queries),
+                                      with_weights(clf, want).predict_labels(queries))
+
+    def test_slow_refinement_falls_back_to_lstsq_on_a_survey(self):
+        # 1800 rows against 600 hidden units, cond(H) ~ 4e8: Cholesky succeeds,
+        # but the last correction is ~30 % of the weights
+        train, _ = survey_split(q=10, blocks=30)
+        clf = ElmClassifier(train, 600, seed=5)
+        np.testing.assert_array_equal(clf.output_weights,
+                                      elm_reference.output_weights(train, 600, 5))
+
+    @pytest.mark.parametrize("case", ["fewer-rows", "duplicated-rows", "near-duplicates"])
+    def test_rank_deficient_fits_give_the_oracle_weights_bit_for_bit(self, case):
+        rng = np.random.default_rng(24)
+        hidden, g = 50, 10
+        if case == "fewer-rows":
+            feats = rng.normal(size=(hidden - 1, 4))
+        else:  # 200 rows but only g distinct ones, or g clusters of width 1e-9 (Cholesky fails)
+            feats = np.repeat(rng.normal(size=(g, 4)), 200 // g, axis=0)
+            if case == "near-duplicates":
+                feats += rng.normal(size=feats.shape) * 1e-9
+        train = TrainSet(feats, np.arange(feats.shape[0]) % g, rng.normal(size=(g, 2)))
+        for seed in range(5):
+            np.testing.assert_array_equal(ElmClassifier(train, hidden, seed).output_weights,
+                                          elm_reference.output_weights(train, hidden, seed))
+
+    def test_fit_peak_memory_stays_below_a_quarter_of_the_hidden_matrix(self, monkeypatch):
+        # 32 blocks of 256 rows; one whole (n, hidden) float matrix is 6.6 MB
+        monkeypatch.setattr(classifiers, "_BLOCK_ROWS", 256)
+        n, hidden = 32 * 256, 100
+        train = random_train_set(np.random.default_rng(25), n=n, m=4, g=20)
+        whole = n * hidden * train.features.itemsize
+        tracemalloc.start()
+        try:
+            clf = ElmClassifier(train, hidden, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4, (peak, whole)
+        want = elm_reference.output_weights(train, hidden, 3)
+        assert np.linalg.norm(clf.output_weights - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def stump_oracle(values, labels):
@@ -364,7 +448,7 @@ class TestRandomForest:
         f1 = RandomForest(train, trees=6, depth=3, seed=7)
         f2 = RandomForest(train, trees=6, depth=3, seed=7)
         queries = rng.normal(size=(20, 4))
-        np.testing.assert_array_equal(f1.tree_labels(queries), f2.tree_labels(queries))
+        np.testing.assert_array_equal(tree_labels(f1, queries), tree_labels(f2, queries))
 
     def test_single_tree_equals_forest(self):
         rng = np.random.default_rng(15)
@@ -372,14 +456,14 @@ class TestRandomForest:
         forest = RandomForest(train, trees=1, depth=4, seed=5)
         queries = rng.normal(size=(12, 3))
         np.testing.assert_array_equal(forest.predict_labels(queries),
-                                      forest.tree_labels(queries)[0])
+                                      tree_labels(forest, queries)[0])
 
     def test_majority_vote_matches_per_tree_oracle(self):
         rng = np.random.default_rng(16)
         train = random_train_set(rng, n=40, m=4, g=4)
         forest = RandomForest(train, trees=5, depth=3, seed=9)
         queries = rng.normal(size=(15, 4))
-        per_tree = forest.tree_labels(queries)
+        per_tree = tree_labels(forest, queries)
         want = []
         for col in per_tree.T:
             counts = {}
@@ -441,6 +525,21 @@ class TestCommonInvariants:
         with pytest.raises(ValueError):
             TrainSet(np.zeros((3, 2)), np.array([0, 1, 5]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("labels, row", [
+        ([0, 1, 0.7, 1.9, 0], 2),
+        ([0.0, 1.0, 1.0, np.nan, 0.0], 3),
+        ([0.0, 1.0, -np.inf, 0.0, 1.0], 2),
+        ([True, False, True, True, False], 0),
+    ], ids=["fraction", "nan", "inf", "bool"])
+    def test_non_integer_labels_rejected_naming_the_row(self, labels, row):
+        with pytest.raises(ValueError, match=f"labels row {row} is not an integer"):
+            TrainSet(np.zeros((5, 2)), labels, np.zeros((2, 2)))
+
+    def test_integral_float_labels_become_ints(self):
+        train = TrainSet(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.zeros((2, 2)))
+        assert train.labels.dtype.kind == "i"
+        np.testing.assert_array_equal(train.labels, [0, 1, 1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected_naming_the_row(self, bad):
         feats = np.zeros((5, 2))
@@ -474,8 +573,8 @@ class TestBlockedPrediction:
         elm, forest, sizes = blocked_pair(monkeypatch)
         q = np.random.default_rng(n).normal(size=(n, 4)) * 2.0
         g = forest.train_set.num_grid_points
-        want_elm = np.argmax(elm.scores(q), axis=1)
-        per_tree = forest.tree_labels(q)
+        want_elm = np.argmax(elm_reference.scores(elm, q), axis=1)
+        per_tree = tree_labels(forest, q)
         votes = np.bincount((per_tree + g * np.arange(n)).ravel(), minlength=n * g)
         want_rf = np.argmax(votes.reshape(n, g), axis=1)
         for clf, want in ((elm, want_elm), (forest, want_rf)):
@@ -537,7 +636,7 @@ class TestSplitBitIdentity:
     @given(adversarial_node())
     def test_matches_one_hot_reference_exactly(self, node):
         values, labels = node
-        assert same_split(best_stump_split(values, labels),
+        assert same_split(presorted_stump_split(values, labels),
                           rf_reference.best_stump_split(values, labels))
 
     @settings(max_examples=300, deadline=None)
@@ -548,7 +647,7 @@ class TestSplitBitIdentity:
     def test_matches_one_hot_reference_on_arbitrary_floats(self, pairs):
         values = np.array([v for v, _ in pairs])
         labels = np.array([lab for _, lab in pairs])
-        assert same_split(best_stump_split(values, labels),
+        assert same_split(presorted_stump_split(values, labels),
                           rf_reference.best_stump_split(values, labels))
 
 
@@ -593,6 +692,6 @@ class TestForestMatchesReference:
         thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in forest.tree_arrays])
         queries[:100] = rng.choice(thresholds, size=(100, m))  # values on a threshold go left
         want = np.array([[rf_reference.route(root, q) for q in queries] for root in roots])
-        np.testing.assert_array_equal(forest.tree_labels(queries), want)
+        np.testing.assert_array_equal(tree_labels(forest, queries), want)
         np.testing.assert_array_equal(forest.predict_labels(queries),
                                       rf_reference.forest_labels(roots, queries, g))

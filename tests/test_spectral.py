@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import spectral_reference
-from spectral_reference import periodogram
+from spectral_reference import from_db, periodogram
 from vlcloc import config, experiment, fusion
 from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
-                             from_db, load_fingerprints, save_fingerprints,
-                             to_db)
+                             load_fingerprints, save_fingerprints, to_db)
 
 
 def dft_oracle(samples):
