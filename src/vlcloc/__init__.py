@@ -11,8 +11,8 @@ from .fusion import (FusionWeights, LsFit, build_prediction_matrix, gd_ls_fit,
                      ls_svd_weights, nearest_mean_labels)
 from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
-                         SplitRatios, cdf_grid, error_cdf, run_experiment,
-                         rss_vs_fft_len, synthesize_fingerprint_db)
+                         SplitRatios, run_experiment, rss_vs_fft_len,
+                         synthesize_fingerprint_db)
 from .spectral import (FingerprintDB, build_fingerprints, load_fingerprints,
                        save_fingerprints, to_db)
 from .config import ConfigError, benchmark_config, load_config, plan_from_config

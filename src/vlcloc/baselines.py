@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCAN_RESOLUTION = 0.01  # meters between cells of the area scan
+
+
 @dataclass(frozen=True)
 class RssrConfig:
     lambertian_order: float
     led_positions: np.ndarray              # (M, 3) meters
     bounds: tuple[tuple[float, float], tuple[float, float]]  # ((xmin,xmax),(ymin,ymax))
-    scan_resolution: float = 0.01          # meters
 
     def __post_init__(self):
         pos = np.asarray(self.led_positions, dtype=float)
@@ -32,8 +34,6 @@ class RssrConfig:
             raise ValueError("LED positions must be distinct")
         if not self.lambertian_order > 0.0:
             raise ValueError("lambertian_order must be positive")
-        if not self.scan_resolution > 0.0:
-            raise ValueError("scan_resolution must be positive")
         (x0, x1), (y0, y1) = self.bounds
         if not (x1 > x0 and y1 > y0):
             raise ValueError("bounds must span a non-empty rectangle")
@@ -43,9 +43,9 @@ class RssrConfig:
 class RssrSolver:
     """Reusable RSSR solver for many queries against one geometry.
 
-    Everything that depends only on the geometry and the scan resolution is
-    built once here: the LED pair indices, m + 3, the LED x, y and h^2
-    columns, the scan grid's model terms, and for each of the three
+    Everything that depends only on the geometry is built once here: the
+    LED pair indices, m + 3, the LED x, y and h^2 columns, the scan grid's
+    model terms, and for each of the three
     refinement rounds its 3x3 stencil offsets and the five rows of the
     least-squares pseudo-inverse that map the nine objective values to the
     quadratic's (gx, gy, cxx, cyy, cxy). A query then costs one matvec over
@@ -65,7 +65,7 @@ class RssrSolver:
         self._led_h2 = led[:, 2] ** 2
 
         (x0, x1), (y0, y1) = cfg.bounds
-        res = cfg.scan_resolution
+        res = SCAN_RESOLUTION
         xs = np.arange(x0, x1 + 0.5 * res, res)
         ys = np.arange(y0, y1 + 0.5 * res, res)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")

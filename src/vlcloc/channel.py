@@ -66,7 +66,6 @@ class ChannelParams:
     pd_area: float               # m^2
     noise_std: float             # per-sample std of n(t), signal units
     sample_rate: float           # Hz
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if not self.lambertian_order > 0.0:
@@ -77,8 +76,6 @@ class ChannelParams:
             raise ValueError("noise_std must be non-negative")
         if not self.sample_rate > 0.0:
             raise ValueError("sample_rate must be positive")
-        if not self.speed_of_light > 0.0:
-            raise ValueError("speed_of_light must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,9 @@ def attenuation(led: LedConfig, pd: PdPose, params: ChannelParams) -> float:
     return (m + 1.0) * params.pd_area / (2.0 * math.pi * d * d) * cos ** m * cos
 
 
-def propagation_delay(led: LedConfig, pd: PdPose, params: ChannelParams) -> float:
+def propagation_delay(led: LedConfig, pd: PdPose) -> float:
     """Time-of-flight tau = d / c in seconds."""
-    return distance(led, pd) / params.speed_of_light
+    return distance(led, pd) / SPEED_OF_LIGHT
 
 
 def _tone_angles(n: np.ndarray, freq: np.ndarray, fs: float) -> np.ndarray:
@@ -157,7 +154,7 @@ def synthesize_received(
     if fs <= 2.0 * freq.max():
         raise ValueError(f"sample_rate {fs} Hz must exceed twice the highest tone ({freq.max()} Hz)")
     amp = np.array([attenuation(led, pd, params) * led.gain * led.amplitude for led in leds])
-    phase = 2.0 * math.pi * freq * [propagation_delay(led, pd, params) for led in leds]
+    phase = 2.0 * math.pi * freq * [propagation_delay(led, pd) for led in leds]
 
     # sample r * B + j: cos(theta_r + w j) = cos(theta_r) cos(w j) - sin(theta_r) sin(w j)
     rows = -(-duration_samples // _ROW_LEN)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 
@@ -19,7 +18,6 @@ from . import experiment, spectral
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +75,7 @@ def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
         writer.writerow(["method", "threshold_m", "fraction"])
         for method in table.methods:
             fractions = table.cdf(method)
-            for thr, frac in zip(table.cdf_thresholds, fractions):
+            for thr, frac in zip(experiment.CDF_THRESHOLDS, fractions):
                 writer.writerow([method, format(thr, ".9g"), format(frac, ".9g")])
 
 
@@ -134,8 +132,6 @@ def main(argv=None) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         plan = config_mod.plan_from_config(cfg)
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, seed=args.seed)
     except (ValueError, TypeError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2

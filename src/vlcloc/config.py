@@ -15,24 +15,25 @@ Config layout (every key shown; `?` marks an optional key)::
         "semi_angle_deg": deg,
         "pd_area_m2": m2,
         "noise_std": std,
-        "sample_rate_hz": hz,
-        "speed_of_light_mps"?: mps
+        "sample_rate_hz": hz
       },
       "spectral": {"fft_len": int, "blocks_per_grid": int},
       "split"?: {"train"?: frac, "offline"?: frac, "online"?: frac, "shuffle"?: bool},
       "classifiers"?: {"order"?: ["knn", "elm", "rf"], "knn"?: {"k"?: int},
                        "elm"?: {"hidden"?: int}, "rf"?: {"trees"?: int, "depth"?: int}},
-      "fusion"?: {"rank_tol"?: tol or null},
-      "rssr"?: {"scan_resolution_m"?: m, "margin_m"?: m},
-      "run": {"methods": [...], "seed": int, "cdf_max_m"?: m, "cdf_step_m"?: m}
+      "run": {"methods": [...], "seed": int}
     }
 
 An omitted optional key takes the default of the field it sets: those of
-`LedConfig`, `ChannelParams`, `SplitRatios` and `ExperimentPlan`, and
-`experiment.cdf_grid` for the CDF thresholds. Those defaults are the only
+`LedConfig`, `SplitRatios` and `ExperimentPlan`. Those defaults are the only
 copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
 `vlcloc table1` takes its FFT lengths, grid point and block count from
-`rss_vs_fft_len`'s defaults, so no config key sets them.
+`rss_vs_fft_len`'s defaults, so no config key sets them. Fixed parts of the
+method are module constants, not keys: the speed of light
+(`channel.SPEED_OF_LIGHT`), the RSSR scan resolution
+(`baselines.SCAN_RESOLUTION`) and margin, the LS-SVD rank cutoff
+(`fusion.default_rank_tol`) and the error-CDF thresholds
+(`experiment.CDF_THRESHOLDS`).
 
 plan_from_config checks each key as it reads it and rejects unknown keys
 anywhere, before any computation, so a bad config fails fast.
@@ -47,7 +48,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams, LedConfig, lambertian_order_from_semiangle
-from .experiment import ALL_METHODS, ExperimentPlan, SplitRatios, cdf_grid
+from .experiment import ALL_METHODS, ExperimentPlan, SplitRatios
 
 
 class ConfigError(ValueError):
@@ -68,12 +69,10 @@ def _check_keys(section: dict, path: str, required: set[str] = frozenset(),
     return section
 
 
-def _number(section: dict, key: str, path: str, minimum=None, allow_none=False):
+def _number(section: dict, key: str, path: str, minimum=None):
     if key not in section:
         return None
     v = section[key]
-    if v is None and allow_none:
-        return None
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     if minimum is not None and v < minimum:
@@ -127,8 +126,7 @@ def _led(led: dict, path: str) -> LedConfig:
 
 def _channel(chan: dict) -> ChannelParams:
     _check_keys(chan, "channel",
-                required={"semi_angle_deg", "pd_area_m2", "noise_std", "sample_rate_hz"},
-                optional={"speed_of_light_mps"})
+                required={"semi_angle_deg", "pd_area_m2", "noise_std", "sample_rate_hz"})
     angle = _number(chan, "semi_angle_deg", "channel")
     if not 0.0 < angle < 90.0:
         raise ConfigError(f"channel.semi_angle_deg: must be in (0, 90), got {angle}")
@@ -137,7 +135,6 @@ def _channel(chan: dict) -> ChannelParams:
         pd_area=_number(chan, "pd_area_m2", "channel", minimum=1e-12),
         noise_std=_number(chan, "noise_std", "channel", minimum=0.0),
         sample_rate=_number(chan, "sample_rate_hz", "channel", minimum=1e-9),
-        **_set(speed_of_light=_number(chan, "speed_of_light_mps", "channel", minimum=1.0)),
     )
 
 
@@ -145,7 +142,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     """Check cfg against the schema and build its ExperimentPlan, reading
     each key once; a bad key raises ConfigError naming its JSON path."""
     _check_keys(cfg, "config", required={"geometry", "channel", "spectral", "run"},
-                optional={"split", "classifiers", "fusion", "rssr"})
+                optional={"split", "classifiers"})
     geo = _check_keys(cfg["geometry"], "geometry", required={"grid", "leds"})
     grid = _check_keys(geo["grid"], "geometry.grid", required={"q", "spacing_m"})
     if not isinstance(geo["leds"], list) or not geo["leds"]:
@@ -173,16 +170,11 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     knn = _check_keys(clf.get("knn", {}), "classifiers.knn", optional={"k"})
     elm = _check_keys(clf.get("elm", {}), "classifiers.elm", optional={"hidden"})
     rf = _check_keys(clf.get("rf", {}), "classifiers.rf", optional={"trees", "depth"})
-    fus = _check_keys(cfg.get("fusion", {}), "fusion", optional={"rank_tol"})
-    rssr = _check_keys(cfg.get("rssr", {}), "rssr", optional={"scan_resolution_m", "margin_m"})
 
-    run = _check_keys(cfg["run"], "run", required={"methods", "seed"},
-                      optional={"cdf_max_m", "cdf_step_m"})
+    run = _check_keys(cfg["run"], "run", required={"methods", "seed"})
     if (not isinstance(run["methods"], list) or not run["methods"]
             or any(m not in ALL_METHODS for m in run["methods"])):
         raise ConfigError(f"run.methods: expected a non-empty list drawn from {ALL_METHODS}")
-    cdf = _set(max_m=_number(run, "cdf_max_m", "run", minimum=1e-6),
-               step_m=_number(run, "cdf_step_m", "run", minimum=1e-9))
 
     return ExperimentPlan(
         leds=leds,
@@ -198,11 +190,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
                elm_hidden=_integer(elm, "hidden", "classifiers.elm", minimum=1),
                rf_trees=_integer(rf, "trees", "classifiers.rf", minimum=1),
                rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1),
-               classifier_order=tuple(clf["order"]) if "order" in clf else None,
-               rank_tol=_number(fus, "rank_tol", "fusion", minimum=0.0, allow_none=True),
-               rssr_scan_resolution=_number(rssr, "scan_resolution_m", "rssr", minimum=1e-6),
-               rssr_margin=_number(rssr, "margin_m", "rssr", minimum=0.0)),
-        **({"cdf_thresholds": cdf_grid(**cdf)} if cdf else {}),
+               classifier_order=tuple(clf["order"]) if "order" in clf else None),
     )
 
 
@@ -241,8 +229,6 @@ def benchmark_config() -> dict:
             "elm": {"hidden": 600},
             "rf": {"trees": 40, "depth": 5},
         },
-        "fusion": {"rank_tol": None},
-        "rssr": {"scan_resolution_m": 0.01, "margin_m": 0.05},
         "run": {
             "methods": list(ALL_METHODS),
             "seed": 1729,

@@ -10,7 +10,6 @@ from the plan seed through named SeedSequence children).
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -38,6 +37,11 @@ _SEED_ELM = 2
 _SEED_RF = 3
 _SEED_TABLE = 4
 
+# Error-CDF thresholds 0, 2.5 mm, ..., 0.25 m (rounded to 9 digits), the
+# rows of cdf.csv
+CDF_THRESHOLDS = tuple(np.round(np.arange(0.0, 0.25 + 0.5 * 0.0025, 0.0025), 9))
+_RSSR_MARGIN = 0.05  # meters the RSSR scan reaches beyond the survey grid
+
 
 class ExperimentError(RuntimeError):
     """Pipeline failure tagged with the stage that raised it."""
@@ -57,20 +61,6 @@ def _stage(name: str):
         raise
     except Exception as e:
         raise ExperimentError(name, str(e)) from e
-
-
-def cdf_grid(max_m: float = 0.25, step_m: float = 0.0025) -> tuple[float, ...]:
-    """Error-CDF thresholds 0, step, ..., max (rounded to 9 digits)."""
-    return tuple(np.round(np.arange(0.0, max_m + 0.5 * step_m, step_m), 9))
-
-
-def error_cdf(errors, thresholds) -> np.ndarray:
-    """Fraction of errors <= each threshold; thresholds must ascend."""
-    err = np.asarray(errors, dtype=float)
-    thr = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thr) < 0.0):
-        raise ValueError("thresholds must be sorted ascending")
-    return (err[:, np.newaxis] <= thr).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -116,10 +106,6 @@ class ExperimentPlan:
     classifier_order: tuple[str, ...] = SINGLE_CLASSIFIERS
     methods: tuple[str, ...] = ALL_METHODS
     seed: int = 0
-    rank_tol: float | None = None
-    rssr_scan_resolution: float = 0.01
-    rssr_margin: float = 0.05
-    cdf_thresholds: tuple[float, ...] = cdf_grid()
 
     def __post_init__(self):
         if self.grid_q < 2 or not self.grid_spacing > 0.0:
@@ -132,18 +118,12 @@ class ExperimentPlan:
         for name in ("knn_k", "elm_hidden", "rf_trees", "rf_depth"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.rank_tol is not None and not 0.0 <= self.rank_tol < math.inf:
-            raise ValueError(f"rank_tol must be None or finite and >= 0, got {self.rank_tol}")
-        if not 0.0 < self.rssr_scan_resolution < math.inf:
-            raise ValueError(f"rssr_scan_resolution must be positive, got {self.rssr_scan_resolution}")
-        if not 0.0 <= self.rssr_margin < math.inf:
-            raise ValueError(f"rssr_margin must be finite and >= 0, got {self.rssr_margin}")
-        thr = np.asarray(self.cdf_thresholds, dtype=float)
-        if thr.ndim != 1 or not np.isfinite(thr).all() or np.any(np.diff(thr) < 0.0):
-            raise ValueError(f"cdf_thresholds must be finite and ascending, got {self.cdf_thresholds}")
         freqs = [led.frequency for led in self.leds]
         if len(set(freqs)) != len(freqs):
             raise ValueError("LED tone frequencies must be distinct")
+        if not self.channel.sample_rate > 2.0 * max(freqs, default=0.0):
+            raise ValueError(f"sample_rate {self.channel.sample_rate} Hz must exceed twice "
+                             f"the highest tone ({max(freqs)} Hz)")
         # classifiers and RSS columns follow ascending tone order
         object.__setattr__(
             self, "leds", tuple(sorted(self.leds, key=lambda led: led.frequency))
@@ -176,7 +156,7 @@ class ExperimentPlan:
 
     def rssr_config(self) -> baselines.RssrConfig:
         coords = self.grid_coords
-        m = self.rssr_margin
+        m = _RSSR_MARGIN
         bounds = (
             (coords[:, 0].min() - m, coords[:, 0].max() + m),
             (coords[:, 1].min() - m, coords[:, 1].max() + m),
@@ -185,7 +165,6 @@ class ExperimentPlan:
             lambertian_order=self.channel.lambertian_order,
             led_positions=np.stack([led.position for led in self.leds]),
             bounds=bounds,
-            scan_resolution=self.rssr_scan_resolution,
         )
 
 
@@ -199,7 +178,6 @@ class ResultTable:
     grid_index: np.ndarray  # (n,) true grid of each query
     truth: np.ndarray       # (n, 2)
     est: dict[str, np.ndarray]
-    cdf_thresholds: np.ndarray
     gi: fusion.FusionWeights | None = None
     gd: fusion.FusionWeights | None = None
 
@@ -211,7 +189,8 @@ class ResultTable:
         return float(np.sqrt(np.mean(err**2)))
 
     def cdf(self, method: str) -> np.ndarray:
-        return error_cdf(self.errors(method), self.cdf_thresholds)
+        """Fraction of errors <= each of CDF_THRESHOLDS."""
+        return (self.errors(method)[:, np.newaxis] <= CDF_THRESHOLDS).mean(axis=0)
 
     def fraction_within(self, method: str, threshold: float) -> float:
         return float((self.errors(method) <= threshold).mean())
@@ -220,7 +199,7 @@ class ResultTable:
         """Bit-exact comparison of every record (determinism audits)."""
         if self.methods != other.methods:
             return False
-        shared = ("cdf_thresholds", "grid_index", "truth")
+        shared = ("grid_index", "truth")
         if not all(np.array_equal(getattr(self, f), getattr(other, f)) for f in shared):
             return False
         return all(np.array_equal(self.est[m], other.est[m]) for m in self.methods)
@@ -313,9 +292,9 @@ def run_experiment(plan: ExperimentPlan,
             off_q, off_labels, off_truth = _flatten_split(db, off_idx)
             off_pred = fusion.build_prediction_matrix(clfs, off_q)
             if METHOD_GI in plan.methods:
-                gi = fusion.gi_ls_fit(off_pred, off_truth, plan.rank_tol)
+                gi = fusion.gi_ls_fit(off_pred, off_truth)
             if METHOD_GD in plan.methods:
-                gd = fusion.gd_ls_fit(off_pred, off_labels, coords, plan.rank_tol)
+                gd = fusion.gd_ls_fit(off_pred, off_labels, coords)
 
     with _stage("evaluate"):
         on_q, on_labels, on_truth = _flatten_split(db, on_idx)
@@ -330,7 +309,6 @@ def run_experiment(plan: ExperimentPlan,
         grid_index=on_labels,
         truth=on_truth,
         est=est,
-        cdf_thresholds=np.asarray(plan.cdf_thresholds, dtype=float),
         gi=gi,
         gd=gd,
     )

@@ -92,12 +92,12 @@ def _per_axis(fit: LsFit) -> FusionWeights:
     return FusionWeights(*(LsFit(w, r) for w, r in zip(fit.weights, fit.rank_used)))
 
 
-def gi_ls_fit(pred: np.ndarray, truth_xy, rank_tol: float | None = None) -> FusionWeights:
+def gi_ls_fit(pred: np.ndarray, truth_xy) -> FusionWeights:
     """Grid-independent fit: one weight vector per axis over all offline rows."""
     truth = np.asarray(truth_xy, dtype=float)
     if truth.shape != (pred.shape[1], 2):
         raise ValueError("truth_xy must have shape (L, 2)")
-    return _per_axis(ls_svd_weights(pred, truth.T, rank_tol))
+    return _per_axis(ls_svd_weights(pred, truth.T))
 
 
 def gi_ls_predict_all(weights: FusionWeights, online_pred: np.ndarray) -> np.ndarray:
@@ -106,8 +106,7 @@ def gi_ls_predict_all(weights: FusionWeights, online_pred: np.ndarray) -> np.nda
     return (online_pred @ w[..., np.newaxis])[..., 0].T
 
 
-def gd_ls_fit(pred: np.ndarray, labels, grid_coords,
-              rank_tol: float | None = None) -> FusionWeights:
+def gd_ls_fit(pred: np.ndarray, labels, grid_coords) -> FusionWeights:
     """Grid-dependent fit: per grid point g, regress the offline predictions
     of the rows labelled g, in their original order, onto the constant truth
     (x_g, y_g). Every grid point needs the same number of rows."""
@@ -121,7 +120,7 @@ def gd_ls_fit(pred: np.ndarray, labels, grid_coords,
         raise ValueError("every grid point needs the same number of rows")
     rows = np.argsort(labels, kind="stable").reshape(g, counts[0])
     truth = np.repeat(coords.T[..., np.newaxis], counts[0], axis=2)
-    return _per_axis(ls_svd_weights(pred[:, rows], truth, rank_tol))
+    return _per_axis(ls_svd_weights(pred[:, rows], truth))
 
 
 def nearest_mean_labels(queries, mean_fps) -> np.ndarray:

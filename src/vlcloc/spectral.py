@@ -173,21 +173,25 @@ def load_fingerprints(path) -> FingerprintDB:
     if len(lines) < 2:
         raise ValueError(f"{path}: truncated fingerprint file")
 
-    def numbers(pos: int) -> list[float]:
+    def numbers(pos: int, count: int) -> list[float]:
         num, text = lines[pos]
-        values = list(map(float, text.split()))
+        try:
+            values = list(map(float, text.split()))
+        except ValueError:
+            raise ValueError(f"{path}: line {num} has a non-numeric value: {text!r}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: line {num} has a non-finite value: {text!r}")
+        if len(values) != count:
+            raise ValueError(f"{path}: line {num} has {len(values)} values, expected {count}")
         return values
 
-    head = lines[0][1].split()
-    if len(head) != 5:
-        raise ValueError(f"{path}: malformed header {lines[0][1]!r}")
-    g, q, m, n = (int(v) for v in head[:4])
-    sample_rate = numbers(0)[4]
-    tones = np.array(numbers(1))
-    if tones.size != m:
-        raise ValueError(f"{path}: expected {m} tones, found {tones.size}")
+    sample_rate = numbers(0, 5)[4]
+    head = lines[0][1].split()[:4]
+    if not all(v.isdecimal() for v in head):
+        raise ValueError(f"{path}: line {lines[0][0]} has a count that is not an integer "
+                         f">= 0: {lines[0][1]!r}")
+    g, q, m, n = map(int, head)
+    tones = np.array(numbers(1, m))
     expected = 2 + g * (q + 1)
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
@@ -195,12 +199,9 @@ def load_fingerprints(path) -> FingerprintDB:
     rss = np.empty((g, q, m))
     pos = 2
     for gi in range(g):
-        grid[gi] = numbers(pos)
+        grid[gi] = numbers(pos, 2)
         pos += 1
         for qi in range(q):
-            row = numbers(pos)
-            if len(row) != m:
-                raise ValueError(f"{path}: line {lines[pos][0]} has {len(row)} values, expected {m}")
-            rss[gi, qi] = row
+            rss[gi, qi] = numbers(pos, m)
             pos += 1
     return FingerprintDB(grid, rss, tones, n, sample_rate)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from vlcloc.baselines import RssrConfig
+from vlcloc.baselines import SCAN_RESOLUTION, RssrConfig
 
 
 def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -38,7 +38,7 @@ def _objective(cfg: RssrConfig, log_ratios: np.ndarray, xy: np.ndarray) -> np.nd
 
 def scan_cells(cfg: RssrConfig) -> np.ndarray:
     (x0, x1), (y0, y1) = cfg.bounds
-    res = cfg.scan_resolution
+    res = SCAN_RESOLUTION
     xs = np.arange(x0, x1 + 0.5 * res, res)
     ys = np.arange(y0, y1 + 0.5 * res, res)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -79,4 +79,4 @@ def reference_locate(cfg: RssrConfig, query) -> tuple[np.ndarray, np.ndarray]:
     model = _model(cfg, cells)
     # argmin of sum_p (model - c)^2; the c^2 term is constant over cells
     coarse = cells[int(np.argmin((model**2).sum(axis=1) - 2.0 * (model @ log_ratios)))]
-    return coarse, quadratic_refine(cfg, log_ratios, coarse, cfg.scan_resolution)
+    return coarse, quadratic_refine(cfg, log_ratios, coarse, SCAN_RESOLUTION)

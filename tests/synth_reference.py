@@ -21,7 +21,7 @@ PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
 def tone_terms(leds, pd, params):
     """Per LED: (amplitude alpha * gain * amp, phase 2*pi*f*tau), in double."""
     return [(attenuation(led, pd, params) * led.gain * led.amplitude,
-             2.0 * math.pi * led.frequency * propagation_delay(led, pd, params))
+             2.0 * math.pi * led.frequency * propagation_delay(led, pd))
             for led in leds]
 
 

@@ -91,10 +91,10 @@ def test_locate_rejects_bad_queries(query):
     ({"led_positions": np.vstack([LEDS, LEDS[:1]])}, "distinct"),
     ({"lambertian_order": 0.0}, "lambertian_order"),
     ({"lambertian_order": math.nan}, "lambertian_order"),
-    ({"scan_resolution": 0.0}, "scan_resolution"),
+    ({"bounds": ((math.nan, 1.0), (0.0, 1.0))}, "non-empty rectangle"),
     ({"bounds": ((0.5, 0.5), (0.0, 1.0))}, "non-empty rectangle"),
     ({"bounds": ((0.0, 1.0), (1.0, 0.0))}, "non-empty rectangle"),
-    ({"scan_resolution": math.nan}, "scan_resolution"),
+    ({"bounds": ((0.0, 1.0), (0.0, math.nan))}, "non-empty rectangle"),
     ({"led_positions": np.vstack([[math.nan, 0.0, 1.5], LEDS[1:]])}, "finite"),
 ])
 def test_rssr_config_rejects_each_bad_field(kwargs, message):

@@ -14,9 +14,9 @@ from vlcloc.channel import (ChannelParams, LedConfig, PdPose, attenuation,
 LAMBERTIAN_ORDER_22DEG = 9.168201146812517
 
 
-def make_params(order=1.0, noise=0.0, rate=4e6, area=1e-4, c=299792458.0):
+def make_params(order=1.0, noise=0.0, rate=4e6, area=1e-4):
     return ChannelParams(lambertian_order=order, pd_area=area, noise_std=noise,
-                         sample_rate=rate, speed_of_light=c)
+                         sample_rate=rate)
 
 
 class TestLambertianOrder:
@@ -171,18 +171,17 @@ class TestSynthesize:
 
 
 class TestDelay:
-    def test_doubling_c_halves_delay(self):
+    def test_delay_is_distance_over_speed_of_light(self):
         led = LedConfig(position=[1.56, 0.70, 1.48], frequency=800e3)
         pd = PdPose.at(0.0, 0.0)
-        tau = propagation_delay(led, pd, make_params(c=299792458.0))
-        tau2 = propagation_delay(led, pd, make_params(c=2 * 299792458.0))
-        assert tau2 == pytest.approx(tau / 2.0, rel=1e-15)
+        assert channel.SPEED_OF_LIGHT == 299792458.0
+        assert propagation_delay(led, pd) == distance(led, pd) / 299792458.0
 
     def test_room_scale_phase_under_tenth_radian_at_1mhz(self):
         # worst-case room-scale path ~ 4 m
         led = LedConfig(position=[2.5, 2.5, 2.0], frequency=1e6)
         pd = PdPose.at(0.0, 0.0)
-        tau = propagation_delay(led, pd, make_params())
+        tau = propagation_delay(led, pd)
         assert 2.0 * math.pi * 1e6 * tau < 0.1
 
 

@@ -1,11 +1,10 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from vlcloc import cli, config
-from vlcloc.channel import ChannelParams, LedConfig
+from vlcloc.channel import LedConfig
 from vlcloc.experiment import ExperimentPlan, SplitRatios
 
 
@@ -29,32 +28,23 @@ def test_omitted_keys_take_the_dataclass_defaults():
         if f.name not in set_by_config:
             assert getattr(plan, f.name) == f.default, f.name
     assert plan.split == SplitRatios()
-    channel_defaults = {f.name: f.default for f in dataclasses.fields(ChannelParams)
-                        if f.default is not dataclasses.MISSING}
-    assert {k: getattr(plan.channel, k) for k in channel_defaults} == channel_defaults
     led = plan.leds[0]
     assert (led.amplitude, led.gain) == (LedConfig.amplitude, LedConfig.gain)
-
-
-def test_cdf_keys_fill_in_from_the_one_helper():
-    cfg = minimal_config()
-    cfg["run"]["cdf_max_m"] = 0.1
-    thresholds = config.plan_from_config(cfg).cdf_thresholds
-    assert len(thresholds) == 41 and thresholds[1] == 0.0025 and thresholds[-1] == 0.1
-    assert config.plan_from_config(minimal_config()).cdf_thresholds == tuple(
-        np.round(np.arange(0.0, 0.2501, 0.0025), 6))
 
 
 def _led_position(cfg):
     return cfg["geometry"]["leds"][0]["position_m"]
 
 
-# (section getter, key) of a number that must be finite
+# site -> (section getter, key, stderr prefix) of a number that must be finite
 NUMBER_SITES = {
-    "channel.noise_std": (lambda cfg: cfg["channel"], "noise_std"),
-    "geometry.grid.spacing_m": (lambda cfg: cfg["geometry"]["grid"], "spacing_m"),
-    "rssr.margin_m": (lambda cfg: cfg.setdefault("rssr", {}), "margin_m"),
-    "geometry.leds[0].position_m": (_led_position, 1),
+    "channel.noise_std": (lambda cfg: cfg["channel"], "noise_std", "channel.noise_std"),
+    "geometry.grid.spacing_m": (lambda cfg: cfg["geometry"]["grid"], "spacing_m",
+                                "geometry.grid.spacing_m"),
+    # a retired key is unknown whatever its value
+    "rssr.margin_m": (lambda cfg: cfg.setdefault("rssr", {}), "margin_m",
+                      "config: unknown keys ['rssr']"),
+    "geometry.leds[0].position_m": (_led_position, 1, "geometry.leds[0].position_m"),
 }
 
 
@@ -62,14 +52,14 @@ NUMBER_SITES = {
 @pytest.mark.parametrize("site", sorted(NUMBER_SITES))
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, site, value):
     cfg = minimal_config()
-    section, key = NUMBER_SITES[site]
+    section, key, prefix = NUMBER_SITES[site]
     section(cfg)[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))  # NaN / Infinity, which json.load accepts
     assert "NaN" in path.read_text() or "Infinity" in path.read_text()
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "db.txt")])
     assert code == 2
-    assert f"config error: {site}" in capsys.readouterr().err
+    assert f"config error: {prefix}" in capsys.readouterr().err
     assert not (tmp_path / "db.txt").exists()
 
 
@@ -92,52 +82,51 @@ def _delete(*path):
     return mutate
 
 
-# case -> (mutation of minimal_config(), extra CLI arguments, stderr prefix);
+# case -> (mutation of minimal_config(), stderr prefix);
 # together they reach every `raise ConfigError` in config.py
 CONFIG_ERRORS = {
-    "not-an-object": (_set_in("split", []), [], "split: expected an object"),
-    "unknown-key": (_set_in("extra", 1), [], "config: unknown keys ['extra']"),
-    "missing-key": (_delete("spectral", "fft_len"), [],
-                    "spectral: missing required keys ['fft_len']"),
-    "not-a-number": (_set_in("channel", "pd_area_m2", "big"), [],
+    "not-an-object": (_set_in("split", []), "split: expected an object"),
+    "unknown-key": (_set_in("extra", 1), "config: unknown keys ['extra']"),
+    "missing-key": (_delete("spectral", "fft_len"), "spectral: missing required keys ['fft_len']"),
+    "not-a-number": (_set_in("channel", "pd_area_m2", "big"),
                      "channel.pd_area_m2: expected a finite number"),
-    "number-below-minimum": (_set_in("channel", "noise_std", -1.0), [],
+    "number-below-minimum": (_set_in("channel", "noise_std", -1.0),
                              "channel.noise_std: must be >= 0.0"),
-    "not-an-integer": (_set_in("spectral", "fft_len", 2.5), [],
+    "not-an-integer": (_set_in("spectral", "fft_len", 2.5),
                        "spectral.fft_len: expected an integer"),
-    "integer-below-minimum": (_set_in("geometry", "grid", "q", 1), [],
+    "integer-below-minimum": (_set_in("geometry", "grid", "q", 1),
                               "geometry.grid.q: must be >= 2"),
-    "no-leds": (_set_in("geometry", "leds", []), [], "geometry.leds: expected a non-empty list"),
-    "led-position": (lambda cfg: _led_position(cfg).pop(), [],
+    "no-leds": (_set_in("geometry", "leds", []), "geometry.leds: expected a non-empty list"),
+    "led-position": (lambda cfg: _led_position(cfg).pop(),
                      "geometry.leds[0].position_m: expected [x, y, h]"),
-    "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0), [],
+    "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0),
                          "channel.semi_angle_deg: must be in (0, 90)"),
-    "shuffle": (_set_in("split", "shuffle", "yes"), [], "split.shuffle: expected a boolean"),
-    "classifier-order": (_set_in("classifiers", "order", ["svm"]), [],
+    "shuffle": (_set_in("split", "shuffle", "yes"), "split.shuffle: expected a boolean"),
+    "classifier-order": (_set_in("classifiers", "order", ["svm"]),
                          "classifiers.order: expected a list drawn from knn/elm/rf"),
-    "rf-depth": (_set_in("classifiers", "rf", "depth", 0), [], "classifiers.rf.depth: must be >= 1"),
-    "rank-tol": (_set_in("fusion", "rank_tol", -1.0), [], "fusion.rank_tol: must be >= 0.0"),
-    "methods": (_set_in("run", "methods", ["magic"]), [], "run.methods: expected a non-empty list"),
-    "seed": (_set_in("run", "seed", -1), [], "run.seed: must be >= 0"),
+    "rf-depth": (_set_in("classifiers", "rf", "depth", 0), "classifiers.rf.depth: must be >= 1"),
+    "methods": (_set_in("run", "methods", ["magic"]), "run.methods: expected a non-empty list"),
+    "seed": (_set_in("run", "seed", -1), "run.seed: must be >= 0"),
     # the table1 section is retired: any table1 content is now an unknown top-level key
-    "table1-fft-lens": (_set_in("table1", "fft_lens", [1]), [],
-                        "config: unknown keys ['table1']"),
-    "table1-unknown-key": (_set_in("table1", "bogus", 1), [], "config: unknown keys ['table1']"),
-    "no-run-with-seed": (_delete("run"), ["--seed", "3"],
-                         "config: missing required keys ['run']"),
-    "rssr-solver": (_set_in("rssr", "solver", "grid-scan"), [], "rssr: unknown keys ['solver']"),
+    "table1-fft-lens": (_set_in("table1", "fft_lens", [1]), "config: unknown keys ['table1']"),
+    "table1-unknown-key": (_set_in("table1", "bogus", 1), "config: unknown keys ['table1']"),
+    # the fusion and rssr sections are retired: any content is an unknown top-level key,
+    # and with --seed retired too, a config without run is missing its run section
+    "rank-tol": (_set_in("fusion", "rank_tol", -1.0), "config: unknown keys ['fusion']"),
+    "rssr-solver": (_set_in("rssr", "solver", "grid-scan"), "config: unknown keys ['rssr']"),
+    "no-run-with-seed": (_delete("run"), "config: missing required keys ['run']"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_each_config_error_exits_2_naming_its_json_path(tmp_path, capsys, case):
-    mutate, extra, prefix = CONFIG_ERRORS[case]
+    mutate, prefix = CONFIG_ERRORS[case]
     cfg = minimal_config()
     mutate(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "db.txt"
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out), *extra]) == 2
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {prefix}")
     assert not out.exists()
 
@@ -153,6 +142,14 @@ RETIRED_KEYS = {
     "table1": (_set_in("table1", {"fft_lens": [2000, 4000], "grid_index": 0, "blocks": 20}),
                "config: unknown keys ['table1']"),
     "channel.lambertian_order": (_angle_as_order, "channel: unknown keys ['lambertian_order']"),
+    "channel.speed_of_light_mps": (_set_in("channel", "speed_of_light_mps", 299792458.0),
+                                   "channel: unknown keys ['speed_of_light_mps']"),
+    "fusion.rank_tol": (_set_in("fusion", "rank_tol", None), "config: unknown keys ['fusion']"),
+    "rssr.scan_resolution_m": (_set_in("rssr", "scan_resolution_m", 0.01),
+                               "config: unknown keys ['rssr']"),
+    "rssr.margin_m": (_set_in("rssr", "margin_m", 0.05), "config: unknown keys ['rssr']"),
+    "run.cdf_max_m": (_set_in("run", "cdf_max_m", 0.25), "run: unknown keys ['cdf_max_m']"),
+    "run.cdf_step_m": (_set_in("run", "cdf_step_m", 0.0025), "run: unknown keys ['cdf_step_m']"),
 }
 
 
@@ -203,15 +200,31 @@ def test_unreadable_config_exits_2(tmp_path, capsys, contents, prefix):
     assert not out.exists()
 
 
-def test_seed_option_equals_the_seed_in_the_config(tmp_path):
-    cfg = minimal_config()
-    cfg["channel"]["noise_std"] = 0.01
-    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
-    plain.write_text(json.dumps(cfg))
-    cfg["run"]["seed"] = 5
-    seeded.write_text(json.dumps(cfg))
-    outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
-    assert cli.main(["simulate", "--config", str(plain), "--out", str(outs[0]),
-                     "--seed", "5"]) == 0
-    assert cli.main(["simulate", "--config", str(seeded), "--out", str(outs[1])]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+def test_seed_option_is_an_argparse_error_for_each_command(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config()))
+    out = tmp_path / "out"
+    for argv in (["simulate", "--out", str(out)], ["evaluate", "--out", str(out)], ["table1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--config", str(path), "--seed", "5"])
+        assert exit_.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "unrecognized arguments: --seed 5" in printed.err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", [1.6e6, 1e6])
+def test_tone_at_or_above_nyquist_exits_2_for_each_command(tmp_path, capsys, rate):
+    cfg = minimal_config()  # one 800 kHz tone
+    cfg["channel"]["sample_rate_hz"] = rate
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for argv in (["simulate", "--out", str(out)], ["evaluate", "--out", str(out)], ["table1"]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(
+            f"config error: sample_rate {rate} Hz must exceed twice the highest tone (800000.0 Hz)")
+        assert not out.exists()

@@ -75,20 +75,33 @@ def test_nearest_mean_labels_match_the_one_piece_formula():
     assert got[10] == 3
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+# case -> (line, the token that replaces the line's first value, message after "line n")
+BAD_DB_VALUES = {
+    "nan": (5, "nan", "has a non-finite value"),  # second RSS row of grid point 0
+    "inf": (5, "inf", "has a non-finite value"),
+    "non-numeric": (5, "x", "has a non-numeric value"),
+    "fractional-count": (1, "9.5", "has a count that is not an integer >= 0"),
+    "negative-count": (1, "-2", "has a count that is not an integer >= 0"),
+    "non-numeric-count": (1, "G", "has a non-numeric value"),
+    "non-numeric-coordinate": (3, "x", "has a non-numeric value"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_DB_VALUES))
 def test_evaluate_rejects_a_non_finite_db_value_with_exit_3(tmp_path, capsys, bad):
+    line, token, message = BAD_DB_VALUES[bad]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(tiny_config()))
     db_path = tmp_path / "db.txt"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(db_path)]) == 0
     lines = db_path.read_text().splitlines()
-    lines[4] = " ".join([bad] + lines[4].split()[1:])  # second RSS row of grid point 0
+    lines[line - 1] = " ".join([token] + lines[line - 1].split()[1:])
     db_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = cli.main(["evaluate", "--config", str(cfg_path), "--db", str(db_path),
                      "--out", str(tmp_path / "out")])
     assert code == 3
-    assert f"{db_path}: line 5 has a non-finite value" in capsys.readouterr().err
+    assert f"{db_path}: line {line} {message}" in capsys.readouterr().err
 
 
 def write_config(tmp_path, cfg) -> str:
@@ -265,6 +278,23 @@ def test_weights_csv_holds_the_run_gi_and_gd_fits(tmp_path):
     assert rows[1:] == want
 
 
+def test_cdf_csv_thresholds_are_0_to_25_cm_in_steps_of_2_5_mm(tmp_path):
+    cfg = tiny_config()
+    cfg["run"]["methods"] = ["knn", "rss-match"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "cdf.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "threshold_m", "fraction"]
+    want = [format(i / 400, ".9g") for i in range(101)]
+    assert want[:3] == ["0", "0.0025", "0.005"] and want[-1] == "0.25"
+    for k, method in enumerate(cfg["run"]["methods"]):
+        block = rows[1 + 101 * k : 1 + 101 * (k + 1)]
+        assert [r[0] for r in block] == [method] * 101
+        assert [r[1] for r in block] == want
+    assert len(rows) == 1 + 2 * 101
+
+
 def test_split_counts_are_exact_for_whole_percent_fractions():
     assert SplitRatios(0.29, 0.21, 0.5).counts(100) == (29, 21, 50)
     assert SplitRatios(0.6, 0.2, 0.2).counts(200) == (120, 40, 40)
@@ -289,7 +319,6 @@ BAD_FIELDS = {
     "ChannelParams.pd_area": lambda: ChannelParams(1.0, NAN, 0.0, 4e6),
     "ChannelParams.noise_std": lambda: ChannelParams(1.0, 1e-4, NAN, 4e6),
     "ChannelParams.sample_rate": lambda: ChannelParams(1.0, 1e-4, 0.0, NAN),
-    "ChannelParams.speed_of_light": lambda: ChannelParams(1.0, 1e-4, 0.0, 4e6, NAN),
     "SplitRatios.train": lambda: SplitRatios(NAN, 0.5, 0.5),
     "SplitRatios.offline": lambda: SplitRatios(0.5, NAN, 0.5),
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
@@ -298,9 +327,7 @@ BAD_FIELDS = {
     **{f"ExperimentPlan.{name}={value}": functools.partial(
         lambda name, value: dataclasses.replace(
             config.plan_from_config(tiny_config()), **{name: value}), name, value)
-       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0),
-                           ("rank_tol", NAN), ("rssr_margin", NAN),
-                           ("rssr_scan_resolution", 0.0), ("cdf_thresholds", (NAN,))]},
+       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
     "PdPose.y": lambda: PdPose.at(0.0, math.inf),
     "ls_svd_weights.rank_tol=nan": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), NAN),
@@ -345,8 +372,7 @@ def test_results_csv_equals_the_csv_writer_text(tmp_path):
         grid_index=np.array([0, 5, 12, 224, 3, 3, 7, 0]),
         truth=truth,
         est={"knn": truth.copy(), "gi-ls": truth + rng.normal(size=truth.shape),
-             "rss-match": -truth},
-        cdf_thresholds=np.array(experiment.cdf_grid()))
+             "rss-match": -truth})
     cli._write_results_csv(table, tmp_path / "bulk.csv")
     _csv_writer_results(table, tmp_path / "rows.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -349,8 +349,8 @@ class TestPersistence:
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("3 2 4\n")
-        with pytest.raises(ValueError, match="header"):
+        path.write_text("3 2 4\n800000 850000 900000 950000\n")
+        with pytest.raises(ValueError, match="bad.txt: line 1 has 3 values, expected 5"):
             load_fingerprints(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
