@@ -8,7 +8,7 @@ from .channel import (ChannelParams, LedConfig, PdPose, attenuation, distance,
 from .classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
 from .fusion import (FusionWeights, LsFit, build_prediction_matrix, gd_ls_fit,
                      gd_ls_predict_all, gi_ls_fit, gi_ls_predict_all,
-                     ls_svd_weights, nearest_mean_labels)
+                     ls_svd_weights)
 from .baselines import RssrConfig, RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, run_experiment, rss_vs_fft_len,

@@ -190,6 +190,11 @@ class KnnClassifier(_GridClassifier):
     vote counts go to the label with the smaller mean neighbour distance,
     then to the lower label.
 
+    k = 1 over the G per-grid mean fingerprints, labelled 0..G-1, is RSS
+    matching and GD-LS's grid choice (run_experiment). Its labels equalled
+    the argmin of direct differences sum((q - mean)^2) on every survey
+    measured; unproven, as the norm expansion below may split a near tie.
+
     Squared distances are the norm expansion |x|^2 + |q|^2 - 2 q.x clipped
     at 0, computed only for rows that can be among the k nearest. Where
     those entries equal the full product's bit for bit (see Same bits), the

@@ -112,19 +112,18 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
 
 def cmd_table1(plan: experiment.ExperimentPlan) -> None:
     """Print rss_vs_fft_len(plan) with its inter-column deltas."""
-    tones, lens, table = experiment.rss_vs_fft_len(plan)
+    tones, lens, table = plan.tones, experiment.TABLE1_FFT_LENS, experiment.rss_vs_fft_len(plan)
     header = "tone_hz".ljust(12) + "".join(f"N{n}".rjust(12) for n in lens)
     print("# mean RSS (dB) per tone vs FFT length")
     print(header)
     for i, f in enumerate(tones):
         print(f"{f:<12g}" + "".join(f"{table[i, j]:>12.4f}" for j in range(len(lens))))
-    if len(lens) > 1:
-        print("# inter-column deltas (dB)")
-        print("tone_hz".ljust(12)
-              + "".join(f"N{lens[j + 1]}-N{lens[j]}".rjust(14) for j in range(len(lens) - 1)))
-        for i, f in enumerate(tones):
-            deltas = [table[i, j + 1] - table[i, j] for j in range(len(lens) - 1)]
-            print(f"{f:<12g}" + "".join(f"{d:>14.4f}" for d in deltas))
+    print("# inter-column deltas (dB)")
+    print("tone_hz".ljust(12)
+          + "".join(f"N{lens[j + 1]}-N{lens[j]}".rjust(14) for j in range(len(lens) - 1)))
+    for i, f in enumerate(tones):
+        deltas = [table[i, j + 1] - table[i, j] for j in range(len(lens) - 1)]
+        print(f"{f:<12g}" + "".join(f"{d:>14.4f}" for d in deltas))
 
 
 def main(argv=None) -> int:

@@ -27,13 +27,13 @@ Config layout (every key shown; `?` marks an optional key)::
 An omitted optional key takes the default of the field it sets: those of
 `LedConfig`, `SplitRatios` and `ExperimentPlan`. Those defaults are the only
 copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
-`vlcloc table1` takes its FFT lengths, grid point and block count from
-`rss_vs_fft_len`'s defaults, so no config key sets them. Fixed parts of the
-method are module constants, not keys: the speed of light
-(`channel.SPEED_OF_LIGHT`), the RSSR scan resolution
-(`baselines.SCAN_RESOLUTION`) and margin, the LS-SVD rank cutoff
-(`fusion.default_rank_tol`) and the error-CDF thresholds
-(`experiment.CDF_THRESHOLDS`).
+`vlcloc table1` reads grid point 0 at the FFT lengths
+`experiment.TABLE1_FFT_LENS`, over `spectral.blocks_per_grid` blocks, so no
+other config key sets it. Fixed parts of the method are module constants,
+not keys: the speed of light (`channel.SPEED_OF_LIGHT`), the RSSR scan
+resolution (`baselines.SCAN_RESOLUTION`) and margin, the LS-SVD rank cutoff
+(1e-10 * max(L, H) of sigma_max, in `fusion.ls_svd_weights`) and the
+error-CDF thresholds (`experiment.CDF_THRESHOLDS`).
 
 plan_from_config checks each key as it reads it and rejects unknown keys
 anywhere, before any computation, so a bad config fails fast.

@@ -4,8 +4,10 @@ run_experiment drives the full pipeline on a square survey grid: per-grid
 signal synthesis, fingerprint construction, a train / offline / online
 split of the Q blocks, classifier training, GI / GD fusion fitting on the
 offline split, and evaluation of every requested method on the online
-split. Everything is a pure function of the plan (all randomness flows
-from the plan seed through named SeedSequence children).
+split. RSS matching and GD-LS's grid choice are one search: a k = 1
+KnnClassifier over the train blocks' per-grid mean fingerprints. Everything
+is a pure function of the plan (all randomness flows from the plan seed
+through named SeedSequence children).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ _SEED_TABLE = 4
 # rows of cdf.csv
 CDF_THRESHOLDS = tuple(np.round(np.arange(0.0, 0.25 + 0.5 * 0.0025, 0.0025), 9))
 _RSSR_MARGIN = 0.05  # meters the RSSR scan reaches beyond the survey grid
+TABLE1_FFT_LENS = (2000, 4000, 6000, 8000)  # the columns of `vlcloc table1`
 
 
 class ExperimentError(RuntimeError):
@@ -285,6 +288,8 @@ def run_experiment(plan: ExperimentPlan,
 
     with _stage("train"):
         clfs = _build_classifiers(plan, train_set) if needs_clf else []
+        matcher = (KnnClassifier(TrainSet(mean_fps, np.arange(coords.shape[0]), coords), 1)
+                   if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
 
     gi = gd = None
     with _stage("fusion-fit"):
@@ -299,8 +304,7 @@ def run_experiment(plan: ExperimentPlan,
     with _stage("evaluate"):
         on_q, on_labels, on_truth = _flatten_split(db, on_idx)
         on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
-        nearest = (fusion.nearest_mean_labels(on_q, mean_fps)
-                   if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
+        nearest = matcher.predict_labels(on_q) if matcher is not None else None
         est = {m: _estimate(plan, m, on_q, on_pred, nearest, coords, gi, gd)
                for m in plan.methods}
 
@@ -341,38 +345,31 @@ def _check_db_matches(plan: ExperimentPlan, db: spectral.FingerprintDB):
         raise ExperimentError("synthesize", "fingerprint DB grid size does not match plan")
     if not np.allclose(db.grid_coords, coords, atol=1e-9):
         raise ExperimentError("synthesize", "fingerprint DB grid coordinates do not match plan")
-    if db.num_tones != plan.tones.size or not np.allclose(db.tones, plan.tones, rtol=1e-12):
+    if db.tones.size != plan.tones.size or not np.allclose(db.tones, plan.tones, rtol=1e-12):
         raise ExperimentError("synthesize", "fingerprint DB tones do not match plan LEDs")
+    if db.blocks_per_grid != plan.blocks_per_grid:
+        raise ExperimentError("synthesize", "fingerprint DB blocks per grid do not match plan")
     if db.fft_len != plan.fft_len:
         raise ExperimentError("synthesize", "fingerprint DB FFT length does not match plan")
     if abs(db.sample_rate - plan.channel.sample_rate) > 1e-6:
         raise ExperimentError("synthesize", "fingerprint DB sample rate does not match plan")
 
 
-def rss_vs_fft_len(plan: ExperimentPlan, fft_lens=(2000, 4000, 6000, 8000),
-                   grid_index: int = 0, blocks: int | None = None):
-    """Mean RSS (dB) per tone at one grid point for each FFT length.
-
-    Returns (tones, lens, table) with table[i, j] the mean dB of tone i at
-    fft_lens[j], averaged over `blocks` periodogram blocks (defaults to the
-    plan's blocks_per_grid). The inter-column growth on a noise-free tone
-    is 10*log10(N2/N1).
+def rss_vs_fft_len(plan: ExperimentPlan):
+    """(M, len(TABLE1_FFT_LENS)) table: entry [i, j] is the mean RSS (dB) of
+    tone i at grid point 0 with FFT length TABLE1_FFT_LENS[j], over the
+    plan's blocks_per_grid periodogram blocks. The inter-column growth on a
+    noise-free tone is 10*log10(N2/N1).
     """
-    lens = [int(n) for n in fft_lens]
-    if not lens or any(n < 2 for n in lens):
-        raise ValueError("fft_lens must be a non-empty list of lengths >= 2")
-    coords = plan.grid_coords
-    if not 0 <= grid_index < coords.shape[0]:
-        raise ValueError(f"grid_index {grid_index} outside [0, {coords.shape[0]})")
-    q = blocks if blocks is not None else plan.blocks_per_grid
-    pd = PdPose.at(coords[grid_index, 0], coords[grid_index, 1])
-    table = np.empty((plan.tones.size, len(lens)))
-    for j, n in enumerate(lens):
+    coords = plan.grid_coords[:1]
+    pd = PdPose.at(coords[0, 0], coords[0, 1])
+    table = np.empty((plan.tones.size, len(TABLE1_FFT_LENS)))
+    for j, n in enumerate(TABLE1_FFT_LENS):
         stream = synthesize_received(
-            list(plan.leds), pd, plan.channel, q * n,
+            list(plan.leds), pd, plan.channel, plan.blocks_per_grid * n,
             _seed(plan, _SEED_TABLE, j),
         )
-        db = spectral.build_fingerprints([stream], coords[grid_index : grid_index + 1], n,
-                                         plan.tones, plan.channel.sample_rate)
+        db = spectral.build_fingerprints([stream], coords, n, plan.tones,
+                                         plan.channel.sample_rate)
         table[:, j] = db.rss[0].mean(axis=0)
-    return plan.tones, lens, table
+    return table

@@ -6,8 +6,9 @@ min ||truth - X w||_2 through a truncated SVD, which returns the
 minimum-norm solution and stays stable when classifiers agree and X is rank
 deficient. GI-LS and GD-LS are the same solve on different stacks: GI fits
 one weight vector per axis over all offline rows, GD one per axis and grid
-point over the rows labelled with it, and selects at query time by nearest
-mean fingerprint.
+point over the rows labelled with it. GD uses the weights of the grid whose
+mean fingerprint is nearest the query, a choice run_experiment makes with a
+k = 1 KnnClassifier over the G mean fingerprints.
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ def build_prediction_matrix(classifiers, queries) -> np.ndarray:
     return np.ascontiguousarray(coords.transpose(2, 1, 0))
 
 
-def default_rank_tol(shape: tuple[int, int]) -> float:
-    """Relative singular-value cutoff: sigma < tol * sigma_max counts as zero."""
-    return 1e-10 * max(shape)
-
-
-def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
-                   rank_tol: float | None = None) -> LsFit:
+def ls_svd_weights(pred: np.ndarray, truth: np.ndarray) -> LsFit:
     """Minimum-norm least-squares weights through truncated SVD, for one
     (L, H) matrix or a stack (..., L, H) against truths (..., L).
 
     With X = U diag(sigma) V', each solution keeps the K nonzero singular
-    values at or above rank_tol * sigma_max and returns
+    values at or above 1e-10 * max(L, H) * sigma_max and returns
     w = sum_k (u_k' truth / sigma_k) v_k; an all-zero matrix yields zero
     weights with rank 0. One SVD covers the stack; each distinct rank takes
     one u' t product over the whole stack and one V product over its fits.
@@ -72,9 +67,7 @@ def ls_svd_weights(pred: np.ndarray, truth: np.ndarray,
     t = np.asarray(truth, dtype=float)
     if x.ndim < 2 or t.shape != x.shape[:-1]:
         raise ValueError(f"truth must have shape {x.shape[:-1]}")
-    if rank_tol is not None and not 0.0 <= rank_tol < np.inf:
-        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
-    tol = default_rank_tol(x.shape[-2:]) if rank_tol is None else rank_tol
+    tol = 1e-10 * max(x.shape[-2:])
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     ranks = np.count_nonzero((sv > 0.0) & (sv >= tol * sv[..., :1]), axis=-1)
     w = np.zeros(x.shape[:-2] + x.shape[-1:])
@@ -123,29 +116,9 @@ def gd_ls_fit(pred: np.ndarray, labels, grid_coords) -> FusionWeights:
     return _per_axis(ls_svd_weights(pred[:, rows], truth))
 
 
-def nearest_mean_labels(queries, mean_fps) -> np.ndarray:
-    """Index of the nearest mean fingerprint (Euclidean) for every query row;
-    ties go to the lower index.
-
-    Queries go in row chunks of about 2**20 (query, grid, tone) differences,
-    so memory stays bounded however many queries there are.
-    """
-    queries = np.asarray(queries, dtype=float)
-    mean_fps = np.asarray(mean_fps, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != mean_fps.shape[1]:
-        raise ValueError("queries must be an (n, M) matrix matching the mean fingerprint columns")
-    out = np.empty(queries.shape[0], dtype=int)
-    chunk = max(1, 2**20 // mean_fps.size)
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start : start + chunk]
-        d2 = ((q[:, np.newaxis, :] - mean_fps[np.newaxis, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.argmin(d2, axis=1)
-    return out
-
-
 def gd_ls_predict_all(weights: FusionWeights, nearest, online_pred: np.ndarray) -> np.ndarray:
     """(L, 2) fused coordinates: online row r uses the weights of grid
-    nearest[r], the grid whose mean fingerprint is nearest its query
-    (nearest_mean_labels)."""
+    nearest[r], the grid whose mean fingerprint is nearest its query (the
+    k = 1 KnnClassifier over the mean fingerprints in run_experiment)."""
     w = np.stack([weights.wx.weights[nearest], weights.wy.weights[nearest]])
     return (online_pred * w).sum(axis=2).T

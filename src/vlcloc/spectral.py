@@ -66,10 +66,6 @@ class FingerprintDB:
     def blocks_per_grid(self) -> int:
         return self.rss.shape[1]
 
-    @property
-    def num_tones(self) -> int:
-        return self.tones.size
-
     def tone_alignment(self) -> list[tuple[float, int, bool]]:
         """Per tone: (frequency, nearest DFT bin, exactly on-bin?)."""
         exact = self.tones * self.fft_len / self.sample_rate
@@ -77,13 +73,13 @@ class FingerprintDB:
                 for f, e, k in zip(self.tones, exact, np.round(exact))]
 
 
-def to_db(linear, floor_db: float = DB_FLOOR) -> np.ndarray:
-    """10*log10 of linear power, with zeros clamped to floor_db."""
+def to_db(linear) -> np.ndarray:
+    """10*log10 of linear power, with zeros clamped to DB_FLOOR."""
     lin = np.asarray(linear, dtype=float)
-    out = np.full(lin.shape, floor_db)
+    out = np.full(lin.shape, DB_FLOOR)
     pos = lin > 0.0
     out[pos] = 10.0 * np.log10(lin[pos])
-    return np.maximum(out, floor_db)
+    return np.maximum(out, DB_FLOOR)
 
 
 def build_fingerprints(streams, grid_coords, fft_len: int, tones,
@@ -185,13 +181,22 @@ def load_fingerprints(path) -> FingerprintDB:
             raise ValueError(f"{path}: line {num} has {len(values)} values, expected {count}")
         return values
 
+    def check(pos: int, tones: np.ndarray) -> None:
+        """FingerprintDB's own checks of line pos, on an empty database."""
+        try:
+            FingerprintDB(np.empty((0, 2)), np.empty((0, 0, tones.size)), tones, n, sample_rate)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lines[pos][0]} is invalid: {e}") from None
+
     sample_rate = numbers(0, 5)[4]
     head = lines[0][1].split()[:4]
     if not all(v.isdecimal() for v in head):
         raise ValueError(f"{path}: line {lines[0][0]} has a count that is not an integer "
                          f">= 0: {lines[0][1]!r}")
     g, q, m, n = map(int, head)
+    check(0, np.empty(0))
     tones = np.array(numbers(1, m))
+    check(1, tones)
     expected = 2 + g * (q + 1)
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import spectral_reference
 import synth_reference
 from vlcloc import cli, config, experiment, fusion, spectral
 from vlcloc.channel import ChannelParams, LedConfig, PdPose
-from vlcloc.classifiers import TrainSet
+from vlcloc.classifiers import KnnClassifier, TrainSet
 from vlcloc.experiment import SplitRatios
 
 
@@ -64,38 +65,68 @@ def test_survey_matches_the_time_domain_full_fft_oracle():
 
 
 def test_nearest_mean_labels_match_the_one_piece_formula():
+    """The k = 1 matcher run_experiment builds over the mean fingerprints."""
     rng = np.random.default_rng(0)
     means = rng.normal(size=(225, 4))
     means[7] = means[3]  # a tie the lower index must win
-    queries = rng.normal(size=(3000, 4))  # several row chunks
+    queries = rng.normal(size=(3000, 4))  # several query batches
     queries[10] = means[3]
     d2 = ((queries[:, np.newaxis, :] - means[np.newaxis, :, :]) ** 2).sum(axis=2)
-    got = fusion.nearest_mean_labels(queries, means)
+    matcher = KnnClassifier(TrainSet(means, np.arange(225), np.zeros((225, 2))), 1)
+    got = matcher.predict_labels(queries)
     np.testing.assert_array_equal(got, np.argmin(d2, axis=1))
     assert got[10] == 3
 
 
-# case -> (line, the token that replaces the line's first value, message after "line n")
+def test_rss_match_and_gd_ls_take_the_direct_difference_nearest_mean(monkeypatch):
+    plan = config.plan_from_config(tiny_config())
+    db = experiment.synthesize_fingerprint_db(plan)
+    train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
+    means = db.rss[:, train_idx, :].mean(axis=1)
+    online_q, _, _ = experiment._flatten_split(db, online_idx)
+    d2 = ((online_q[:, np.newaxis, :] - means[np.newaxis, :, :]) ** 2).sum(axis=2)
+    want = np.argmin(d2, axis=1)
+    seen = []
+    predict = fusion.gd_ls_predict_all
+
+    def spy(weights, nearest, online_pred):
+        seen.append(nearest)
+        return predict(weights, nearest, online_pred)
+
+    monkeypatch.setattr(fusion, "gd_ls_predict_all", spy)
+    table = experiment.run_experiment(plan, db)
+    np.testing.assert_array_equal(table.est["rss-match"], plan.grid_coords[want])
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], want)
+
+
+# case -> (line, column, the token that replaces the value there, message after "line n")
 BAD_DB_VALUES = {
-    "nan": (5, "nan", "has a non-finite value"),  # second RSS row of grid point 0
-    "inf": (5, "inf", "has a non-finite value"),
-    "non-numeric": (5, "x", "has a non-numeric value"),
-    "fractional-count": (1, "9.5", "has a count that is not an integer >= 0"),
-    "negative-count": (1, "-2", "has a count that is not an integer >= 0"),
-    "non-numeric-count": (1, "G", "has a non-numeric value"),
-    "non-numeric-coordinate": (3, "x", "has a non-numeric value"),
+    "nan": (5, 0, "nan", "has a non-finite value"),  # second RSS row of grid point 0
+    "inf": (5, 0, "inf", "has a non-finite value"),
+    "non-numeric": (5, 0, "x", "has a non-numeric value"),
+    "fractional-count": (1, 0, "9.5", "has a count that is not an integer >= 0"),
+    "negative-count": (1, 0, "-2", "has a count that is not an integer >= 0"),
+    "non-numeric-count": (1, 0, "G", "has a non-numeric value"),
+    "non-numeric-coordinate": (3, 0, "x", "has a non-numeric value"),
+    "unordered-tones": (2, 0, "1e9", "is invalid: tones must be strictly increasing"),
+    "fft-len-1": (1, 3, "1", "is invalid: fft_len must be at least 2, got 1"),
+    "zero-sample-rate": (1, 4, "0",
+                         "is invalid: sample_rate must be finite and positive, got 0.0"),
 }
 
 
 @pytest.mark.parametrize("bad", list(BAD_DB_VALUES))
 def test_evaluate_rejects_a_non_finite_db_value_with_exit_3(tmp_path, capsys, bad):
-    line, token, message = BAD_DB_VALUES[bad]
+    line, column, token, message = BAD_DB_VALUES[bad]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(tiny_config()))
     db_path = tmp_path / "db.txt"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(db_path)]) == 0
     lines = db_path.read_text().splitlines()
-    lines[line - 1] = " ".join([token] + lines[line - 1].split()[1:])
+    values = lines[line - 1].split()
+    values[column] = token
+    lines[line - 1] = " ".join(values)
     db_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = cli.main(["evaluate", "--config", str(cfg_path), "--db", str(db_path),
@@ -146,6 +177,19 @@ def test_evaluate_rejects_a_truncated_db_with_exit_3(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 3
     assert f"{db_path}: expected {len(lines)} lines, found {len(lines) - 3}" in capsys.readouterr().err
+
+
+def test_db_with_another_block_count_is_a_synthesize_error(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["spectral"]["blocks_per_grid"] = 10
+    _, db_path = simulate(tmp_path, cfg)
+    cfg["spectral"]["blocks_per_grid"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", cfg_path, "--db", db_path, "--out", str(out)]) == 3
+    assert "[synthesize] fingerprint DB blocks per grid do not match plan" in capsys.readouterr().err
+    assert not os.path.exists(out / "results.csv")
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -215,13 +259,13 @@ def test_noise_free_equal_gain_rssr_is_exact_end_to_end():
 def test_table1_follows_the_fft_length_law_on_noise_free_tones():
     cfg = tiny_config()
     cfg["channel"]["noise_std"] = 0.0
-    plan = config.plan_from_config(cfg)
-    tones, lens, table = experiment.rss_vs_fft_len(plan, (2000, 4000, 6000), grid_index=4,
-                                                   blocks=3)
-    np.testing.assert_array_equal(tones, plan.tones)
+    cfg["spectral"]["blocks_per_grid"] = 3
+    table = experiment.rss_vs_fft_len(config.plan_from_config(cfg))
+    assert experiment.TABLE1_FFT_LENS == (2000, 4000, 6000, 8000)
     # an on-bin tone's periodogram peak is N a^2 / 4
     np.testing.assert_allclose(np.diff(table, axis=1),
-                               10.0 * np.log10([[4000 / 2000, 6000 / 4000]] * 4), atol=1e-9)
+                               10.0 * np.log10([[4000 / 2000, 6000 / 4000, 8000 / 6000]] * 4),
+                               atol=1e-9)
 
 
 def test_table1_command_prints_the_fft_length_law(tmp_path, capsys):
@@ -330,9 +374,6 @@ BAD_FIELDS = {
        for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
     "PdPose.y": lambda: PdPose.at(0.0, math.inf),
-    "ls_svd_weights.rank_tol=nan": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), NAN),
-    "ls_svd_weights.rank_tol=inf": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), math.inf),
-    "ls_svd_weights.rank_tol<0": lambda: fusion.ls_svd_weights(np.eye(3), np.ones(3), -1.0),
 }
 
 

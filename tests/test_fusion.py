@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 import fusion_reference
 from fusion_reference import RankDeficientError, ls_weights
+from vlcloc.classifiers import KnnClassifier, TrainSet
 from vlcloc.fusion import (FusionWeights, LsFit, build_prediction_matrix,
                            gd_ls_fit, gd_ls_predict_all, gi_ls_fit,
-                           gi_ls_predict_all, nearest_mean_labels,
-                           ls_svd_weights)
+                           gi_ls_predict_all, ls_svd_weights)
 
 
 def normal_equations_oracle(x, t):
     return np.linalg.solve(x.T @ x, x.T @ t)
+
+
+def nearest_mean(queries, mean_fps):
+    """GD-LS's grid choice as run_experiment makes it: the labels of a k = 1
+    KnnClassifier over the mean fingerprints, labelled 0..G-1."""
+    g = len(mean_fps)
+    matcher = KnnClassifier(TrainSet(mean_fps, np.arange(g), np.zeros((g, 2))), 1)
+    return matcher.predict_labels(queries)
 
 
 def grid_major(per_grid):
@@ -85,7 +93,7 @@ class TestLsSvdWeights:
 
     def test_zero_tolerance_drops_exact_zero_singular_values(self):
         x = np.column_stack([np.ones(4), np.zeros(4)])  # singular values 2 and exactly 0
-        fit = ls_svd_weights(x, np.ones(4), rank_tol=0.0)
+        fit = ls_svd_weights(x, np.ones(4))  # the fixed cutoff drops the 0
         np.testing.assert_array_equal(fit.weights, [1.0, 0.0])
         assert fit.rank_used == 1
 
@@ -125,10 +133,9 @@ class TestLsSvdWeights:
             assert np.linalg.norm(t - x @ probe) >= best - 1e-12
 
     def test_rank_tolerance_controls_truncation(self):
-        x = np.diag([1.0, 1e-14]) @ np.ones((2, 2))
         x = np.array([[1.0, 1.0], [1e-14, -1e-14]])
-        fit_loose = ls_svd_weights(x, np.array([1.0, 0.0]), rank_tol=1e-6)
-        assert fit_loose.rank_used == 1
+        fit = ls_svd_weights(x, np.array([1.0, 0.0]))  # sigma ratio 1e-14 < 2e-10
+        assert fit.rank_used == 1
 
 
 class TestPermutationEquivariance:
@@ -275,23 +282,21 @@ class TestGdLs:
     def test_select_grid_exact_and_ties(self):
         fps = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         queries = np.array([[1.0, 1.0], [0.5, 0.5]])  # exact hit; tie 0 vs 1
-        np.testing.assert_array_equal(nearest_mean_labels(queries, fps), [1, 0])
+        np.testing.assert_array_equal(nearest_mean(queries, fps), [1, 0])
 
     def test_select_grid_matches_scan_oracle(self):
         rng = np.random.default_rng(15)
         fps = rng.normal(size=(10, 4))
         queries = rng.normal(size=(20, 4))
         want = [min(range(10), key=lambda g: (np.linalg.norm(q - fps[g]), g)) for q in queries]
-        np.testing.assert_array_equal(nearest_mean_labels(queries, fps), want)
+        np.testing.assert_array_equal(nearest_mean(queries, fps), want)
 
     def test_predict_uses_selected_column(self):
-        fps = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 20.0]])
         per_grid = LsFit(np.eye(3), np.full(3, 3))  # row g picks classifier g
         gd = FusionWeights(per_grid, per_grid)
         online = np.array([[[0.11, 0.22, 0.33], [0.11, 0.22, 0.33]],
                            [[0.44, 0.55, 0.66], [0.44, 0.55, 0.66]]])
-        queries = np.array([[10.1, 9.9], [19.0, 21.0]])  # select grids 1 and 2
-        nearest = nearest_mean_labels(queries, fps)
+        nearest = np.array([1, 2])
         np.testing.assert_allclose(gd_ls_predict_all(gd, nearest, online),
                                    [[0.22, 0.55], [0.33, 0.66]], atol=1e-15)
 
@@ -310,7 +315,7 @@ class TestGdLs:
         gd = FusionWeights(LsFit(rng.normal(size=(4, 3)), np.full(4, 3)),
                            LsFit(rng.normal(size=(4, 3)), np.full(4, 3)))
         online = rng.normal(size=(2, 6, 3))
-        nearest = nearest_mean_labels(rng.normal(size=(6, 2)), rng.normal(size=(4, 2)))
+        nearest = np.array([3, 0, 2, 2, 1, 0])
         est = gd_ls_predict_all(gd, nearest, online)
         for r, g in enumerate(nearest):
             assert est[r, 0] == pytest.approx(

@@ -69,3 +69,14 @@ def test_command_line_sums_every_module(tmp_path):
     out = subprocess.run([sys.executable, str(script), str(tmp_path / "pkg")],
                          capture_output=True, text=True, check=True).stdout
     assert out == "16 settable values (3 dataclass fields, 13 parameters)\n"
+
+
+# The settable values of vlcloc itself may not grow unnoticed: a change that
+# adds one raises this ceiling and says why in CHANGES.md.
+SETTABLE_CEILING = 122
+
+
+def test_vlcloc_stays_under_its_settable_value_ceiling():
+    src = Path(__file__).resolve().parent.parent / "src" / "vlcloc"
+    fields, params = settable_values.count_package(src)
+    assert fields + params <= SETTABLE_CEILING, (fields, params)

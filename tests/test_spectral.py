@@ -5,7 +5,8 @@ import pytest
 
 import spectral_reference
 from spectral_reference import from_db, periodogram
-from vlcloc import config, experiment, fusion
+from vlcloc import config, experiment
+from vlcloc.classifiers import KnnClassifier
 from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
                              load_fingerprints, save_fingerprints, to_db)
 
@@ -249,26 +250,29 @@ class TestBuildFingerprints:
 
 
 def pipeline_mean_fingerprints(rss, split):
-    """The per-grid mean fingerprints run_experiment hands nearest_mean_labels
+    """The per-grid mean fingerprints run_experiment hands its k = 1 matcher
     to select GD-LS weights (rss-match uses the same labels), for a DB of
-    these (4, Q, 4) RSS values on a 2 x 2 grid."""
+    these (4, Q, 4) RSS values on a 2 x 2 grid. The matcher is the k = 1
+    KnnClassifier with G rows labelled 0..G-1; the KNN method runs with
+    k = 2, so its training rows are not taken for it."""
     cfg = config.benchmark_config()
     cfg["geometry"]["grid"]["q"] = 2
     cfg["spectral"]["blocks_per_grid"] = rss.shape[1]
     cfg["split"] = dict(zip(("train", "offline", "online"), split))
-    cfg["classifiers"] = {"order": ["knn"], "knn": {"k": 1}}
+    cfg["classifiers"] = {"order": ["knn"], "knn": {"k": 2}}
     cfg["run"]["methods"] = ["gd-ls"]
     plan = config.plan_from_config(cfg)
     db = FingerprintDB(plan.grid_coords, rss, plan.tones, plan.fft_len, plan.channel.sample_rate)
     seen = []
 
-    def spy(queries, mean_fps):
-        seen.append(mean_fps)
-        return nearest(queries, mean_fps)
+    def spy(self, train, k):
+        if k == 1 and np.array_equal(train.labels, np.arange(4)):
+            seen.append(train.features)
+        init(self, train, k)
 
-    nearest = fusion.nearest_mean_labels
+    init = KnnClassifier.__init__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fusion, "nearest_mean_labels", spy)
+        mp.setattr(KnnClassifier, "__init__", spy)
         experiment.run_experiment(plan, db)
     assert len(seen) == 1
     return seen[0]
