@@ -84,13 +84,13 @@ class _GridClassifier:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-_BLOCK_ROWS = 4096  # rows per block of ELM fit and ELM / RF queries, so memory is fixed
+_BLOCK_ROWS = 1024  # rows per block of ELM fit and ELM / RF queries, so memory is fixed
 
 
-def _row_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """a split into ceil(n / _BLOCK_ROWS) row blocks of near-equal size (at
-    least one), so past one block each has at least _BLOCK_ROWS / 2 rows."""
-    return np.array_split(a, max(1, math.ceil(a.shape[0] / _BLOCK_ROWS)))
+def _row_blocks(a: np.ndarray, rows: int | None = None) -> list[np.ndarray]:
+    """a split into ceil(n / rows) row blocks of near-equal size (at least
+    one; rows defaults to _BLOCK_ROWS), so past one block each has >= rows / 2."""
+    return np.array_split(a, max(1, math.ceil(a.shape[0] / (rows or _BLOCK_ROWS))))
 
 
 def _gamma(k: int) -> float:
@@ -108,6 +108,7 @@ _BOUND_ROWS_PER_K = 4
 # column past the last full block of the BLAS kernel can take another
 # summation order than the same column inside a full block.
 _COL_ALIGN = 16
+_BATCH_ENTRIES = 1 << 18  # rows x columns of one KNN distance block (2 MB), so memory is fixed
 
 
 class KdTree(NamedTuple):
@@ -235,10 +236,16 @@ class KnnClassifier(_GridClassifier):
     its tail columns when it is that large: there, and under any other BLAS
     kernel, a tie within an ulp could take another label.
 
-    Votes. With no tie at the k-th distance the k nearest rows are exactly
-    those with d2 <= k-th d2, and one offset bincount counts their votes.
-    Rows with a tie at the k-th distance or a vote tie take the per-row
-    rule (_vote_row).
+    Votes. At k = 1 a row takes the label of its first minimum d2: the lowest
+    training row among equals. Otherwise, with no tie at the k-th distance the
+    k nearest rows are exactly those with d2 <= k-th d2, and one offset bincount
+    counts their votes. Rows with a tie at the k-th distance or a vote tie take
+    the per-row rule (_vote_row).
+
+    Memory. Each batch is taken in row chunks of at most _BATCH_ENTRIES / width
+    rows (one at least), width being the bound's subtree rows, or the padded
+    candidate columns and, for the votes at k > 1, G: no block grows with the
+    queries of a cell, and as labels do not depend on the batching, none changes.
     """
 
     def __init__(self, train: TrainSet, k: int):
@@ -284,25 +291,33 @@ class KnnClassifier(_GridClassifier):
         out = np.empty(q.shape[0], dtype=int)
         subtree = -1
         for idx in np.split(order, np.flatnonzero(np.diff(cell)) + 1):
-            qg, qng = q[idx], qn[idx]
             if leaf[idx[0]] >> shift != subtree:
                 subtree = leaf[idx[0]] >> shift
                 rows = np.flatnonzero(row_subtree == subtree)
                 x_rows, sn_rows = x[rows], self._sq_norms[rows]
-            d2 = sn_rows + qng[:, np.newaxis] - 2.0 * qg @ x_rows.T
-            bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            reach = (bound * (1.0 + 4.0 * gamma) + slack[idx]).max()
+            reach = -math.inf
+            for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // rows.size)):
+                d2 = sn_rows + qn[part, np.newaxis] - 2.0 * q[part] @ x_rows.T
+                bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
+                reach = max(reach, (bound * (1.0 + 4.0 * gamma) + slack[part]).max())
+            qg = q[idx]
             gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
                              qg.min(axis=0)[:, np.newaxis] - tree.hi)
             np.maximum(gap, 0.0, out=gap)
             near = np.einsum("ij,ij->j", gap, gap) <= reach
             cols = np.flatnonzero(near[tree.row_leaf])
-            out[idx] = self._vote(self._sq_dists(qg, qng, cols), cols)
+            # a chunk's (rows, padded cols) distances and, for k > 1, its (rows, G) votes
+            width = max(cols.size + -cols.size % _COL_ALIGN,
+                        self.train_set.num_grid_points if k > 1 else 0)
+            for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // width)):
+                out[part] = self._vote(self._sq_dists(q[part], qn[part], cols), cols)
         return out
 
     def _vote(self, d2: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Labels of a batch from its (rows, cols) squared distances."""
         labels = self.train_set.labels[cols]
+        if self.k == 1:  # the first minimum: the lowest training row among equals
+            return labels[np.argmin(d2, axis=1)]
         g = self.train_set.num_grid_points
         k = self.k
         r, c = d2.shape
@@ -372,9 +387,9 @@ class ElmClassifier(_GridClassifier):
     still pass these checks with a least-squares solution other than the
     minimum-norm one.
 
-    Past one block of queries (predict_labels) each has >= _BLOCK_ROWS / 2
-    rows, so no product takes OpenBLAS's gemv or small-product path; a block's
-    last rows still sum the G mod 8 tail columns unlike one product on all rows.
+    Past one block of training rows or queries each has >= _BLOCK_ROWS / 2 =
+    512 rows: 512 x 600 x 225 is far above OpenBLAS's gemv and small-product
+    paths; a block's last rows still sum the G mod 8 tail columns unlike one product.
     """
 
     def __init__(self, train: TrainSet, hidden: int, seed):

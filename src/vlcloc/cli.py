@@ -15,6 +15,8 @@ import numpy as np
 from . import config as config_mod
 from . import experiment, spectral
 
+_CSV_CHUNK_ROWS = 4096  # results.csv rows formatted per write, so memory is fixed
+
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="JSON experiment config")
@@ -55,18 +57,20 @@ def cmd_simulate(plan: experiment.ExperimentPlan, out_path: str) -> None:
 def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
     """The csv.writer text (excel dialect: "\\r\\n" line ends; method names and
     numbers need no quoting), built in bulk: the shared query columns are
-    formatted once for all methods."""
+    formatted once for all methods, each method's rows in chunks."""
     shared = [f"{g},{x:.9g},{y:.9g},"
               for g, x, y in zip(table.grid_index.tolist(), table.truth[:, 0].tolist(),
                                  table.truth[:, 1].tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("method,grid_index,true_x,true_y,est_x,est_y,error_m\r\n")
         for method in table.methods:
-            est = table.est[method]
-            fh.write("".join(
-                f"{method},{row}{ex:.9g},{ey:.9g},{err:.9g}\r\n"
-                for row, ex, ey, err in zip(shared, est[:, 0].tolist(), est[:, 1].tolist(),
-                                            table.errors(method).tolist())))
+            est, errors = table.est[method], table.errors(method)
+            for at in range(0, len(shared), _CSV_CHUNK_ROWS):
+                chunk = slice(at, at + _CSV_CHUNK_ROWS)
+                fh.write("".join(
+                    f"{method},{row}{ex:.9g},{ey:.9g},{err:.9g}\r\n"
+                    for row, ex, ey, err in zip(shared[chunk], est[chunk, 0].tolist(),
+                                                est[chunk, 1].tolist(), errors[chunk].tolist())))
 
 
 def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
@@ -91,6 +95,17 @@ def _write_weights_csv(table: experiment.ResultTable, order, path: str) -> None:
             grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
             for g, row in zip(grids, rows.tolist()):
                 writer.writerow([method, g] + [format(w, ".9g") for w in row])
+
+
+def _check_trainable(plan: experiment.ExperimentPlan) -> None:
+    """The config errors evaluate would otherwise meet after the survey is read or made."""
+    try:
+        rows = plan.grid_q ** 2 * plan.split.counts(plan.blocks_per_grid)[0]
+    except ValueError as e:
+        raise config_mod.ConfigError(f"spectral.blocks_per_grid: {e}") from None
+    if "knn" in plan.classifier_order and plan.knn_k > rows:
+        raise config_mod.ConfigError(f"classifiers.knn.k: k = {plan.knn_k} exceeds the "
+                                     f"{rows} training rows")
 
 
 def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
@@ -131,6 +146,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         plan = config_mod.plan_from_config(cfg)
+        if args.command == "evaluate":
+            _check_trainable(plan)
     except (ValueError, TypeError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2

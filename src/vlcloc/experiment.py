@@ -308,14 +308,8 @@ def run_experiment(plan: ExperimentPlan,
         est = {m: _estimate(plan, m, on_q, on_pred, nearest, coords, gi, gd)
                for m in plan.methods}
 
-    return ResultTable(
-        methods=tuple(plan.methods),
-        grid_index=on_labels,
-        truth=on_truth,
-        est=est,
-        gi=gi,
-        gd=gd,
-    )
+    return ResultTable(methods=tuple(plan.methods), grid_index=on_labels, truth=on_truth,
+                       est=est, gi=gi, gd=gd)
 
 
 def _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd) -> np.ndarray:

@@ -113,9 +113,7 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
         y = np.asarray(stream, dtype=float)
         q = y.size // fft_len
         if q < 1:
-            raise ValueError(
-                f"stream {g} has {y.size} samples, fewer than one {fft_len}-block"
-            )
+            raise ValueError(f"stream {g} has {y.size} samples, fewer than one {fft_len}-block")
         if q_common is None:
             q_common = q
         elif q != q_common:
@@ -125,16 +123,8 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
         per_grid.append(to_db(power[:, window.reshape(windows.shape)].max(axis=2)))
 
     if len(per_grid) != grid.shape[0]:
-        raise ValueError(
-            f"got {len(per_grid)} streams for {grid.shape[0]} grid points"
-        )
-    db = FingerprintDB(
-        grid_coords=grid,
-        rss=np.stack(per_grid),
-        tones=tones,
-        fft_len=fft_len,
-        sample_rate=sample_rate,
-    )
+        raise ValueError(f"got {len(per_grid)} streams for {grid.shape[0]} grid points")
+    db = FingerprintDB(grid, np.stack(per_grid), tones, fft_len, sample_rate)
     for f, nominal, on_bin in db.tone_alignment():
         if not on_bin:
             log.warning("tone %.6g Hz is off-bin (nearest DFT bin %d)", f, nominal)

@@ -230,6 +230,78 @@ class TestKnnAgainstDenseReference:
             clf.predict_labels([[0.0, 0.0]])
 
 
+class TestKnnChunkedBatches:
+    def test_k1_takes_the_lowest_of_equally_near_rows(self):
+        # duplicated training rows with other labels, and queries at integer
+        # midpoints of two rows: every tie goes to the lower training row
+        rng = np.random.default_rng(31)
+        base = 2 * rng.integers(-6, 7, (60, 3)).astype(float)
+        feats = base[rng.integers(0, 60, 400)]  # each row about 7 times
+        labels = rng.integers(0, 50, 400)
+        train = TrainSet(feats, labels, np.zeros((50, 2)))
+        pairs = rng.integers(0, 400, (300, 2))
+        queries = np.vstack([(feats[pairs[:, 0]] + feats[pairs[:, 1]]) / 2.0, feats[:100]])
+        got = KnnClassifier(train, 1).predict_labels(queries)
+        np.testing.assert_array_equal(got, knn_reference.knn_labels(train, 1, queries))
+        first = [int(np.flatnonzero((feats == row).all(axis=1))[0]) for row in feats[:100]]
+        np.testing.assert_array_equal(got[300:], labels[first])
+
+    @pytest.mark.parametrize("budget", [16, 300, 1000])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_labels_under_a_tiny_entry_budget_equal_the_dense_oracle(self, monkeypatch,
+                                                                     budget, k):
+        # candidate blocks here are 70-500 columns wide: budget 16 leaves one
+        # query row per chunk, 300 and 1000 one to ten, single rows included
+        monkeypatch.setattr(classifiers, "_BATCH_ENTRIES", budget)
+        rng = np.random.default_rng(budget + k)
+        centres = rng.normal(-40.0, 6.0, (6, 4))
+        labels = rng.integers(0, 6, 500)
+        feats = centres[labels] + rng.normal(0.0, 1.5, (500, 4))
+        feats[250:300] = np.round(feats[:50])  # exact duplicates and distance ties
+        feats[:50] = feats[250:300]
+        train = TrainSet(feats, labels, np.zeros((6, 2)))
+        queries = np.vstack([centres[rng.integers(0, 6, 300)] + rng.normal(0.0, 1.5, (300, 4)),
+                             feats[240:260] + 0.5])
+        chunks = []
+        sq_dists = KnnClassifier._sq_dists
+
+        def spy(self, qg, qn, cols):
+            chunks.append((qg.shape[0], cols.size))
+            return sq_dists(self, qg, qn, cols)
+        monkeypatch.setattr(KnnClassifier, "_sq_dists", spy)
+        got = KnnClassifier(train, k).predict_labels(queries)
+        np.testing.assert_array_equal(got, knn_reference.knn_labels(train, k, queries))
+        assert sum(r for r, _ in chunks) == queries.shape[0]
+        assert all(r <= max(1, budget // (c + -c % 16)) for r, c in chunks)
+        assert (max(r for r, _ in chunks) >= 2) == (budget > 16)
+
+    def test_peak_memory_is_set_by_the_budget_not_the_query_count(self, monkeypatch):
+        # queries inside the middle half of leaf 0's box all route to it: one
+        # batch of n rows, whose unchunked (n, >= 16) distances and (n, 256)
+        # votes grow with n
+        budget = 1 << 12
+        monkeypatch.setattr(classifiers, "_BATCH_ENTRIES", budget, raising=False)
+        rng = np.random.default_rng(32)
+        g = 256
+        train = TrainSet(rng.normal(size=(2048, 4)), rng.integers(0, g, 2048), np.zeros((g, 2)))
+        for k in (1, 5):
+            clf = KnnClassifier(train, k)
+            lo, hi = clf.tree.lo[:, 0], clf.tree.hi[:, 0]  # leaf 0's box
+            peaks = []
+            for n in (3000, 6000):
+                q = lo + (hi - lo) * rng.uniform(0.25, 0.75, (n, 4))
+                tracemalloc.start()
+                try:
+                    clf.predict_labels(q)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # a few (n,) vectors for routing, ordering and the labels grow with n;
+            # the chunks' matrices stay within a few budgets of 8-byte entries
+            assert peaks[0] < 8 * 8 * budget + 160 * 3000, (k, peaks)
+            assert peaks[1] - peaks[0] < 160 * 3000, (k, peaks)
+
+
 class TestElm:
     def test_separable_clusters_reach_full_training_accuracy(self):
         rng = np.random.default_rng(4)

@@ -10,6 +10,7 @@ import pytest
 
 import rf_reference
 import spectral_reference
+import stage_memory
 import synth_reference
 from vlcloc import cli, config, experiment, fusion, spectral
 from vlcloc.channel import ChannelParams, LedConfig, PdPose
@@ -177,6 +178,41 @@ def test_evaluate_rejects_a_truncated_db_with_exit_3(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 3
     assert f"{db_path}: expected {len(lines)} lines, found {len(lines) - 3}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("blocks_per_grid", 2, "spectral.blocks_per_grid: Q = 2 is too small for split"),
+    ("k", 500, "classifiers.knn.k: k = 500 exceeds the 108 training rows"),
+])
+def test_evaluate_rejects_a_plan_it_cannot_split_or_train_before_any_work(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    cfg = tiny_config()
+    if key == "k":
+        cfg["classifiers"]["knn"]["k"] = value
+    else:
+        cfg["spectral"]["blocks_per_grid"] = value
+    cfg_path, db_path = simulate(tmp_path, cfg)  # simulate still accepts the plan
+
+    def no_work(*args):
+        raise AssertionError("evaluate read a DB or synthesized a survey")
+    monkeypatch.setattr(spectral, "load_fingerprints", no_work)
+    monkeypatch.setattr(experiment, "synthesize_fingerprint_db", no_work)
+    out = tmp_path / "out"
+    for db_args in ([], ["--db", db_path]):
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfg_path, *db_args, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(f"config error: {message}")
+        assert not os.path.exists(out / "results.csv")
+
+
+def test_knn_k_is_not_checked_when_knn_is_not_a_classifier(tmp_path):
+    cfg = tiny_config()
+    cfg["classifiers"]["knn"]["k"] = 500
+    cfg["classifiers"]["order"] = ["elm", "rf"]
+    cfg["run"]["methods"] = ["elm", "gi-ls"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_db_with_another_block_count_is_a_synthesize_error(tmp_path, capsys):
@@ -404,7 +440,7 @@ def _csv_writer_results(table, path):
                                  *(format(v, ".9g") for v in (*table.truth[i], *est[i], errs[i]))])
 
 
-def test_results_csv_equals_the_csv_writer_text(tmp_path):
+def test_results_csv_equals_the_csv_writer_text(tmp_path, monkeypatch):
     rng = np.random.default_rng(14)
     edge = np.array([-0.0, 1e-10, 1e21, 3.0, -2.0, 0.1, 123456789.0, 1.0 / 3.0])
     truth = np.column_stack([edge, edge[::-1]])
@@ -414,6 +450,27 @@ def test_results_csv_equals_the_csv_writer_text(tmp_path):
         truth=truth,
         est={"knn": truth.copy(), "gi-ls": truth + rng.normal(size=truth.shape),
              "rss-match": -truth})
-    cli._write_results_csv(table, tmp_path / "bulk.csv")
     _csv_writer_results(table, tmp_path / "rows.csv")
-    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    for chunk in (cli._CSV_CHUNK_ROWS, 3):  # 3: 8 rows per method in chunks of 3, 3 and 2
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        cli._write_results_csv(table, tmp_path / "bulk.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config())
+    records = stage_memory.replay(cfg_path, "evaluate", str(tmp_path))
+    assert (tmp_path / "out" / "results.csv").exists()
+    calls = ["KnnClassifier(k=5).fit", "ElmClassifier.fit", "RandomForest.fit",
+             "KnnClassifier(k=1).fit"]
+    calls += ["KnnClassifier(k=5).predict_labels", "ElmClassifier.predict_labels",
+              "RandomForest.predict_labels"] * 2  # the offline, then the online rows
+    calls += ["KnnClassifier(k=1).predict_labels", "_write_results_csv"]
+    assert [r[0] for r in records] == ["synthesize_fingerprint_db", "load_fingerprints", *calls]
+    assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1
+               for _, hwm0, hwm1, rss0, rss1 in records)
+    capsys.readouterr()
+    stage_memory.print_report(stage_memory.memory_mb(), records)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + len(records) and lines[2].startswith("synthesize_fingerprint_db")
+    assert stage_memory.main(["evaluate"]) == 2
