@@ -12,11 +12,16 @@ so the radiation and incidence angles share cos = h / d.
 
 Synthesis works on a tone basis: cut into rows of B samples, the noise-free
 signal is one (rows, 2M) @ (2M, B) product of per-row cos / sin coefficients
-and per-column cos / sin tones (angle addition), plus the DC sum.
+and per-column cos / sin tones (angle addition), plus the DC sum. The
+(2M, B) basis depends only on the tone frequencies and the sample rate, so it
+is built once per tone set. The DC sum and the noise are then added chunk by
+chunk, each chunk's noise drawn in turn from the one Generator: the draws
+concatenate to one whole-length draw, so no second full-length array is made.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +29,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 _ROW_LEN = 2048  # samples per tone-basis row; 512-2048 cost the same within 20 %
+_CHUNK = 1 << 16  # samples per DC / noise pass: a 512 KiB chunk stays in cache
 
 
 def lambertian_order_from_semiangle(semi_angle_deg: float) -> float:
@@ -131,6 +137,17 @@ def _tone_angles(n: np.ndarray, freq: np.ndarray, fs: float) -> np.ndarray:
     return (2.0 * math.pi / fs) * (np.fmod(n * head, fs) + n * (freq - head))
 
 
+@functools.lru_cache(maxsize=8)
+def _tone_basis(freq: tuple[float, ...], fs: float) -> np.ndarray:
+    """The read-only (2M, _ROW_LEN) basis [cos(w j); sin(w j)] of the tones
+    freq over one row's sample offsets j. Every grid point of a survey shares
+    it, and the cache hands the same array to each caller."""
+    wj = _tone_angles(np.arange(_ROW_LEN, dtype=float), np.array(freq), fs).T
+    basis = np.vstack([np.cos(wj), np.sin(wj)])
+    basis.flags.writeable = False
+    return basis
+
+
 def synthesize_received(
     leds: list[LedConfig],
     pd: PdPose,
@@ -143,12 +160,16 @@ def synthesize_received(
     Each tone arrives as amp * (1 + cos(2*pi*f*t - 2*pi*f*tau)) scaled by
     alpha * gain; the delay acts as a pure phase offset, which is exact for
     continuous tones cut into plain (unweighted) blocks. Noise is zero-mean
-    Gaussian with std params.noise_std, drawn from rng_seed.
+    Gaussian with std params.noise_std, drawn _CHUNK samples at a time from
+    one Generator seeded with rng_seed: the same values as one whole draw.
+    The cos / sin tone basis is built once per (tone frequencies, sample rate).
     """
+    n = duration_samples
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
+        raise ValueError(f"duration_samples must be a positive integer, got {n!r}")
+    n = int(n)  # a numpy unsigned would wrap in -(-n // B)
     if not leds:
         raise ValueError("at least one LED is required")
-    if duration_samples <= 0:
-        raise ValueError(f"duration_samples must be positive, got {duration_samples}")
     freq = np.array([led.frequency for led in leds])
     fs = params.sample_rate
     if fs <= 2.0 * freq.max():
@@ -157,13 +178,15 @@ def synthesize_received(
     phase = 2.0 * math.pi * freq * [propagation_delay(led, pd) for led in leds]
 
     # sample r * B + j: cos(theta_r + w j) = cos(theta_r) cos(w j) - sin(theta_r) sin(w j)
-    rows = -(-duration_samples // _ROW_LEN)
+    rows = -(-n // _ROW_LEN)
     theta = _tone_angles(np.arange(rows) * float(_ROW_LEN), freq, fs) - phase
-    wj = _tone_angles(np.arange(_ROW_LEN, dtype=float), freq, fs).T
     coeff = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
-    y = (coeff @ np.vstack([np.cos(wj), np.sin(wj)])).ravel()[:duration_samples]
-    y += amp.sum()
-    if params.noise_std > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        y += rng.normal(0.0, params.noise_std, duration_samples)
+    y = (coeff @ _tone_basis(tuple(freq.tolist()), fs)).ravel()[:n]
+    dc = amp.sum()
+    rng = np.random.default_rng(rng_seed) if params.noise_std > 0.0 else None
+    for start in range(0, n, _CHUNK):
+        chunk = y[start:start + _CHUNK]
+        chunk += dc
+        if rng is not None:
+            chunk += rng.normal(0.0, params.noise_std, chunk.size)
     return y

@@ -9,7 +9,9 @@ the BLAS threads as the benchmark does, and in a temporary directory runs
 Around every call of the entry points that can set the peak (the survey,
 `load_fingerprints`, each classifier's fit and `predict_labels`,
 `_write_results_csv`) it prints VmHWM and VmRSS from /proc/self/status
-before and after, in MB. VmHWM only grows, so the call that raises it last
+before and after, in MB, and the minor page faults the call took: the
+`ru_minflt` delta of `resource.getrusage(RUSAGE_SELF)`, which counts this
+process only (no child). VmHWM only grows, so the call that raises it last
 sets the process peak. Unlike a bench worker's `ru_maxrss`, which on Linux
 carries over the high-water mark of the process image that exec replaced,
 VmHWM belongs to this process alone.
@@ -21,6 +23,7 @@ import contextlib
 import functools
 import os
 import pathlib
+import resource
 import sys
 import tempfile
 
@@ -44,6 +47,11 @@ def memory_mb() -> tuple[float, float]:
     return tuple(int(fields[name].split()[0]) / 1024.0 for name in ("VmHWM", "VmRSS"))
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far, its children not counted."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _label(name: str, clf) -> str:
     """`Class.fit` or `Class.method`, with k for a KNN: the classifier and the
     k = 1 matcher are both KnnClassifiers."""
@@ -54,18 +62,20 @@ def _label(name: str, clf) -> str:
 @contextlib.contextmanager
 def probes(records: list):
     """Wrap the peak-setting entry points: each call appends (label, hwm
-    before, hwm after, rss before, rss after) to records. Plain setattr, not
-    unittest.mock: importing mock alone adds ~8 MB of RSS."""
+    before, hwm after, rss before, rss after, minor faults) to records. Plain
+    setattr, not unittest.mock: importing mock alone adds ~8 MB of RSS."""
     def probed(inner, name, per_instance):
         @functools.wraps(inner)
         def wrapper(*args, **kwargs):
             hwm0, rss0 = memory_mb()
+            faults0 = minor_faults()
             try:
                 return inner(*args, **kwargs)
             finally:
+                faults = minor_faults() - faults0
                 hwm1, rss1 = memory_mb()
                 records.append((_label(name, args[0]) if per_instance else name,
-                                hwm0, hwm1, rss0, rss1))
+                                hwm0, hwm1, rss0, rss1, faults))
         return wrapper
 
     targets = [(experiment, "synthesize_fingerprint_db", False),
@@ -101,11 +111,13 @@ def replay(cfg_path: str, command: str, run_dir: str) -> list:
 
 
 def print_report(start: tuple[float, float], records: list) -> None:
-    print(f"{'call':<38} {'VmHWM before -> after':>22} {'VmRSS before -> after':>22}  (MB)")
+    print(f"{'call':<38} {'VmHWM before -> after':>22} {'VmRSS before -> after':>22}"
+          f" {'minflt':>9}  (MB, faults)")
     print(f"{'(start)':<38} {start[0]:>22.1f} {start[1]:>22.1f}")
-    for label, hwm0, hwm1, rss0, rss1 in records:
+    for label, hwm0, hwm1, rss0, rss1, faults in records:
         mark = "  <- raises the peak" if hwm1 > hwm0 else ""
-        print(f"{label:<38} {hwm0:>10.1f} -> {hwm1:>8.1f} {rss0:>10.1f} -> {rss1:>8.1f}{mark}")
+        print(f"{label:<38} {hwm0:>10.1f} -> {hwm1:>8.1f} {rss0:>10.1f} -> {rss1:>8.1f}"
+              f" {faults:>9}{mark}")
 
 
 def main(argv: list[str]) -> int:

@@ -3,16 +3,20 @@
 reference_received is the per-sample cosine formula the tone-basis product
 replaced, with its arithmetic unchanged: one np.cos of 2*pi*f*t - phase per
 sample and tone, then the noise draw.
+whole_draw_received is the tone-basis product as it stood before the DC sum
+and the noise went in by chunks: the basis rebuilt on each call, the DC sum
+added in one pass over y, then one whole-length noise draw. The chunked
+synthesis must equal it bit for bit.
 longdouble_received evaluates the same noise-free signal from the same
 double-precision gains and phases in np.longdouble, as the accuracy yardstick
-for both.
+for all of them.
 """
 
 import math
 
 import numpy as np
 
-from vlcloc.channel import attenuation, propagation_delay
+from vlcloc.channel import _ROW_LEN, _tone_angles, attenuation, propagation_delay
 
 # pi to 36 digits, so the longdouble angle does not inherit double's pi
 PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
@@ -31,6 +35,24 @@ def reference_received(leds, pd, params, duration_samples: int, rng_seed) -> np.
     y = np.zeros(duration_samples)
     for led, (a, phase) in zip(leds, tone_terms(leds, pd, params)):
         y += a * (1.0 + np.cos(2.0 * math.pi * led.frequency * t - phase))
+    if params.noise_std > 0.0:
+        rng = np.random.default_rng(rng_seed)
+        y += rng.normal(0.0, params.noise_std, duration_samples)
+    return y
+
+
+def whole_draw_received(leds, pd, params, duration_samples: int, rng_seed) -> np.ndarray:
+    """The tone-basis product, then y += DC sum and y += one whole-length draw."""
+    freq = np.array([led.frequency for led in leds])
+    fs = params.sample_rate
+    amp = np.array([a for a, _ in tone_terms(leds, pd, params)])
+    phase = 2.0 * math.pi * freq * [propagation_delay(led, pd) for led in leds]
+    rows = -(-duration_samples // _ROW_LEN)
+    theta = _tone_angles(np.arange(rows) * float(_ROW_LEN), freq, fs) - phase
+    wj = _tone_angles(np.arange(_ROW_LEN, dtype=float), freq, fs).T
+    coeff = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
+    y = (coeff @ np.vstack([np.cos(wj), np.sin(wj)])).ravel()[:duration_samples]
+    y += amp.sum()
     if params.noise_std > 0.0:
         rng = np.random.default_rng(rng_seed)
         y += rng.normal(0.0, params.noise_std, duration_samples)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ class TestSynthesize:
         np.testing.assert_allclose(noisy - clean, draws, rtol=0,
                                    atol=2.0 * np.spacing(np.abs(noisy).max()))
 
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("n", [1, channel._ROW_LEN + 1, channel._CHUNK - 1, channel._CHUNK,
+                                   channel._CHUNK + 1, 3 * channel._CHUNK + 7, 400_000])
+    def test_chunked_noise_equals_one_whole_draw(self, n, noise):
+        # two tone sets called in turn, so a basis cached under the wrong
+        # key would hand one set's tones to the other
+        pd = PdPose.at(0.1, -0.2)
+        params = make_params(order=1.5, noise=noise)
+        tone_sets = [[LedConfig(position=[0.5, 0.2, 1.5], frequency=801.5e3, gain=3.0),
+                      LedConfig(position=[-0.4, 0.1, 1.5], frequency=955e3, gain=2.0)],
+                     [LedConfig(position=[0.5, 0.2, 1.5], frequency=1.1e6, gain=3.0),
+                      LedConfig(position=[-0.4, 0.1, 1.5], frequency=955e3, gain=2.0)]]
+        for leds in tone_sets + tone_sets:
+            y = synthesize_received(leds, pd, params, n, rng_seed=7)
+            assert np.array_equal(y, synth_reference.whole_draw_received(leds, pd, params, n, 7))
+
+    def test_no_full_length_temporary(self):
+        # y's own buffer and at most two chunks besides. The warm-up call on
+        # another tone set imports numpy.random, which would count, but
+        # leaves this tone set's basis to be built inside the traced call.
+        plan = config.plan_from_config(config.benchmark_config())
+        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=777e3)
+        synthesize_received([led], PdPose.at(0, 0), plan.channel, 1, rng_seed=3)
+        channel._tone_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            y = synthesize_received(list(plan.leds), PdPose.at(0.35, 0.2), plan.channel,
+                                    400_000, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.channel.noise_std > 0.0
+        assert peak <= y.base.nbytes + 2 * channel._CHUNK * 8
+
     def test_superposition_of_two_leds(self):
         led1 = LedConfig(position=[1.0, 0.5, 1.5], frequency=800e3, gain=3.0)
         led2 = LedConfig(position=[-0.5, 1.0, 1.5], frequency=950e3, gain=5.0)
@@ -166,8 +201,24 @@ class TestSynthesize:
 
     def test_nonpositive_duration_rejected(self):
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
-        with pytest.raises(ValueError):
-            synthesize_received([led], PdPose.at(0, 0), make_params(), 0, rng_seed=0)
+        for n in (0, -5, np.int64(0)):
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                synthesize_received([led], PdPose.at(0, 0), make_params(), n, rng_seed=0)
+
+    @pytest.mark.parametrize("n", [4000.0, 4000.5, np.float64(4000), True, np.bool_(True),
+                                   "4000", None], ids=repr)
+    def test_non_integer_duration_rejected(self, n):
+        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
+        with pytest.raises(ValueError, match="duration_samples must be a positive integer"):
+            synthesize_received([led], PdPose.at(0, 0), make_params(), n, rng_seed=0)
+
+    @pytest.mark.parametrize("n", [np.int64(4000), np.uint16(4000), np.int32(4000)])
+    def test_numpy_integer_duration_accepted(self, n):
+        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
+        params = make_params(noise=0.01)
+        y = synthesize_received([led], PdPose.at(0, 0), params, n, rng_seed=0)
+        assert np.array_equal(y, synthesize_received([led], PdPose.at(0, 0), params, 4000,
+                                                     rng_seed=0))
 
 
 class TestDelay:

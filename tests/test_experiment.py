@@ -467,8 +467,8 @@ def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):
               "RandomForest.predict_labels"] * 2  # the offline, then the online rows
     calls += ["KnnClassifier(k=1).predict_labels", "_write_results_csv"]
     assert [r[0] for r in records] == ["synthesize_fingerprint_db", "load_fingerprints", *calls]
-    assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1
-               for _, hwm0, hwm1, rss0, rss1 in records)
+    assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1 and faults >= 0
+               for _, hwm0, hwm1, rss0, rss1, faults in records)
     capsys.readouterr()
     stage_memory.print_report(stage_memory.memory_mb(), records)
     lines = capsys.readouterr().out.splitlines()
