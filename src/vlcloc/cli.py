@@ -83,14 +83,13 @@ def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
                 writer.writerow([method, format(thr, ".9g"), format(frac, ".9g")])
 
 
-def _write_weights_csv(table: experiment.ResultTable, order, path: str) -> None:
+def _write_weights_csv(table: experiment.ResultTable, path: str) -> None:
+    order = experiment.SINGLE_CLASSIFIERS
     header = ["method", "grid_index"] + [f"wx_{c}" for c in order] + [f"wy_{c}" for c in order]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for method, fit in (("gi-ls", table.gi), ("gd-ls", table.gd)):
-            if fit is None:
-                continue
             rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
             grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
             for g, row in zip(grids, rows.tolist()):
@@ -103,7 +102,7 @@ def _check_trainable(plan: experiment.ExperimentPlan) -> None:
         rows = plan.grid_q ** 2 * plan.split.counts(plan.blocks_per_grid)[0]
     except ValueError as e:
         raise config_mod.ConfigError(f"spectral.blocks_per_grid: {e}") from None
-    if "knn" in plan.classifier_order and plan.knn_k > rows:
+    if plan.knn_k > rows:
         raise config_mod.ConfigError(f"classifiers.knn.k: k = {plan.knn_k} exceeds the "
                                      f"{rows} training rows")
 
@@ -115,9 +114,7 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
     os.makedirs(out_dir, exist_ok=True)
     _write_results_csv(table, os.path.join(out_dir, "results.csv"))
     _write_cdf_csv(table, os.path.join(out_dir, "cdf.csv"))
-    if table.gi is not None or table.gd is not None:
-        _write_weights_csv(table, plan.classifier_order,
-                           os.path.join(out_dir, "weights.csv"))
+    _write_weights_csv(table, os.path.join(out_dir, "weights.csv"))
     print(f"{'method':<10} {'MSPE_m':>10} {'P(err<=5cm)':>12}")
     for method in table.methods:
         print(f"{method:<10} {table.mspe(method):>10.4f} "

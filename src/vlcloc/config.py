@@ -19,9 +19,9 @@ Config layout (every key shown; `?` marks an optional key)::
       },
       "spectral": {"fft_len": int, "blocks_per_grid": int},
       "split"?: {"train"?: frac, "offline"?: frac, "online"?: frac, "shuffle"?: bool},
-      "classifiers"?: {"order"?: ["knn", "elm", "rf"], "knn"?: {"k"?: int},
-                       "elm"?: {"hidden"?: int}, "rf"?: {"trees"?: int, "depth"?: int}},
-      "run": {"methods": [...], "seed": int}
+      "classifiers"?: {"knn"?: {"k"?: int}, "elm"?: {"hidden"?: int},
+                       "rf"?: {"trees"?: int, "depth"?: int}},
+      "run": {"seed": int}
     }
 
 An omitted optional key takes the default of the field it sets: those of
@@ -29,7 +29,10 @@ An omitted optional key takes the default of the field it sets: those of
 copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
 `vlcloc table1` reads grid point 0 at the FFT lengths
 `experiment.TABLE1_FFT_LENS`, over `spectral.blocks_per_grid` blocks, so no
-other config key sets it. Fixed parts of the method are module constants,
+other config key sets it. Every run trains KNN, ELM and RF, in that order,
+and scores all seven methods (`experiment.ALL_METHODS`), so no key selects
+them; `geometry.leds` needs at least 3 LEDs, the fewest RSSR can locate
+with. Fixed parts of the method are module constants,
 not keys: the speed of light (`channel.SPEED_OF_LIGHT`), the RSSR scan
 resolution (`baselines.SCAN_RESOLUTION`) and margin, the LS-SVD rank cutoff
 (1e-10 * max(L, H) of sigma_max, in `fusion.ls_svd_weights`) and the
@@ -48,7 +51,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams, LedConfig, lambertian_order_from_semiangle
-from .experiment import ALL_METHODS, ExperimentPlan, SplitRatios
+from .experiment import ExperimentPlan, SplitRatios
 
 
 class ConfigError(ValueError):
@@ -161,20 +164,12 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         online=_number(split, "online", "split", minimum=1e-9),
         shuffle=split.get("shuffle")))
 
-    clf = _check_keys(cfg.get("classifiers", {}), "classifiers",
-                      optional={"order", "knn", "elm", "rf"})
-    if "order" in clf:
-        if (not isinstance(clf["order"], list)
-                or any(c not in ("knn", "elm", "rf") for c in clf["order"])):
-            raise ConfigError("classifiers.order: expected a list drawn from knn/elm/rf")
+    clf = _check_keys(cfg.get("classifiers", {}), "classifiers", optional={"knn", "elm", "rf"})
     knn = _check_keys(clf.get("knn", {}), "classifiers.knn", optional={"k"})
     elm = _check_keys(clf.get("elm", {}), "classifiers.elm", optional={"hidden"})
     rf = _check_keys(clf.get("rf", {}), "classifiers.rf", optional={"trees", "depth"})
 
-    run = _check_keys(cfg["run"], "run", required={"methods", "seed"})
-    if (not isinstance(run["methods"], list) or not run["methods"]
-            or any(m not in ALL_METHODS for m in run["methods"])):
-        raise ConfigError(f"run.methods: expected a non-empty list drawn from {ALL_METHODS}")
+    run = _check_keys(cfg["run"], "run", required={"seed"})
 
     return ExperimentPlan(
         leds=leds,
@@ -184,13 +179,11 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         fft_len=_integer(spec, "fft_len", "spectral", minimum=2),
         blocks_per_grid=_integer(spec, "blocks_per_grid", "spectral", minimum=1),
         split=split_ratios,
-        methods=tuple(run["methods"]),
         seed=_integer(run, "seed", "run", minimum=0),
         **_set(knn_k=_integer(knn, "k", "classifiers.knn", minimum=1),
                elm_hidden=_integer(elm, "hidden", "classifiers.elm", minimum=1),
                rf_trees=_integer(rf, "trees", "classifiers.rf", minimum=1),
-               rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1),
-               classifier_order=tuple(clf["order"]) if "order" in clf else None),
+               rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1)),
     )
 
 
@@ -224,13 +217,9 @@ def benchmark_config() -> dict:
         "spectral": {"fft_len": 2000, "blocks_per_grid": 200},
         "split": {"train": 0.6, "offline": 0.2, "online": 0.2, "shuffle": False},
         "classifiers": {
-            "order": ["knn", "elm", "rf"],
             "knn": {"k": 120},
             "elm": {"hidden": 600},
             "rf": {"trees": 40, "depth": 5},
         },
-        "run": {
-            "methods": list(ALL_METHODS),
-            "seed": 1729,
-        },
+        "run": {"seed": 1729},
     })

@@ -3,9 +3,9 @@
 run_experiment drives the full pipeline on a square survey grid: per-grid
 signal synthesis, fingerprint construction, a train / offline / online
 split of the Q blocks, classifier training, GI / GD fusion fitting on the
-offline split, and evaluation of every requested method on the online
-split. RSS matching and GD-LS's grid choice are one search: a k = 1
-KnnClassifier over the train blocks' per-grid mean fingerprints. Everything
+offline split, and evaluation of every method on the online split. RSS
+matching and GD-LS's grid choice are one search: a k = 1 KnnClassifier
+over the train blocks' per-grid mean fingerprints. Everything
 is a pure function of the plan (all randomness flows from the plan seed
 through named SeedSequence children).
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,45 +107,36 @@ class ExperimentPlan:
     elm_hidden: int = 600
     rf_trees: int = 40
     rf_depth: int = 5
-    classifier_order: tuple[str, ...] = SINGLE_CLASSIFIERS
-    methods: tuple[str, ...] = ALL_METHODS
     seed: int = 0
+    methods: ClassVar[tuple[str, ...]] = ALL_METHODS  # every run scores all seven
 
     def __post_init__(self):
+        for name in ("grid_q", "fft_len", "blocks_per_grid", "knn_k", "elm_hidden",
+                     "rf_trees", "rf_depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_q < 2 or not self.grid_spacing > 0.0:
             raise ValueError("grid needs q >= 2 and positive spacing")
         if self.fft_len < 2 or self.blocks_per_grid < 1:
             raise ValueError("fft_len >= 2 and blocks_per_grid >= 1 required")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        # written so that NaN fails every check
         for name in ("knn_k", "elm_hidden", "rf_trees", "rf_depth"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if len(self.leds) < 3:
+            raise ValueError(f"rssr needs at least 3 LEDs, got {len(self.leds)}")
         freqs = [led.frequency for led in self.leds]
         if len(set(freqs)) != len(freqs):
             raise ValueError("LED tone frequencies must be distinct")
-        if not self.channel.sample_rate > 2.0 * max(freqs, default=0.0):
+        if not self.channel.sample_rate > 2.0 * max(freqs):
             raise ValueError(f"sample_rate {self.channel.sample_rate} Hz must exceed twice "
                              f"the highest tone ({max(freqs)} Hz)")
         # classifiers and RSS columns follow ascending tone order
         object.__setattr__(
             self, "leds", tuple(sorted(self.leds, key=lambda led: led.frequency))
         )
-        for kind, names, known in (("method", self.methods, ALL_METHODS),
-                                   ("classifier", self.classifier_order, SINGLE_CLASSIFIERS)):
-            for i, name in enumerate(names):
-                if name not in known:
-                    raise ValueError(f"unknown {kind} {name!r}")
-                if name in names[:i]:
-                    raise ValueError(f"{kind} {name!r} is listed twice")
-        for m in self.methods:
-            if m in SINGLE_CLASSIFIERS and m not in self.classifier_order:
-                raise ValueError(f"method {m!r} requires classifier {m!r} in classifier_order")
-        if (METHOD_GI in self.methods or METHOD_GD in self.methods) and not self.classifier_order:
-            raise ValueError("fusion methods need at least one classifier")
-        if METHOD_RSSR in self.methods and len(self.leds) < 3:
-            raise ValueError("rssr needs at least 3 LEDs")
 
     @property
     def grid_coords(self) -> np.ndarray:
@@ -174,15 +166,14 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class ResultTable:
     """Per-query records of the online split: the query columns every method
-    shares, each method's (n, 2) estimates, and the run's GI-LS and GD-LS
-    fits (None when that method was not requested)."""
+    shares, each method's (n, 2) estimates, and the run's GI-LS and GD-LS fits."""
 
-    methods: tuple[str, ...]
+    methods: ClassVar[tuple[str, ...]] = ALL_METHODS
     grid_index: np.ndarray  # (n,) true grid of each query
     truth: np.ndarray       # (n, 2)
     est: dict[str, np.ndarray]
-    gi: fusion.FusionWeights | None = None
-    gd: fusion.FusionWeights | None = None
+    gi: fusion.FusionWeights
+    gd: fusion.FusionWeights
 
     def errors(self, method: str) -> np.ndarray:
         return np.sqrt(((self.est[method] - self.truth) ** 2).sum(axis=1))
@@ -200,8 +191,6 @@ class ResultTable:
 
     def equals(self, other: "ResultTable") -> bool:
         """Bit-exact comparison of every record (determinism audits)."""
-        if self.methods != other.methods:
-            return False
         shared = ("grid_index", "truth")
         if not all(np.array_equal(getattr(self, f), getattr(other, f)) for f in shared):
             return False
@@ -252,27 +241,20 @@ def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
 
 
 def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet):
-    built = []
-    for kind in plan.classifier_order:
-        if kind == METHOD_KNN:
-            built.append(KnnClassifier(train_set, plan.knn_k))
-        elif kind == METHOD_ELM:
-            built.append(ElmClassifier(train_set, plan.elm_hidden, _seed(plan, _SEED_ELM)))
-        elif kind == METHOD_RF:
-            built.append(RandomForest(train_set, plan.rf_trees, plan.rf_depth,
-                                      _seed(plan, _SEED_RF)))
-    return built
+    """The trained classifiers, in SINGLE_CLASSIFIERS order."""
+    return [KnnClassifier(train_set, plan.knn_k),
+            ElmClassifier(train_set, plan.elm_hidden, _seed(plan, _SEED_ELM)),
+            RandomForest(train_set, plan.rf_trees, plan.rf_depth, _seed(plan, _SEED_RF))]
 
 
 def run_experiment(plan: ExperimentPlan,
                    db: spectral.FingerprintDB | None = None) -> ResultTable:
-    """Execute the full protocol once and score every requested method.
+    """Execute the full protocol once and score every method.
 
     When db is given it replaces the synthesized site survey (it must match
     the plan geometry); otherwise the run synthesizes its own.
     """
     coords = plan.grid_coords
-    needs_clf = bool(set(plan.methods) & {*SINGLE_CLASSIFIERS, METHOD_GI, METHOD_GD})
 
     if db is not None:
         _check_db_matches(plan, db)
@@ -287,50 +269,38 @@ def run_experiment(plan: ExperimentPlan,
         mean_fps = db.rss[:, tr_idx, :].mean(axis=1)
 
     with _stage("train"):
-        clfs = _build_classifiers(plan, train_set) if needs_clf else []
-        matcher = (KnnClassifier(TrainSet(mean_fps, np.arange(coords.shape[0]), coords), 1)
-                   if {METHOD_GD, METHOD_MATCH} & set(plan.methods) else None)
+        clfs = _build_classifiers(plan, train_set)
+        matcher = KnnClassifier(TrainSet(mean_fps, np.arange(coords.shape[0]), coords), 1)
 
-    gi = gd = None
     with _stage("fusion-fit"):
-        if METHOD_GI in plan.methods or METHOD_GD in plan.methods:
-            off_q, off_labels, off_truth = _flatten_split(db, off_idx)
-            off_pred = fusion.build_prediction_matrix(clfs, off_q)
-            if METHOD_GI in plan.methods:
-                gi = fusion.gi_ls_fit(off_pred, off_truth)
-            if METHOD_GD in plan.methods:
-                gd = fusion.gd_ls_fit(off_pred, off_labels, coords)
+        off_q, off_labels, off_truth = _flatten_split(db, off_idx)
+        off_pred = fusion.build_prediction_matrix(clfs, off_q)
+        gi = fusion.gi_ls_fit(off_pred, off_truth)
+        gd = fusion.gd_ls_fit(off_pred, off_labels, coords)
 
     with _stage("evaluate"):
         on_q, on_labels, on_truth = _flatten_split(db, on_idx)
-        on_pred = fusion.build_prediction_matrix(clfs, on_q) if needs_clf else None
-        nearest = matcher.predict_labels(on_q) if matcher is not None else None
-        est = {m: _estimate(plan, m, on_q, on_pred, nearest, coords, gi, gd)
-               for m in plan.methods}
+        on_pred = fusion.build_prediction_matrix(clfs, on_q)
+        nearest = matcher.predict_labels(on_q)
+        est = _estimate(plan, on_q, on_pred, nearest, coords, gi, gd)
 
-    return ResultTable(methods=tuple(plan.methods), grid_index=on_labels, truth=on_truth,
-                       est=est, gi=gi, gd=gd)
+    return ResultTable(grid_index=on_labels, truth=on_truth, est=est, gi=gi, gd=gd)
 
 
-def _estimate(plan, method, on_q, on_pred, nearest, coords, gi, gd) -> np.ndarray:
-    if method in SINGLE_CLASSIFIERS:
-        return on_pred[:, :, plan.classifier_order.index(method)].T
-    if method == METHOD_GI:
-        return fusion.gi_ls_predict_all(gi, on_pred)
-    if method == METHOD_GD:
-        return fusion.gd_ls_predict_all(gd, nearest, on_pred)
-    if method == METHOD_MATCH:
-        return coords[nearest]
-    if method == METHOD_RSSR:
-        solver = baselines.RssrSolver(plan.rssr_config())
-        # PSD peaks are squared electrical amplitudes; the optical power the
-        # ratio model expects is their square root, i.e. 10^(dB/20)
-        linear = 10.0 ** (on_q / 20.0)
-        est = np.empty((on_q.shape[0], 2))
-        for r in range(on_q.shape[0]):
-            est[r] = solver.locate(linear[r])
-        return est
-    raise ValueError(f"unknown method {method!r}")
+def _estimate(plan, on_q, on_pred, nearest, coords, gi, gd) -> dict[str, np.ndarray]:
+    """{method: (n, 2) estimates} in ALL_METHODS order."""
+    est = {m: on_pred[:, :, c].T for c, m in enumerate(SINGLE_CLASSIFIERS)}
+    est[METHOD_GI] = fusion.gi_ls_predict_all(gi, on_pred)
+    est[METHOD_GD] = fusion.gd_ls_predict_all(gd, nearest, on_pred)
+    est[METHOD_MATCH] = coords[nearest]
+    solver = baselines.RssrSolver(plan.rssr_config())
+    # PSD peaks are squared electrical amplitudes; the optical power the
+    # ratio model expects is their square root, i.e. 10^(dB/20)
+    linear = 10.0 ** (on_q / 20.0)
+    est[METHOD_RSSR] = rssr = np.empty((on_q.shape[0], 2))
+    for r in range(on_q.shape[0]):
+        rssr[r] = solver.locate(linear[r])
+    return est
 
 
 def _check_db_matches(plan: ExperimentPlan, db: spectral.FingerprintDB):

@@ -5,25 +5,27 @@ import pytest
 
 from vlcloc import cli, config
 from vlcloc.channel import LedConfig
-from vlcloc.experiment import ExperimentPlan, SplitRatios
+from vlcloc.experiment import ALL_METHODS, ExperimentPlan, SplitRatios
 
 
 def minimal_config() -> dict:
-    """Only the required keys."""
+    """Only the required keys, with the 3 LEDs every run needs."""
     return {
         "geometry": {"grid": {"q": 3, "spacing_m": 0.05},
-                     "leds": [{"position_m": [1.0, 0.5, 1.5], "frequency_hz": 8e5}]},
+                     "leds": [{"position_m": [1.0, 0.5, 1.5], "frequency_hz": 8e5},
+                              {"position_m": [-1.0, 0.5, 1.5], "frequency_hz": 7e5},
+                              {"position_m": [1.0, -0.5, 1.5], "frequency_hz": 7.5e5}]},
         "channel": {"semi_angle_deg": 22.0, "pd_area_m2": 1e-4, "noise_std": 0.0,
                     "sample_rate_hz": 4e6},
         "spectral": {"fft_len": 2000, "blocks_per_grid": 20},
-        "run": {"methods": ["knn"], "seed": 1},
+        "run": {"seed": 1},
     }
 
 
 def test_omitted_keys_take_the_dataclass_defaults():
     plan = config.plan_from_config(minimal_config())
     set_by_config = {"leds", "channel", "grid_q", "grid_spacing", "fft_len",
-                     "blocks_per_grid", "methods", "seed"}
+                     "blocks_per_grid", "seed"}
     for f in dataclasses.fields(ExperimentPlan):
         if f.name not in set_by_config:
             assert getattr(plan, f.name) == f.default, f.name
@@ -102,10 +104,11 @@ CONFIG_ERRORS = {
     "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0),
                          "channel.semi_angle_deg: must be in (0, 90)"),
     "shuffle": (_set_in("split", "shuffle", "yes"), "split.shuffle: expected a boolean"),
-    "classifier-order": (_set_in("classifiers", "order", ["svm"]),
-                         "classifiers.order: expected a list drawn from knn/elm/rf"),
     "rf-depth": (_set_in("classifiers", "rf", "depth", 0), "classifiers.rf.depth: must be >= 1"),
-    "methods": (_set_in("run", "methods", ["magic"]), "run.methods: expected a non-empty list"),
+    # classifiers.order and run.methods are retired: any value is an unknown key
+    "classifier-order": (_set_in("classifiers", "order", ["svm"]),
+                         "classifiers: unknown keys ['order']"),
+    "methods": (_set_in("run", "methods", ["magic"]), "run: unknown keys ['methods']"),
     "seed": (_set_in("run", "seed", -1), "run.seed: must be >= 0"),
     # the table1 section is retired: any table1 content is now an unknown top-level key
     "table1-fft-lens": (_set_in("table1", "fft_lens", [1]), "config: unknown keys ['table1']"),
@@ -150,6 +153,9 @@ RETIRED_KEYS = {
     "rssr.margin_m": (_set_in("rssr", "margin_m", 0.05), "config: unknown keys ['rssr']"),
     "run.cdf_max_m": (_set_in("run", "cdf_max_m", 0.25), "run: unknown keys ['cdf_max_m']"),
     "run.cdf_step_m": (_set_in("run", "cdf_step_m", 0.0025), "run: unknown keys ['cdf_step_m']"),
+    "run.methods": (_set_in("run", "methods", list(ALL_METHODS)), "run: unknown keys ['methods']"),
+    "classifiers.order": (_set_in("classifiers", "order", ["knn", "elm", "rf"]),
+                          "classifiers: unknown keys ['order']"),
 }
 
 
@@ -169,21 +175,20 @@ def test_retired_key_exits_2_before_any_work(tmp_path, capsys, key):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("section, key, names, prefix", [
-    ("run", "methods", ["knn", "knn", "gi-ls"], "method 'knn' is listed twice"),
-    ("classifiers", "order", ["knn", "knn", "elm", "rf"], "classifier 'knn' is listed twice"),
-])
-def test_repeated_method_or_classifier_exits_2_before_any_work(tmp_path, capsys, section,
-                                                               key, names, prefix):
+@pytest.mark.parametrize("count", [1, 2])
+def test_fewer_than_3_leds_exits_2_for_each_command(tmp_path, capsys, count):
     cfg = minimal_config()
-    cfg["run"]["methods"] = ["knn", "gi-ls"]
-    cfg.setdefault(section, {})[key] = names
+    del cfg["geometry"]["leds"][count:]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert cli.main(["evaluate", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
-    assert not out.exists()
+    for argv in (["simulate", "--out", str(out)], ["evaluate", "--out", str(out)], ["table1"]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(
+            f"config error: rssr needs at least 3 LEDs, got {count}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("contents, prefix", [
@@ -216,7 +221,7 @@ def test_seed_option_is_an_argparse_error_for_each_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("rate", [1.6e6, 1e6])
 def test_tone_at_or_above_nyquist_exits_2_for_each_command(tmp_path, capsys, rate):
-    cfg = minimal_config()  # one 800 kHz tone
+    cfg = minimal_config()  # tones up to 800 kHz
     cfg["channel"]["sample_rate_hz"] = rate
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

@@ -153,7 +153,6 @@ def simulate(tmp_path, cfg) -> tuple[str, str]:
 def test_noise_free_rss_match_is_exact():
     cfg = tiny_config()
     cfg["channel"]["noise_std"] = 0.0
-    cfg["run"]["methods"] = ["rss-match"]
     table = experiment.run_experiment(config.plan_from_config(cfg))
     assert table.errors("rss-match").size == 9 * 4
     assert np.all(table.errors("rss-match") == 0.0)
@@ -204,15 +203,6 @@ def test_evaluate_rejects_a_plan_it_cannot_split_or_train_before_any_work(
         printed = capsys.readouterr()
         assert printed.out == "" and printed.err.startswith(f"config error: {message}")
         assert not os.path.exists(out / "results.csv")
-
-
-def test_knn_k_is_not_checked_when_knn_is_not_a_classifier(tmp_path):
-    cfg = tiny_config()
-    cfg["classifiers"]["knn"]["k"] = 500
-    cfg["classifiers"]["order"] = ["elm", "rf"]
-    cfg["run"]["methods"] = ["elm", "gi-ls"]
-    cfg_path = write_config(tmp_path, cfg)
-    assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_db_with_another_block_count_is_a_synthesize_error(tmp_path, capsys):
@@ -284,7 +274,6 @@ def test_each_stage_tags_its_failure(tmp_path, capsys, monkeypatch, stage):
 def test_noise_free_equal_gain_rssr_is_exact_end_to_end():
     cfg = tiny_config()
     cfg["channel"]["noise_std"] = 0.0
-    cfg["run"]["methods"] = ["rssr"]
     for led in cfg["geometry"]["leds"]:
         led["gain"] = 1000.0
     table = experiment.run_experiment(config.plan_from_config(cfg))
@@ -359,20 +348,24 @@ def test_weights_csv_holds_the_run_gi_and_gd_fits(tmp_path):
 
 
 def test_cdf_csv_thresholds_are_0_to_25_cm_in_steps_of_2_5_mm(tmp_path):
-    cfg = tiny_config()
-    cfg["run"]["methods"] = ["knn", "rss-match"]
-    cfg_path = write_config(tmp_path, cfg)
+    cfg_path = write_config(tmp_path, tiny_config())
     assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     with open(tmp_path / "out" / "cdf.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["method", "threshold_m", "fraction"]
     want = [format(i / 400, ".9g") for i in range(101)]
     assert want[:3] == ["0", "0.0025", "0.005"] and want[-1] == "0.25"
-    for k, method in enumerate(cfg["run"]["methods"]):
+    assert len(experiment.ALL_METHODS) == 7
+    for k, method in enumerate(experiment.ALL_METHODS):
         block = rows[1 + 101 * k : 1 + 101 * (k + 1)]
         assert [r[0] for r in block] == [method] * 101
         assert [r[1] for r in block] == want
-    assert len(rows) == 1 + 2 * 101
+    assert len(rows) == 1 + 7 * 101
+    # results.csv: 9 grids x 4 online blocks per method, in the same order
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        methods = [r[0] for r in csv.reader(fh)]
+    assert methods == ["method", *(m for m in experiment.ALL_METHODS for _ in range(9 * 4))]
+    assert (tmp_path / "out" / "weights.csv").is_file()
 
 
 def test_split_counts_are_exact_for_whole_percent_fractions():
@@ -389,7 +382,7 @@ def test_split_counts_are_exact_for_whole_percent_fractions():
 NAN = math.nan
 H = [0.0, 0.0, 1.0]
 
-# field -> a call that passes NaN (or an out-of-range value) to that field
+# field -> a call that passes NaN (or an out-of-range or non-integer value) to that field
 BAD_FIELDS = {
     "LedConfig.position": lambda: LedConfig([0.0, 0.0, NAN], 8e5),
     "LedConfig.frequency": lambda: LedConfig(H, NAN),
@@ -404,21 +397,17 @@ BAD_FIELDS = {
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
     "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()), grid_spacing=NAN),
-    **{f"ExperimentPlan.{name}={value}": functools.partial(
+    **{f"ExperimentPlan.{name}={value!r}": functools.partial(
         lambda name, value: dataclasses.replace(
             config.plan_from_config(tiny_config()), **{name: value}), name, value)
-       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0)]},
+       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0),
+                           # counts that are not integers, bools included
+                           ("grid_q", 2.5), ("fft_len", 2000.5), ("blocks_per_grid", 3.5),
+                           ("knn_k", True), ("elm_hidden", 600.0), ("rf_trees", "40"),
+                           ("rf_depth", 2.5), ("seed", 1.5), ("seed", False)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
     "PdPose.y": lambda: PdPose.at(0.0, math.inf),
 }
-
-
-@pytest.mark.parametrize("field, names", [("methods", ("knn", "knn", "gi-ls")),
-                                          ("classifier_order", ("knn", "knn", "elm", "rf"))])
-def test_plan_rejects_a_repeated_method_or_classifier(field, names):
-    plan = config.plan_from_config(tiny_config())
-    with pytest.raises(ValueError, match="'knn' is listed twice"):
-        dataclasses.replace(plan, **{field: names})
 
 
 @pytest.mark.parametrize("field", sorted(BAD_FIELDS))
@@ -445,11 +434,11 @@ def test_results_csv_equals_the_csv_writer_text(tmp_path, monkeypatch):
     edge = np.array([-0.0, 1e-10, 1e21, 3.0, -2.0, 0.1, 123456789.0, 1.0 / 3.0])
     truth = np.column_stack([edge, edge[::-1]])
     table = experiment.ResultTable(
-        methods=("knn", "gi-ls", "rss-match"),
         grid_index=np.array([0, 5, 12, 224, 3, 3, 7, 0]),
         truth=truth,
-        est={"knn": truth.copy(), "gi-ls": truth + rng.normal(size=truth.shape),
-             "rss-match": -truth})
+        est={m: (truth.copy(), truth + rng.normal(size=truth.shape), -truth)[k % 3]
+             for k, m in enumerate(experiment.ALL_METHODS)},
+        gi=None, gd=None)
     _csv_writer_results(table, tmp_path / "rows.csv")
     for chunk in (cli._CSV_CHUNK_ROWS, 3):  # 3: 8 rows per method in chunks of 3, 3 and 2
         monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)

@@ -250,17 +250,16 @@ class TestBuildFingerprints:
 
 
 def pipeline_mean_fingerprints(rss, split):
-    """The per-grid mean fingerprints run_experiment hands its k = 1 matcher
-    to select GD-LS weights (rss-match uses the same labels), for a DB of
-    these (4, Q, 4) RSS values on a 2 x 2 grid. The matcher is the k = 1
-    KnnClassifier with G rows labelled 0..G-1; the KNN method runs with
-    k = 2, so its training rows are not taken for it."""
+    """The per-grid mean fingerprints a full run_experiment hands its k = 1
+    matcher to select GD-LS weights (rss-match uses the same labels), for a
+    DB of these (4, Q, 4) RSS values on a 2 x 2 grid. The matcher is the
+    k = 1 KnnClassifier with G rows labelled 0..G-1; the KNN method runs
+    with k = 2, so its training rows are not taken for it."""
     cfg = config.benchmark_config()
     cfg["geometry"]["grid"]["q"] = 2
     cfg["spectral"]["blocks_per_grid"] = rss.shape[1]
     cfg["split"] = dict(zip(("train", "offline", "online"), split))
-    cfg["classifiers"] = {"order": ["knn"], "knn": {"k": 2}}
-    cfg["run"]["methods"] = ["gd-ls"]
+    cfg["classifiers"]["knn"]["k"] = 2
     plan = config.plan_from_config(cfg)
     db = FingerprintDB(plan.grid_coords, rss, plan.tones, plan.fft_len, plan.channel.sample_rate)
     seen = []
