@@ -32,11 +32,11 @@ class RssrConfig:
             raise ValueError("LED positions must be finite")
         if len(np.unique(pos, axis=0)) != pos.shape[0]:
             raise ValueError("LED positions must be distinct")
-        if not self.lambertian_order > 0.0:
-            raise ValueError("lambertian_order must be positive")
+        if not 0.0 < self.lambertian_order < math.inf:
+            raise ValueError("lambertian_order must be positive and finite")
         (x0, x1), (y0, y1) = self.bounds
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("bounds must span a non-empty rectangle")
+        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
+            raise ValueError("bounds must span a finite, non-empty rectangle")
         object.__setattr__(self, "led_positions", pos)
 
 

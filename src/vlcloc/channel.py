@@ -74,14 +74,14 @@ class ChannelParams:
     sample_rate: float           # Hz
 
     def __post_init__(self):
-        if not self.lambertian_order > 0.0:
-            raise ValueError("lambertian_order must be positive")
-        if not self.pd_area > 0.0:
-            raise ValueError("pd_area must be positive")
-        if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be non-negative")
-        if not self.sample_rate > 0.0:
-            raise ValueError("sample_rate must be positive")
+        if not 0.0 < self.lambertian_order < math.inf:
+            raise ValueError("lambertian_order must be positive and finite")
+        if not 0.0 < self.pd_area < math.inf:
+            raise ValueError("pd_area must be positive and finite")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be non-negative and finite")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -459,22 +459,6 @@ class ElmClassifier(_GridClassifier):
         return np.argmax(scores, axis=1)  # argmax: lower label wins ties
 
 
-class FlatTree(NamedTuple):
-    """One tree as preorder node arrays; node 0 is the root.
-
-    An internal node sends a query to `left` when its value of `feature` is
-    <= `threshold`, else to `right`, and has label -1. A leaf has feature -1,
-    threshold nan and its own index as both children, so `depth` routing
-    steps bring every query to its leaf.
-    """
-
-    feature: np.ndarray    # (nodes,) int
-    threshold: np.ndarray  # (nodes,) float
-    left: np.ndarray       # (nodes,) int
-    right: np.ndarray      # (nodes,) int
-    label: np.ndarray      # (nodes,) int
-
-
 # Margin on the screening tolerance, on top of a bound that is already worst case.
 _SCREEN_SAFETY = 4.0
 
@@ -582,6 +566,16 @@ class RandomForest(_GridClassifier):
     partitions those orders stably, so the rows of a node stay sorted by
     (value, bootstrap row) and no node sorts again. Query row blocks
     (predict_labels) bound the vote arrays and cannot change a label.
+
+    Layout. All trees share four node arrays, `feature`, `threshold`,
+    `child` and `label`; `roots` holds each tree's first node. Trees are
+    grown one after another, each depth first and left before right, and a
+    split appends its two children as adjacent slots: a query at node i goes
+    to child[i] when its value of feature[i] is <= threshold[i], else to
+    child[i] + 1. An internal node has label -1. A leaf has feature -1,
+    threshold +inf and itself as its child, so every finite query stays
+    there, and `depth` routing steps bring all queries of all trees to
+    their leaves at once.
     """
 
     def __init__(self, train: TrainSet, trees: int, depth: int, seed):
@@ -601,27 +595,28 @@ class RandomForest(_GridClassifier):
         ranks = np.empty((m, n), dtype=np.min_scalar_type(n))
         for f in range(m):
             ranks[f] = np.unique(x[:, f], return_inverse=True)[1]
-        self.tree_arrays: list[FlatTree] = []
+        slots = []  # one (feature, threshold, child, label) per node
+        roots = []
         for _ in range(trees):
             boot = rng.integers(0, n, n)
             order = np.argsort(ranks[:, boot], axis=1, kind="stable")
-            self.tree_arrays.append(
-                self._build_tree(x[boot].T.copy(), y[boot], order, rng, xlog2x))
+            roots.append(self._grow_tree(x[boot].T.copy(), y[boot], order, rng, xlog2x, slots))
+        self.feature, self.threshold, self.child, self.label = map(np.array, zip(*slots))
+        self.roots = np.array(roots)
 
-    def _build_tree(self, cols: np.ndarray, y: np.ndarray, order: np.ndarray,
-                    rng: np.random.Generator, xlog2x: np.ndarray) -> FlatTree:
-        """Grow one tree from (M, n) feature columns and their per-feature
-        stable sort orders, depth first and left before right: the order in
-        which nodes draw their candidate features."""
+    def _grow_tree(self, cols: np.ndarray, y: np.ndarray, order: np.ndarray,
+                   rng: np.random.Generator, xlog2x: np.ndarray, slots: list) -> int:
+        """Grow one tree into slots from (M, n) feature columns and their
+        per-feature stable sort orders; returns its root. Depth first and
+        left before right: the order in which nodes draw their candidate
+        features."""
         m = cols.shape[0]
-        feature, threshold, left, right, label = [], [], [], [], []
-        # (row orders (M, rows) sorted per feature, depth left, parent, child list to link)
-        stack = [(order, self.depth, -1, left)]
+        root = len(slots)
+        slots.append(None)
+        # (row orders (M, rows) sorted per feature, depth left, slot)
+        stack = [(order, self.depth, root)]
         while stack:
-            order, depth_left, parent, link = stack.pop()
-            node = len(label)
-            if parent >= 0:
-                link[parent] = node
+            order, depth_left, node = stack.pop()
             counts = np.bincount(y[order[0]])
             best_gain, best_feat, best_thr = 0.0, -1, math.nan
             if depth_left > 0 and order.shape[1] >= 2 and np.count_nonzero(counts) > 1:
@@ -632,38 +627,24 @@ class RandomForest(_GridClassifier):
                     if gain > best_gain:
                         best_gain, best_feat, best_thr = gain, int(f), thr
             if best_feat < 0:
-                feature.append(-1)
-                threshold.append(math.nan)
-                left.append(node)
-                right.append(node)
-                label.append(int(np.argmax(counts)))
+                slots[node] = (-1, math.inf, node, int(np.argmax(counts)))
                 continue
-            feature.append(best_feat)
-            threshold.append(best_thr)
-            left.append(-1)
-            right.append(-1)
-            label.append(-1)
+            pair = len(slots)
+            slots[node] = (best_feat, best_thr, pair, -1)
+            slots += [None, None]
             go_left = (cols[best_feat] <= best_thr)[order]
-            stack.append((order[~go_left].reshape(m, -1), depth_left - 1, node, right))
-            stack.append((order[go_left].reshape(m, -1), depth_left - 1, node, left))
-        return FlatTree(np.array(feature), np.array(threshold), np.array(left),
-                        np.array(right), np.array(label))
+            stack.append((order[~go_left].reshape(m, -1), depth_left - 1, pair + 1))
+            stack.append((order[go_left].reshape(m, -1), depth_left - 1, pair))
+        return root
 
     def _tree_labels(self, q: np.ndarray) -> np.ndarray:
-        """(trees, n) per-tree labels of a finite (n, M) query matrix."""
-        n = q.shape[0]
-        by_feature = q.T.ravel()  # value of (query i, feature f) at f * n + i
-        rows = np.arange(n)
-        all_labels = np.empty((len(self.tree_arrays), n), dtype=int)
-        for t, tree in enumerate(self.tree_arrays):
-            children = np.column_stack([tree.right, tree.left]).ravel()  # 2 * node + went_left
-            offset = tree.feature * n  # a leaf's -n reads a valid value its nan threshold ignores
-            node = np.zeros(n, dtype=int)
-            for _ in range(self.depth):
-                went_left = by_feature[offset[node] + rows] <= tree.threshold[node]
-                node = children[2 * node + went_left]
-            all_labels[t] = tree.label[node]
-        return all_labels
+        """(trees, n) per-tree labels of a finite (n, M) query matrix: one
+        (trees, n) node matrix takes `depth` routing steps."""
+        rows = np.arange(q.shape[0])
+        node = self.roots[:, np.newaxis]  # broadcast to (trees, n) by the first step
+        for _ in range(self.depth):  # a leaf's feature -1 reads a finite value, never > +inf
+            node = self.child[node] + (q[rows, self.feature[node]] > self.threshold[node])
+        return self.label[node]
 
     def _block_labels(self, q: np.ndarray) -> np.ndarray:
         per_tree = self._tree_labels(q)

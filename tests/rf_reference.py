@@ -85,7 +85,7 @@ def tree_labels(forest, queries) -> np.ndarray:
 @dataclass
 class Node:
     feature: int = -1
-    threshold: float = math.nan
+    threshold: float = math.inf
     left: "Node | None" = None
     right: "Node | None" = None
     label: int = -1
@@ -124,21 +124,34 @@ def reference_forest(train, trees: int, depth: int, seed) -> list[Node]:
     return roots
 
 
-def preorder(root: Node) -> tuple[np.ndarray, ...]:
-    """(feature, threshold, left, right, label) of every node, root first and
-    left before right; a leaf's children are its own index."""
-    rows = []
+def forest_arrays(roots: list[Node]) -> tuple[np.ndarray, ...]:
+    """(feature, threshold, child, label, roots) of the trees laid out as
+    RandomForest lays its nodes out: tree after tree, each depth first and
+    left before right, a split's children in two adjacent slots from child;
+    a leaf is its own child."""
+    rows, starts = [], []
 
-    def visit(node: Node) -> int:
-        i = len(rows)
-        rows.append([node.feature, node.threshold, i, i, node.label])
+    def visit(node: Node, i: int):
+        pair = i if node.label >= 0 else len(rows)
+        rows[i] = [node.feature, node.threshold, pair, node.label]
         if node.label < 0:
-            rows[i][2] = visit(node.left)
-            rows[i][3] = visit(node.right)
-        return i
+            rows.extend([None, None])
+            visit(node.left, pair)
+            visit(node.right, pair + 1)
 
-    visit(root)
-    return tuple(np.array(col) for col in zip(*rows))
+    for root in roots:
+        starts.append(len(rows))
+        rows.append(None)
+        visit(root, starts[-1])
+    return (*(np.array(col) for col in zip(*rows)), np.array(starts))
+
+
+def assert_same_forest(forest, roots: list[Node]):
+    """forest's node arrays equal forest_arrays(roots), array for array."""
+    got = (forest.feature, forest.threshold, forest.child, forest.label, forest.roots)
+    for name, g, w in zip(("feature", "threshold", "child", "label", "roots"), got,
+                          forest_arrays(roots)):
+        np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 def route(root: Node, query: np.ndarray) -> int:

@@ -7,14 +7,15 @@ script builds that workload's config with `workloads.workload_config`, pins
 the BLAS threads as the benchmark does, and in a temporary directory runs
 `vlcloc simulate` and, for the evaluate workloads, `vlcloc evaluate --db`.
 Around every call of the entry points that can set the peak (the survey,
-`load_fingerprints`, each classifier's fit and `predict_labels`,
-`_write_results_csv`) it prints VmHWM and VmRSS from /proc/self/status
-before and after, in MB, and the minor page faults the call took: the
-`ru_minflt` delta of `resource.getrusage(RUSAGE_SELF)`, which counts this
-process only (no child). VmHWM only grows, so the call that raises it last
-sets the process peak. Unlike a bench worker's `ru_maxrss`, which on Linux
-carries over the high-water mark of the process image that exec replaced,
-VmHWM belongs to this process alone.
+`load_fingerprints`, each classifier's fit and `predict_labels`, the GI-LS
+and GD-LS fits, `experiment._estimate`, `_write_results_csv`) it prints
+VmHWM and VmRSS from /proc/self/status before and after, in MB, and the
+minor page faults the call took: the `ru_minflt` delta of
+`resource.getrusage(RUSAGE_SELF)`, which counts this process only (no
+child). VmHWM only grows, so the call that raises it last sets the process
+peak. Unlike a bench worker's `ru_maxrss`, which on Linux carries over the
+high-water mark of the process image that exec replaced, VmHWM belongs to
+this process alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ if __name__ == "__main__":  # pin the threads before numpy loads its BLAS
     for _var in workloads.THREAD_VARS:
         os.environ.setdefault(_var, str(workloads.THREADS))
 
-from vlcloc import classifiers, cli, experiment, spectral  # noqa: E402
+from vlcloc import classifiers, cli, experiment, fusion, spectral  # noqa: E402
 
 
 def memory_mb() -> tuple[float, float]:
@@ -80,6 +81,9 @@ def probes(records: list):
 
     targets = [(experiment, "synthesize_fingerprint_db", False),
                (spectral, "load_fingerprints", False),
+               (fusion, "gi_ls_fit", False),
+               (fusion, "gd_ls_fit", False),
+               (experiment, "_estimate", False),
                (cli, "_write_results_csv", False)]
     for cls in (classifiers.KnnClassifier, classifiers.ElmClassifier, classifiers.RandomForest):
         targets.append((cls, "__init__", True))

@@ -96,6 +96,9 @@ def test_locate_rejects_bad_queries(query):
     ({"bounds": ((0.0, 1.0), (1.0, 0.0))}, "non-empty rectangle"),
     ({"bounds": ((0.0, 1.0), (0.0, math.nan))}, "non-empty rectangle"),
     ({"led_positions": np.vstack([[math.nan, 0.0, 1.5], LEDS[1:]])}, "finite"),
+    ({"lambertian_order": math.inf}, "lambertian_order"),
+    ({"bounds": ((0.0, math.inf), (0.0, 1.0))}, "finite, non-empty rectangle"),
+    ({"bounds": ((0.0, 1.0), (-math.inf, 1.0))}, "finite, non-empty rectangle"),
 ])
 def test_rssr_config_rejects_each_bad_field(kwargs, message):
     fields = {"lambertian_order": 1.0, "led_positions": LEDS, "bounds": BENCH_CFG.bounds}

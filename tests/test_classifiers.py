@@ -737,9 +737,7 @@ def test_cut_between_inseparable_neighbours_keeps_both_children(lo, hi):
     train = TrainSet(values[:, np.newaxis], labels, np.array([[0.0, 0.0], [1.0, 0.0]]))
     forest = RandomForest(train, trees=5, depth=2, seed=0)
     roots = rf_reference.reference_forest(train, trees=5, depth=2, seed=0)
-    for tree, root in zip(forest.tree_arrays, roots):
-        for got, want in zip(tree, rf_reference.preorder(root)):
-            np.testing.assert_array_equal(got, want)
+    rf_reference.assert_same_forest(forest, roots)
     np.testing.assert_array_equal(forest.predict_labels(values[:, np.newaxis]), labels)
 
 
@@ -756,14 +754,26 @@ class TestForestMatchesReference:
         train = TrainSet(feats, labels, rng.normal(size=(g, 2)))
         forest = RandomForest(train, trees=5, depth=6, seed=23)
         roots = rf_reference.reference_forest(train, trees=5, depth=6, seed=23)
-        assert len(forest.tree_arrays) == len(roots)
-        for tree, root in zip(forest.tree_arrays, roots):
-            for got, want in zip(tree, rf_reference.preorder(root)):
-                np.testing.assert_array_equal(got, want)  # nan thresholds compare equal
+        rf_reference.assert_same_forest(forest, roots)
         queries = centers[rng.integers(0, g, 400)] + rng.normal(size=(400, m))
-        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in forest.tree_arrays])
+        thresholds = forest.threshold[forest.feature >= 0]
         queries[:100] = rng.choice(thresholds, size=(100, m))  # values on a threshold go left
         want = np.array([[rf_reference.route(root, q) for q in queries] for root in roots])
         np.testing.assert_array_equal(tree_labels(forest, queries), want)
         np.testing.assert_array_equal(forest.predict_labels(queries),
                                       rf_reference.forest_labels(roots, queries, g))
+
+    def test_root_leaves_of_a_tiny_training_set(self):
+        # 3 rows, 2 classes: a third of the bootstrap samples hold one class,
+        # so their trees are one root leaf, its own child
+        train = TrainSet([[0.0], [1.0], [2.0]], [0, 1, 1], np.zeros((2, 2)))
+        forest = RandomForest(train, trees=12, depth=3, seed=5)
+        roots = rf_reference.reference_forest(train, trees=12, depth=3, seed=5)
+        rf_reference.assert_same_forest(forest, roots)
+        root_leaf = forest.child[forest.roots] == forest.roots
+        assert 0 < np.count_nonzero(root_leaf) < forest.trees
+        queries = np.array([[-1.0], [0.0], [0.5], [1.0], [2.0], [3.0]])
+        want = np.array([[rf_reference.route(root, q) for q in queries] for root in roots])
+        np.testing.assert_array_equal(tree_labels(forest, queries), want)
+        np.testing.assert_array_equal(forest.predict_labels(queries),
+                                      rf_reference.forest_labels(roots, queries, 2))

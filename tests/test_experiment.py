@@ -368,6 +368,29 @@ def test_cdf_csv_thresholds_are_0_to_25_cm_in_steps_of_2_5_mm(tmp_path):
     assert (tmp_path / "out" / "weights.csv").is_file()
 
 
+def test_every_one_step_miss_on_the_benchmark_grid_counts_within_one_step():
+    plan = config.plan_from_config(config.benchmark_config())
+    coords, q, step = plan.grid_coords, plan.grid_q, plan.grid_spacing
+    g = np.arange(q * q)
+    ix, iy = g % q, g // q
+    # every ordered pair of grid neighbours, along x and along y
+    pairs = [(g[ix < q - 1], g[ix < q - 1] + 1), (g[iy < q - 1], g[iy < q - 1] + q)]
+    truth_g = np.concatenate([a for a, b in pairs] + [b for a, b in pairs])
+    est_g = np.concatenate([b for a, b in pairs] + [a for a, b in pairs])
+    assert truth_g.size == 4 * q * (q - 1)
+    table = experiment.ResultTable(grid_index=truth_g, truth=coords[truth_g],
+                                   est={m: coords[est_g] for m in experiment.ALL_METHODS},
+                                   gi=None, gd=None)
+    err = table.errors("knn")
+    assert np.count_nonzero(err > step) > 0  # the rounding the rule absorbs
+    assert np.all(np.abs(err - step) < 1e-15)
+    at_step = experiment.CDF_THRESHOLDS.index(step)
+    for method in experiment.ALL_METHODS:
+        assert table.fraction_within(method, step) == 1.0
+        assert table.cdf(method)[at_step] == 1.0
+        assert table.cdf(method)[at_step - 1] == 0.0
+
+
 def test_split_counts_are_exact_for_whole_percent_fractions():
     assert SplitRatios(0.29, 0.21, 0.5).counts(100) == (29, 21, 50)
     assert SplitRatios(0.6, 0.2, 0.2).counts(200) == (120, 40, 40)
@@ -380,9 +403,10 @@ def test_split_counts_are_exact_for_whole_percent_fractions():
 
 
 NAN = math.nan
+INF = math.inf
 H = [0.0, 0.0, 1.0]
 
-# field -> a call that passes NaN (or an out-of-range or non-integer value) to that field
+# field -> a call that passes NaN (or an infinite, out-of-range or non-integer value) to that field
 BAD_FIELDS = {
     "LedConfig.position": lambda: LedConfig([0.0, 0.0, NAN], 8e5),
     "LedConfig.frequency": lambda: LedConfig(H, NAN),
@@ -392,6 +416,10 @@ BAD_FIELDS = {
     "ChannelParams.pd_area": lambda: ChannelParams(1.0, NAN, 0.0, 4e6),
     "ChannelParams.noise_std": lambda: ChannelParams(1.0, 1e-4, NAN, 4e6),
     "ChannelParams.sample_rate": lambda: ChannelParams(1.0, 1e-4, 0.0, NAN),
+    "ChannelParams.lambertian_order=inf": lambda: ChannelParams(INF, 1e-4, 0.0, 4e6),
+    "ChannelParams.pd_area=inf": lambda: ChannelParams(1.0, INF, 0.0, 4e6),
+    "ChannelParams.noise_std=inf": lambda: ChannelParams(1.0, 1e-4, INF, 4e6),
+    "ChannelParams.sample_rate=inf": lambda: ChannelParams(1.0, 1e-4, 0.0, INF),
     "SplitRatios.train": lambda: SplitRatios(NAN, 0.5, 0.5),
     "SplitRatios.offline": lambda: SplitRatios(0.5, NAN, 0.5),
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
@@ -404,7 +432,9 @@ BAD_FIELDS = {
                            # counts that are not integers, bools included
                            ("grid_q", 2.5), ("fft_len", 2000.5), ("blocks_per_grid", 3.5),
                            ("knn_k", True), ("elm_hidden", 600.0), ("rf_trees", "40"),
-                           ("rf_depth", 2.5), ("seed", 1.5), ("seed", False)]},
+                           ("rf_depth", 2.5), ("seed", 1.5), ("seed", False),
+                           # an infinite spacing, and one whose grid extent overflows at q = 3
+                           ("grid_spacing", INF), ("grid_spacing", 1e308)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
     "PdPose.y": lambda: PdPose.at(0.0, math.inf),
 }
@@ -452,9 +482,11 @@ def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):
     assert (tmp_path / "out" / "results.csv").exists()
     calls = ["KnnClassifier(k=5).fit", "ElmClassifier.fit", "RandomForest.fit",
              "KnnClassifier(k=1).fit"]
-    calls += ["KnnClassifier(k=5).predict_labels", "ElmClassifier.predict_labels",
-              "RandomForest.predict_labels"] * 2  # the offline, then the online rows
-    calls += ["KnnClassifier(k=1).predict_labels", "_write_results_csv"]
+    predicts = ["KnnClassifier(k=5).predict_labels", "ElmClassifier.predict_labels",
+                "RandomForest.predict_labels"]
+    calls += predicts + ["gi_ls_fit", "gd_ls_fit"]  # the offline rows, then the fits
+    calls += predicts + ["KnnClassifier(k=1).predict_labels", "_estimate"]  # the online rows
+    calls += ["_write_results_csv"]
     assert [r[0] for r in records] == ["synthesize_fingerprint_db", "load_fingerprints", *calls]
     assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1 and faults >= 0
                for _, hwm0, hwm1, rss0, rss1, faults in records)
