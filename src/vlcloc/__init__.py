@@ -9,7 +9,7 @@ from .classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
 from .fusion import (FusionWeights, LsFit, build_prediction_matrix, gd_ls_fit,
                      gd_ls_predict_all, gi_ls_fit, gi_ls_predict_all,
                      ls_svd_weights)
-from .baselines import RssrConfig, RssrSolver
+from .baselines import RssrSolver
 from .experiment import (ExperimentError, ExperimentPlan, ResultTable,
                          SplitRatios, run_experiment, rss_vs_fft_len,
                          synthesize_fingerprint_db)

@@ -6,38 +6,24 @@ r_i / r_j = (d_j / d_i)^(m+3) whenever the LEDs share the same effective
 drive level. Pairwise log-ratio residuals are minimized over candidate
 positions by an exhaustive area scan followed by three rounds of local
 quadratic refinement.
+
+The solver is built from the plan's own geometry: its LEDs, its channel's
+Lambertian order and its survey grid, whose extent plus SCAN_MARGIN is the
+scan area. The LED gains are deliberately ignored: RSSR is the paper's
+uncalibrated comparator, so unequal gains show up as its error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
+from .channel import ChannelParams, LedConfig
+
 SCAN_RESOLUTION = 0.01  # meters between cells of the area scan
-
-
-@dataclass(frozen=True)
-class RssrConfig:
-    lambertian_order: float
-    led_positions: np.ndarray              # (M, 3) meters
-    bounds: tuple[tuple[float, float], tuple[float, float]]  # ((xmin,xmax),(ymin,ymax))
-
-    def __post_init__(self):
-        pos = np.asarray(self.led_positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 3:
-            raise ValueError("need at least 3 LED positions of shape (M, 3)")
-        if not np.isfinite(pos).all():
-            raise ValueError("LED positions must be finite")
-        if len(np.unique(pos, axis=0)) != pos.shape[0]:
-            raise ValueError("LED positions must be distinct")
-        if not 0.0 < self.lambertian_order < math.inf:
-            raise ValueError("lambertian_order must be positive and finite")
-        (x0, x1), (y0, y1) = self.bounds
-        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
-            raise ValueError("bounds must span a finite, non-empty rectangle")
-        object.__setattr__(self, "led_positions", pos)
+SCAN_MARGIN = 0.05  # meters the area scan reaches beyond the survey grid
 
 
 class RssrSolver:
@@ -51,23 +37,33 @@ class RssrSolver:
     quadratic's (gx, gy, cxx, cyy, cxy). A query then costs one matvec over
     the scan grid plus, per round, nine objective values, one 5x9 matvec
     and a closed-form 2x2 Newton step.
+
+    LedConfig and ChannelParams already guarantee finite positions and a
+    positive, finite Lambertian order; the solver checks the rest: at least
+    3 LEDs at distinct positions and a finite, non-empty (G, 2) grid.
     """
 
-    def __init__(self, cfg: RssrConfig):
-        self.cfg = cfg
-        led = cfg.led_positions
+    def __init__(self, leds: Sequence[LedConfig], channel: ChannelParams, grid_coords):
+        if len(leds) < 3:
+            raise ValueError("RSSR needs at least 3 LED positions")
+        led = np.stack([x.position for x in leds])
         m = led.shape[0]
+        if len(np.unique(led, axis=0)) != m:
+            raise ValueError("LED positions must be distinct")
+        grid = np.asarray(grid_coords, dtype=float)
+        if grid.ndim != 2 or grid.shape[1] != 2 or grid.size == 0 or not np.isfinite(grid).all():
+            raise ValueError("the RSSR scan needs a finite, non-empty rectangle: "
+                             "grid_coords must be a finite (G, 2) array with G >= 1")
         self._i, self._j = np.triu_indices(m, 1)  # LED pairs i < j
         # (M, P) pair differences: (v @ diff)[p] = v[j_p] - v[i_p], exactly
         self._pair_diff = np.eye(m)[:, self._j] - np.eye(m)[:, self._i]
-        self._m3 = cfg.lambertian_order + 3.0
+        self._m3 = channel.lambertian_order + 3.0
         self._led_xy = led[:, :2].T.copy()   # (2, M)
         self._led_h2 = led[:, 2] ** 2
 
-        (x0, x1), (y0, y1) = cfg.bounds
         res = SCAN_RESOLUTION
-        xs = np.arange(x0, x1 + 0.5 * res, res)
-        ys = np.arange(y0, y1 + 0.5 * res, res)
+        xs, ys = (np.arange(lo - SCAN_MARGIN, hi + SCAN_MARGIN + 0.5 * res, res)
+                  for lo, hi in zip(grid.min(axis=0), grid.max(axis=0)))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self._cells = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         model = self._model_at(self._cells)
@@ -125,15 +121,18 @@ class RssrSolver:
                 c = c + (sx, sy)
         return c
 
-    def locate(self, query) -> np.ndarray:
-        """(x, y) from one query of linear received powers (one per LED, > 0).
+    def locate(self, fingerprint) -> np.ndarray:
+        """(x, y) from one fingerprint row: the RSS of each LED's tone in dB.
 
+        The RSS is a periodogram peak, a squared electrical amplitude, while
+        the ratio model wants the optical power, its square root: 10^(dB/20).
         Ratios cancel any common scale factor, so only relative levels matter.
         """
-        r = np.asarray(query, dtype=float)
-        if r.shape != (self.cfg.led_positions.shape[0],):
-            raise ValueError("query length must match the number of LEDs")
+        r = np.asarray(fingerprint, dtype=float)
+        if r.shape != (self._led_h2.size,):
+            raise ValueError("fingerprint length must match the number of LEDs")
+        r = 10.0 ** (r / 20.0)
         if not all(0.0 < v < math.inf for v in r.tolist()):
-            raise ValueError("RSSR needs strictly positive finite linear powers")
+            raise ValueError("RSSR needs finite RSS levels whose powers are positive and finite")
         log_ratios = np.log(r[self._i] / r[self._j])
         return self._refine(log_ratios, self._scan(log_ratios))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +150,7 @@ def _tone_basis(freq: tuple[float, ...], fs: float) -> np.ndarray:
 
 
 def synthesize_received(
-    leds: list[LedConfig],
+    leds: Sequence[LedConfig],
     pd: PdPose,
     params: ChannelParams,
     duration_samples: int,

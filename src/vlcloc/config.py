@@ -32,10 +32,10 @@ copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
 other config key sets it. Every run trains KNN, ELM and RF, in that order,
 and scores all seven methods (`experiment.ALL_METHODS`), so no key selects
 them; `geometry.leds` needs at least 3 LEDs, the fewest RSSR can locate
-with. Fixed parts of the method are module constants,
-not keys: the speed of light (`channel.SPEED_OF_LIGHT`), the RSSR scan
-resolution (`baselines.SCAN_RESOLUTION`) and margin, the LS-SVD rank cutoff
-(1e-10 * max(L, H) of sigma_max, in `fusion.ls_svd_weights`) and the
+with. Fixed parts of the method are module constants, not keys: the speed
+of light (`channel.SPEED_OF_LIGHT`), the RSSR scan resolution and margin
+(`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`), the LS-SVD rank
+cutoff (1e-10 * max(L, H) of sigma_max, in `fusion.ls_svd_weights`) and the
 error-CDF thresholds (`experiment.CDF_THRESHOLDS`).
 
 plan_from_config checks each key as it reads it and rejects unknown keys

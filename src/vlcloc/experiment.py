@@ -45,7 +45,6 @@ _SEED_TABLE = 4
 # rows of cdf.csv
 CDF_THRESHOLDS = tuple(np.round(np.arange(0.0, 0.25 + 0.5 * 0.0025, 0.0025), 9))
 _WITHIN_TOL = 1e-12  # meters an error may exceed a threshold and still count within it
-_RSSR_MARGIN = 0.05  # meters the RSSR scan reaches beyond the survey grid
 TABLE1_FFT_LENS = (2000, 4000, 6000, 8000)  # the columns of `vlcloc table1`
 
 
@@ -153,19 +152,6 @@ class ExperimentPlan:
     def tones(self) -> np.ndarray:
         return np.array([led.frequency for led in self.leds])
 
-    def rssr_config(self) -> baselines.RssrConfig:
-        coords = self.grid_coords
-        m = _RSSR_MARGIN
-        bounds = (
-            (coords[:, 0].min() - m, coords[:, 0].max() + m),
-            (coords[:, 1].min() - m, coords[:, 1].max() + m),
-        )
-        return baselines.RssrConfig(
-            lambertian_order=self.channel.lambertian_order,
-            led_positions=np.stack([led.position for led in self.leds]),
-            bounds=bounds,
-        )
-
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -182,7 +168,7 @@ class ResultTable:
 
     methods: ClassVar[tuple[str, ...]] = ALL_METHODS
     grid_index: np.ndarray  # (n,) true grid of each query
-    truth: np.ndarray       # (n, 2)
+    truth: np.ndarray       # (n, 2) plan.grid_coords[grid_index]
     est: dict[str, np.ndarray]
     gi: fusion.FusionWeights
     gd: fusion.FusionWeights
@@ -216,22 +202,21 @@ def _seed(plan: ExperimentPlan, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([plan.seed, 0, *path])
 
 
+def _survey(plan: ExperimentPlan, coords, fft_len: int, seeds) -> spectral.FingerprintDB:
+    """One noisy recording of blocks_per_grid fft_len-blocks per point of
+    coords, the g-th seeded by the g-th of the iterable seeds, fingerprinted."""
+    samples = plan.blocks_per_grid * fft_len
+    streams = (synthesize_received(plan.leds, PdPose.at(x, y), plan.channel, samples, seed)
+               for (x, y), seed in zip(coords, seeds))
+    return spectral.build_fingerprints(streams, coords, fft_len, plan.tones,
+                                       plan.channel.sample_rate)
+
+
 def synthesize_fingerprint_db(plan: ExperimentPlan) -> spectral.FingerprintDB:
     """Run the site survey: one noisy recording per grid point, fingerprinted."""
     coords = plan.grid_coords
-    samples = plan.blocks_per_grid * plan.fft_len
-
-    def streams():
-        for g in range(coords.shape[0]):
-            pd = PdPose.at(coords[g, 0], coords[g, 1])
-            yield synthesize_received(
-                list(plan.leds), pd, plan.channel, samples,
-                _seed(plan, _SEED_SYNTH, g),
-            )
-
-    return spectral.build_fingerprints(
-        streams(), coords, plan.fft_len, plan.tones, plan.channel.sample_rate
-    )
+    seeds = (_seed(plan, _SEED_SYNTH, g) for g in range(coords.shape[0]))
+    return _survey(plan, coords, plan.fft_len, seeds)
 
 
 def _split_indices(plan: ExperimentPlan, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,13 +229,10 @@ def _split_indices(plan: ExperimentPlan, q: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
-    """(queries, labels, truths) for the given block indices, grid-major."""
+    """(queries, grid labels) for the given block indices, grid-major."""
     g, _, m = db.rss.shape
-    picked = db.rss[:, block_idx, :]
-    queries = picked.reshape(g * block_idx.size, m)
-    labels = np.repeat(np.arange(g), block_idx.size)
-    truths = db.grid_coords[labels]
-    return queries, labels, truths
+    queries = db.rss[:, block_idx, :].reshape(g * block_idx.size, m)
+    return queries, np.repeat(np.arange(g), block_idx.size)
 
 
 def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet):
@@ -265,7 +247,8 @@ def run_experiment(plan: ExperimentPlan,
     """Execute the full protocol once and score every method.
 
     When db is given it replaces the synthesized site survey (it must match
-    the plan geometry); otherwise the run synthesizes its own.
+    the plan geometry); otherwise the run synthesizes its own. Truths and
+    estimates alike take their coordinates from plan.grid_coords.
     """
     coords = plan.grid_coords
 
@@ -277,7 +260,7 @@ def run_experiment(plan: ExperimentPlan,
 
     with _stage("split"):
         tr_idx, off_idx, on_idx = _split_indices(plan, db.blocks_per_grid)
-        train_q, train_labels, _ = _flatten_split(db, tr_idx)
+        train_q, train_labels = _flatten_split(db, tr_idx)
         train_set = TrainSet(train_q, train_labels, coords)
         mean_fps = db.rss[:, tr_idx, :].mean(axis=1)
 
@@ -286,18 +269,18 @@ def run_experiment(plan: ExperimentPlan,
         matcher = KnnClassifier(TrainSet(mean_fps, np.arange(coords.shape[0]), coords), 1)
 
     with _stage("fusion-fit"):
-        off_q, off_labels, off_truth = _flatten_split(db, off_idx)
+        off_q, off_labels = _flatten_split(db, off_idx)
         off_pred = fusion.build_prediction_matrix(clfs, off_q)
-        gi = fusion.gi_ls_fit(off_pred, off_truth)
+        gi = fusion.gi_ls_fit(off_pred, coords[off_labels])
         gd = fusion.gd_ls_fit(off_pred, off_labels, coords)
 
     with _stage("evaluate"):
-        on_q, on_labels, on_truth = _flatten_split(db, on_idx)
+        on_q, on_labels = _flatten_split(db, on_idx)
         on_pred = fusion.build_prediction_matrix(clfs, on_q)
         nearest = matcher.predict_labels(on_q)
         est = _estimate(plan, on_q, on_pred, nearest, coords, gi, gd)
 
-    return ResultTable(grid_index=on_labels, truth=on_truth, est=est, gi=gi, gd=gd)
+    return ResultTable(grid_index=on_labels, truth=coords[on_labels], est=est, gi=gi, gd=gd)
 
 
 def _estimate(plan, on_q, on_pred, nearest, coords, gi, gd) -> dict[str, np.ndarray]:
@@ -306,13 +289,9 @@ def _estimate(plan, on_q, on_pred, nearest, coords, gi, gd) -> dict[str, np.ndar
     est[METHOD_GI] = fusion.gi_ls_predict_all(gi, on_pred)
     est[METHOD_GD] = fusion.gd_ls_predict_all(gd, nearest, on_pred)
     est[METHOD_MATCH] = coords[nearest]
-    solver = baselines.RssrSolver(plan.rssr_config())
-    # PSD peaks are squared electrical amplitudes; the optical power the
-    # ratio model expects is their square root, i.e. 10^(dB/20)
-    linear = 10.0 ** (on_q / 20.0)
-    est[METHOD_RSSR] = rssr = np.empty((on_q.shape[0], 2))
-    for r in range(on_q.shape[0]):
-        rssr[r] = solver.locate(linear[r])
+    solver = baselines.RssrSolver(plan.leds, plan.channel, coords)
+    est[METHOD_RSSR] = np.fromiter((solver.locate(row) for row in on_q), (float, 2),
+                                   on_q.shape[0])
     return est
 
 
@@ -339,14 +318,6 @@ def rss_vs_fft_len(plan: ExperimentPlan):
     noise-free tone is 10*log10(N2/N1).
     """
     coords = plan.grid_coords[:1]
-    pd = PdPose.at(coords[0, 0], coords[0, 1])
-    table = np.empty((plan.tones.size, len(TABLE1_FFT_LENS)))
-    for j, n in enumerate(TABLE1_FFT_LENS):
-        stream = synthesize_received(
-            list(plan.leds), pd, plan.channel, plan.blocks_per_grid * n,
-            _seed(plan, _SEED_TABLE, j),
-        )
-        db = spectral.build_fingerprints([stream], coords, n, plan.tones,
-                                         plan.channel.sample_rate)
-        table[:, j] = db.rss[0].mean(axis=0)
-    return table
+    means = [_survey(plan, coords, n, [_seed(plan, _SEED_TABLE, j)]).rss[0].mean(axis=0)
+             for j, n in enumerate(TABLE1_FFT_LENS)]
+    return np.stack(means, axis=1)

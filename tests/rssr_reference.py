@@ -5,6 +5,10 @@ the scan optimum with a fresh meshgrid stencil, design matrix and
 np.linalg.lstsq fit in each of its three rounds. The fast solver, which
 applies a precomputed pseudo-inverse instead, must land on the same scan
 cell and within rounding of the same position.
+
+The geometry comes as plain values: led (M, 3) LED positions, the
+Lambertian order m and bounds ((xmin, xmax), (ymin, ymax)) of the scan;
+queries are linear powers.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from vlcloc.baselines import SCAN_RESOLUTION, RssrConfig
+from vlcloc.baselines import SCAN_RESOLUTION
 
 
 def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -21,23 +25,23 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def _model(cfg: RssrConfig, xy: np.ndarray) -> np.ndarray:
+def _model(led: np.ndarray, order: float, xy: np.ndarray) -> np.ndarray:
     """Per-pair model (m+3)(log d_j - log d_i) at positions xy (..., 2)."""
-    led = cfg.led_positions
     i, j = _pair_indices(led.shape[0])
     dx = xy[..., np.newaxis, 0] - led[:, 0]
     dy = xy[..., np.newaxis, 1] - led[:, 1]
     ld = 0.5 * np.log(dx**2 + dy**2 + led[:, 2] ** 2)
-    return (cfg.lambertian_order + 3.0) * (ld[..., j] - ld[..., i])
+    return (order + 3.0) * (ld[..., j] - ld[..., i])
 
 
-def _objective(cfg: RssrConfig, log_ratios: np.ndarray, xy: np.ndarray) -> np.ndarray:
+def _objective(led: np.ndarray, order: float, log_ratios: np.ndarray,
+               xy: np.ndarray) -> np.ndarray:
     """Sum over LED pairs of (model - log(r_i / r_j))^2."""
-    return ((_model(cfg, xy) - log_ratios) ** 2).sum(axis=-1)
+    return ((_model(led, order, xy) - log_ratios) ** 2).sum(axis=-1)
 
 
-def scan_cells(cfg: RssrConfig) -> np.ndarray:
-    (x0, x1), (y0, y1) = cfg.bounds
+def scan_cells(bounds) -> np.ndarray:
+    (x0, x1), (y0, y1) = bounds
     res = SCAN_RESOLUTION
     xs = np.arange(x0, x1 + 0.5 * res, res)
     ys = np.arange(y0, y1 + 0.5 * res, res)
@@ -45,7 +49,7 @@ def scan_cells(cfg: RssrConfig) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def quadratic_refine(cfg: RssrConfig, log_ratios: np.ndarray,
+def quadratic_refine(led: np.ndarray, order: float, log_ratios: np.ndarray,
                      center: np.ndarray, h: float) -> np.ndarray:
     """Fit a 2-d quadratic on a 3x3 stencil and jump to its stationary point,
     three rounds with the stencil shrinking tenfold, steps clamped to +-1.5 h."""
@@ -54,7 +58,7 @@ def quadratic_refine(cfg: RssrConfig, log_ratios: np.ndarray,
         dx = np.array([-h, 0.0, h])
         sx, sy = np.meshgrid(dx, dx, indexing="ij")
         pts = np.stack([c[0] + sx.ravel(), c[1] + sy.ravel()], axis=-1)
-        f = _objective(cfg, log_ratios, pts)
+        f = _objective(led, order, log_ratios, pts)
         a = np.column_stack([
             np.ones(9), sx.ravel(), sy.ravel(),
             sx.ravel() ** 2, sy.ravel() ** 2, sx.ravel() * sy.ravel(),
@@ -70,13 +74,14 @@ def quadratic_refine(cfg: RssrConfig, log_ratios: np.ndarray,
     return c
 
 
-def reference_locate(cfg: RssrConfig, query) -> tuple[np.ndarray, np.ndarray]:
+def reference_locate(led: np.ndarray, order: float, bounds,
+                     query) -> tuple[np.ndarray, np.ndarray]:
     """(scan cell, refined position) for one query of linear powers."""
     r = np.asarray(query, dtype=float)
     i, j = _pair_indices(r.size)
     log_ratios = np.log(r[i] / r[j])
-    cells = scan_cells(cfg)
-    model = _model(cfg, cells)
+    cells = scan_cells(bounds)
+    model = _model(led, order, cells)
     # argmin of sum_p (model - c)^2; the c^2 term is constant over cells
     coarse = cells[int(np.argmin((model**2).sum(axis=1) - 2.0 * (model @ log_ratios)))]
-    return coarse, quadratic_refine(cfg, log_ratios, coarse, SCAN_RESOLUTION)
+    return coarse, quadratic_refine(led, order, log_ratios, coarse, SCAN_RESOLUTION)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,21 +8,33 @@ from hypothesis import strategies as st
 
 import rssr_reference
 from vlcloc import config
-from vlcloc.baselines import RssrConfig, RssrSolver
+from vlcloc.baselines import SCAN_MARGIN, RssrSolver
+from vlcloc.channel import LedConfig
 
 BENCH_PLAN = config.plan_from_config(config.benchmark_config())
-BENCH_CFG = BENCH_PLAN.rssr_config()
-BENCH_SOLVER = RssrSolver(BENCH_CFG)
-LEDS = BENCH_CFG.led_positions
+BENCH_SOLVER = RssrSolver(BENCH_PLAN.leds, BENCH_PLAN.channel, BENCH_PLAN.grid_coords)
+LEDS = np.stack([led.position for led in BENCH_PLAN.leds])
+ORDER = BENCH_PLAN.channel.lambertian_order
+GRID = BENCH_PLAN.grid_coords
+# the scan rectangle: the grid's extent plus the margin on every side
+BOUNDS = tuple((GRID[:, k].min() - SCAN_MARGIN, GRID[:, k].max() + SCAN_MARGIN) for k in (0, 1))
 
 
-def lambertian_powers(cfg: RssrConfig, xy) -> np.ndarray:
+def lambertian_powers(xy) -> np.ndarray:
     """Noise-free linear powers h^(m+1) / d^(m+3) at xy, one per LED."""
-    led = cfg.led_positions
-    h = led[:, 2]
-    d = np.sqrt(((np.asarray(xy) - led[:, :2]) ** 2).sum(axis=1) + h**2)
-    m = cfg.lambertian_order
-    return h ** (m + 1.0) / d ** (m + 3.0)
+    h = LEDS[:, 2]
+    d = np.sqrt(((np.asarray(xy) - LEDS[:, :2]) ** 2).sum(axis=1) + h**2)
+    return h ** (ORDER + 1.0) / d ** (ORDER + 3.0)
+
+
+def to_db(powers) -> np.ndarray:
+    """The fingerprint row of linear powers: the RSS of their squares in dB."""
+    return 20.0 * np.log10(powers)
+
+
+def as_linear(fingerprint) -> np.ndarray:
+    """The linear powers locate works on: 10^(dB/20)."""
+    return 10.0 ** (np.asarray(fingerprint, dtype=float) / 20.0)
 
 
 def scan_cell(solver: RssrSolver, query) -> np.ndarray:
@@ -29,12 +42,18 @@ def scan_cell(solver: RssrSolver, query) -> np.ndarray:
     return solver._scan(np.log(r[solver._i] / r[solver._j]))
 
 
-def assert_matches_reference(query, tol_m):
-    want_cell, want = rssr_reference.reference_locate(BENCH_CFG, query)
-    got = BENCH_SOLVER.locate(query)
+def assert_matches_reference(fingerprint, tol_m):
+    query = as_linear(fingerprint)
+    want_cell, want = rssr_reference.reference_locate(LEDS, ORDER, BOUNDS, query)
+    got = BENCH_SOLVER.locate(fingerprint)
     np.testing.assert_array_equal(scan_cell(BENCH_SOLVER, query), want_cell)
     assert got.shape == (2,)
     assert math.hypot(*(got - want)) <= tol_m
+
+
+def test_scan_covers_the_grid_extent_plus_the_margin():
+    np.testing.assert_array_equal(BENCH_SOLVER._cells, rssr_reference.scan_cells(BOUNDS))
+    np.testing.assert_allclose(BOUNDS, [(-0.05, 0.75), (-0.05, 0.75)], rtol=0, atol=1e-12)
 
 
 def test_benchmark_queries_match_the_lstsq_reference():
@@ -42,43 +61,46 @@ def test_benchmark_queries_match_the_lstsq_reference():
     noise, at grid points and between them."""
     rng = np.random.default_rng(3)
     gains = np.array([led.gain for led in BENCH_PLAN.leds])
-    points = np.concatenate([BENCH_PLAN.grid_coords[::7],
-                             rng.uniform(-0.05, 0.75, size=(30, 2))])
+    points = np.concatenate([GRID[::7], rng.uniform(-0.05, 0.75, size=(30, 2))])
     for xy in points:
-        query = gains * lambertian_powers(BENCH_CFG, xy) * rng.uniform(0.95, 1.05, 4)
-        assert_matches_reference(query, 1e-8)
+        query = gains * lambertian_powers(xy) * rng.uniform(0.95, 1.05, 4)
+        assert_matches_reference(to_db(query), 1e-8)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
-def test_arbitrary_positive_queries_match_the_lstsq_reference(powers):
-    """Any positive powers land on the reference's scan cell. The nine
-    stencil values carry rounding errors in proportion to the objective, so
-    the positions agree within 1e-8 m times max(1, objective at the optimum)."""
-    query = np.array(powers)
-    _, want = rssr_reference.reference_locate(BENCH_CFG, query)
+@given(st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4))
+def test_arbitrary_positive_queries_match_the_lstsq_reference(levels):
+    """Any RSS levels from -60 to 60 dB (powers 1e-3 to 1e3) land on the
+    reference's scan cell. The nine stencil values carry rounding errors in
+    proportion to the objective, so the positions agree within 1e-8 m times
+    max(1, objective at the optimum)."""
+    fingerprint = np.array(levels)
+    query = as_linear(fingerprint)
+    _, want = rssr_reference.reference_locate(LEDS, ORDER, BOUNDS, query)
     i, j = rssr_reference._pair_indices(4)
-    f_opt = rssr_reference._objective(BENCH_CFG, np.log(query[i] / query[j]), want)
-    assert_matches_reference(query, 1e-8 * max(1.0, f_opt))
+    f_opt = rssr_reference._objective(LEDS, ORDER, np.log(query[i] / query[j]), want)
+    assert_matches_reference(fingerprint, 1e-8 * max(1.0, f_opt))
 
 
 def test_noise_free_equal_gain_queries_are_located_exactly():
+    """Also pins the dB conversion: with 10^(dB/10) instead of 10^(dB/20)
+    every ratio would be squared and the position wrong."""
     rng = np.random.default_rng(5)
-    points = np.concatenate([BENCH_PLAN.grid_coords, rng.uniform(0.0, 0.7, size=(25, 2))])
+    points = np.concatenate([GRID, rng.uniform(0.0, 0.7, size=(25, 2))])
     for xy in points:
-        got = BENCH_SOLVER.locate(lambertian_powers(BENCH_CFG, xy))
+        got = BENCH_SOLVER.locate(to_db(lambertian_powers(xy)))
         assert math.hypot(*(got - xy)) <= 1e-7
 
 
 @pytest.mark.parametrize("query", [
-    [1.0, 1.0, 1.0],
-    [1.0, 1.0, 1.0, 1.0, 1.0],
-    [[1.0, 1.0], [1.0, 1.0]],
-    [1.0, 0.0, 1.0, 1.0],
-    [1.0, -2.0, 1.0, 1.0],
-    [1.0, math.nan, 1.0, 1.0],
-    [1.0, math.inf, 1.0, 1.0],
-    [-math.inf, 1.0, 1.0, 1.0],
+    [0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [0.0, -math.inf, 0.0, 0.0],  # zero power
+    [0.0, -1e4, 0.0, 0.0],       # a power that underflows to zero
+    [0.0, math.nan, 0.0, 0.0],
+    [0.0, math.inf, 0.0, 0.0],
+    [-math.inf, 0.0, 0.0, 0.0],
 ])
 def test_locate_rejects_bad_queries(query):
     with pytest.raises(ValueError):
@@ -87,20 +109,30 @@ def test_locate_rejects_bad_queries(query):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"led_positions": LEDS[:2]}, "at least 3 LED positions"),
-    ({"led_positions": LEDS[:, :2]}, "at least 3 LED positions"),
+    ({"led_positions": LEDS[:0]}, "at least 3 LED positions"),
     ({"led_positions": np.vstack([LEDS, LEDS[:1]])}, "distinct"),
     ({"lambertian_order": 0.0}, "lambertian_order"),
     ({"lambertian_order": math.nan}, "lambertian_order"),
-    ({"bounds": ((math.nan, 1.0), (0.0, 1.0))}, "non-empty rectangle"),
-    ({"bounds": ((0.5, 0.5), (0.0, 1.0))}, "non-empty rectangle"),
-    ({"bounds": ((0.0, 1.0), (1.0, 0.0))}, "non-empty rectangle"),
-    ({"bounds": ((0.0, 1.0), (0.0, math.nan))}, "non-empty rectangle"),
+    ({"grid_coords": np.vstack([GRID, [math.nan, 0.0]])}, "non-empty rectangle"),
+    ({"grid_coords": GRID[:0]}, "non-empty rectangle"),
+    ({"grid_coords": GRID.T}, "non-empty rectangle"),
+    ({"grid_coords": np.vstack([GRID, [0.0, math.nan]])}, "non-empty rectangle"),
     ({"led_positions": np.vstack([[math.nan, 0.0, 1.5], LEDS[1:]])}, "finite"),
     ({"lambertian_order": math.inf}, "lambertian_order"),
-    ({"bounds": ((0.0, math.inf), (0.0, 1.0))}, "finite, non-empty rectangle"),
-    ({"bounds": ((0.0, 1.0), (-math.inf, 1.0))}, "finite, non-empty rectangle"),
+    ({"grid_coords": np.vstack([GRID, [math.inf, 0.0]])}, "finite, non-empty rectangle"),
+    ({"grid_coords": np.vstack([GRID, [0.0, -math.inf]])}, "finite, non-empty rectangle"),
+    ({"led_positions": LEDS[:, :2]}, "3-vector"),
+    ({"grid_coords": GRID[:, 0]}, "non-empty rectangle"),
 ])
 def test_rssr_config_rejects_each_bad_field(kwargs, message):
-    fields = {"lambertian_order": 1.0, "led_positions": LEDS, "bounds": BENCH_CFG.bounds}
+    """The RSSR configuration is the plan's LEDs, channel and grid that
+    RssrSolver is built from. A non-finite or wrongly shaped LED position
+    and a Lambertian order of 0, NaN or inf are rejected by LedConfig and
+    ChannelParams before a solver sees them; the solver rejects the rest."""
+    fields = {"led_positions": LEDS, "lambertian_order": ORDER, "grid_coords": GRID,
+              **kwargs}
     with pytest.raises(ValueError, match=message):
-        RssrConfig(**{**fields, **kwargs})
+        leds = [LedConfig(pos, 8e5 + 1e4 * k) for k, pos in enumerate(fields["led_positions"])]
+        channel = dataclasses.replace(BENCH_PLAN.channel,
+                                      lambertian_order=fields["lambertian_order"])
+        RssrSolver(leds, channel, fields["grid_coords"])

@@ -388,7 +388,7 @@ def survey_split(q, blocks):
     plan = config.plan_from_config(cfg)
     db = experiment.synthesize_fingerprint_db(plan)
     train_idx, off_idx, on_idx = experiment._split_indices(plan, blocks)
-    train_q, train_labels, _ = experiment._flatten_split(db, train_idx)
+    train_q, train_labels = experiment._flatten_split(db, train_idx)
     queries = np.vstack([experiment._flatten_split(db, idx)[0] for idx in (off_idx, on_idx)])
     return TrainSet(train_q, train_labels, plan.grid_coords), queries
 

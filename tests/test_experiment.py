@@ -36,11 +36,11 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
 
     db = experiment.synthesize_fingerprint_db(plan)
     train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
-    train_q, train_labels, _ = experiment._flatten_split(db, train_idx)
+    train_q, train_labels = experiment._flatten_split(db, train_idx)
     roots = rf_reference.reference_forest(
         TrainSet(train_q, train_labels, plan.grid_coords), plan.rf_trees, plan.rf_depth,
         experiment._seed(plan, experiment._SEED_RF))
-    online_q, _, _ = experiment._flatten_split(db, online_idx)
+    online_q, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
     np.testing.assert_array_equal(first.est["rf"], plan.grid_coords[labels])
 
@@ -84,7 +84,7 @@ def test_rss_match_and_gd_ls_take_the_direct_difference_nearest_mean(monkeypatch
     db = experiment.synthesize_fingerprint_db(plan)
     train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
     means = db.rss[:, train_idx, :].mean(axis=1)
-    online_q, _, _ = experiment._flatten_split(db, online_idx)
+    online_q, _ = experiment._flatten_split(db, online_idx)
     d2 = ((online_q[:, np.newaxis, :] - means[np.newaxis, :, :]) ** 2).sum(axis=2)
     want = np.argmin(d2, axis=1)
     seen = []
@@ -156,6 +156,22 @@ def test_noise_free_rss_match_is_exact():
     table = experiment.run_experiment(config.plan_from_config(cfg))
     assert table.errors("rss-match").size == 9 * 4
     assert np.all(table.errors("rss-match") == 0.0)
+
+
+def test_noise_free_db_round_trip_is_exact(tmp_path):
+    """Truths come from plan.grid_coords, as every estimate does, not from
+    the DB text: 3 * 0.05 reads back from its 9 digits as 0.15, an ulp off
+    the plan's 0.15000000000000002, so at q = 4 a correct grid label would
+    otherwise score a few 1e-17 m."""
+    cfg = tiny_config()
+    cfg["geometry"]["grid"]["q"] = 4
+    cfg["channel"]["noise_std"] = 0.0
+    _, db_path = simulate(tmp_path, cfg)
+    plan = config.plan_from_config(cfg)
+    table = experiment.run_experiment(plan, spectral.load_fingerprints(db_path))
+    for method in ("knn", "rss-match"):
+        assert np.all(table.errors(method) == 0.0), method
+    np.testing.assert_array_equal(table.truth, plan.grid_coords[table.grid_index])
 
 
 def test_simulated_db_round_trips_byte_for_byte(tmp_path):
