@@ -15,7 +15,6 @@ uncalibrated comparator, so unequal gains show up as its error.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .channel import ChannelParams, LedConfig
 
 SCAN_RESOLUTION = 0.01  # meters between cells of the area scan
 SCAN_MARGIN = 0.05  # meters the area scan reaches beyond the survey grid
+_DB_LIMIT = 6000.0  # 10^(dB/20) is positive and finite for |dB| < 6000 (+6165 overflows)
 
 
 class RssrSolver:
@@ -131,8 +131,8 @@ class RssrSolver:
         r = np.asarray(fingerprint, dtype=float)
         if r.shape != (self._led_h2.size,):
             raise ValueError("fingerprint length must match the number of LEDs")
+        if not all(-_DB_LIMIT < v < _DB_LIMIT for v in r.tolist()):
+            raise ValueError(f"RSSR needs finite RSS levels within +-{_DB_LIMIT:g} dB")
         r = 10.0 ** (r / 20.0)
-        if not all(0.0 < v < math.inf for v in r.tolist()):
-            raise ValueError("RSSR needs finite RSS levels whose powers are positive and finite")
         log_ratios = np.log(r[self._i] / r[self._j])
         return self._refine(log_ratios, self._scan(log_ratios))

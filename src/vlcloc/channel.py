@@ -14,9 +14,9 @@ Synthesis works on a tone basis: cut into rows of B samples, the noise-free
 signal is one (rows, 2M) @ (2M, B) product of per-row cos / sin coefficients
 and per-column cos / sin tones (angle addition), plus the DC sum. The
 (2M, B) basis depends only on the tone frequencies and the sample rate, so it
-is built once per tone set. The DC sum and the noise are then added chunk by
-chunk, each chunk's noise drawn in turn from the one Generator: the draws
-concatenate to one whole-length draw, so no second full-length array is made.
+is built once per tone set. The waveform stays noise-free: the fingerprint
+reads only a few DFT bins per block, and spectral.build_fingerprints draws
+n(t)'s contribution to those bins there.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 _ROW_LEN = 2048  # samples per tone-basis row; 512-2048 cost the same within 20 %
-_CHUNK = 1 << 16  # samples per DC / noise pass: a 512 KiB chunk stays in cache
 
 
 def lambertian_order_from_semiangle(semi_angle_deg: float) -> float:
@@ -154,15 +153,13 @@ def synthesize_received(
     pd: PdPose,
     params: ChannelParams,
     duration_samples: int,
-    rng_seed,
 ) -> np.ndarray:
-    """Sample the received waveform y(t) at the PD.
+    """Sample the noise-free received waveform y(t) at the PD.
 
     Each tone arrives as amp * (1 + cos(2*pi*f*t - 2*pi*f*tau)) scaled by
     alpha * gain; the delay acts as a pure phase offset, which is exact for
-    continuous tones cut into plain (unweighted) blocks. Noise is zero-mean
-    Gaussian with std params.noise_std, drawn _CHUNK samples at a time from
-    one Generator seeded with rng_seed: the same values as one whole draw.
+    continuous tones cut into plain (unweighted) blocks. params.noise_std is
+    not used here: build_fingerprints adds the noise at the tone bins.
     The cos / sin tone basis is built once per (tone frequencies, sample rate).
     """
     n = duration_samples
@@ -183,11 +180,5 @@ def synthesize_received(
     theta = _tone_angles(np.arange(rows) * float(_ROW_LEN), freq, fs) - phase
     coeff = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
     y = (coeff @ _tone_basis(tuple(freq.tolist()), fs)).ravel()[:n]
-    dc = amp.sum()
-    rng = np.random.default_rng(rng_seed) if params.noise_std > 0.0 else None
-    for start in range(0, n, _CHUNK):
-        chunk = y[start:start + _CHUNK]
-        chunk += dc
-        if rng is not None:
-            chunk += rng.normal(0.0, params.noise_std, chunk.size)
+    y += amp.sum()
     return y

@@ -204,12 +204,13 @@ def _seed(plan: ExperimentPlan, *path: int) -> np.random.SeedSequence:
 
 def _survey(plan: ExperimentPlan, coords, fft_len: int, seeds) -> spectral.FingerprintDB:
     """One noisy recording of blocks_per_grid fft_len-blocks per point of
-    coords, the g-th seeded by the g-th of the iterable seeds, fingerprinted."""
+    coords, fingerprinted: a noise-free waveform per point, to whose tone
+    bins build_fingerprints adds the noise from the g-th of the seeds."""
     samples = plan.blocks_per_grid * fft_len
-    streams = (synthesize_received(plan.leds, PdPose.at(x, y), plan.channel, samples, seed)
-               for (x, y), seed in zip(coords, seeds))
+    streams = (synthesize_received(plan.leds, PdPose.at(x, y), plan.channel, samples)
+               for x, y in coords)
     return spectral.build_fingerprints(streams, coords, fft_len, plan.tones,
-                                       plan.channel.sample_rate)
+                                       plan.channel.sample_rate, plan.channel.noise_std, seeds)
 
 
 def synthesize_fingerprint_db(plan: ExperimentPlan) -> spectral.FingerprintDB:

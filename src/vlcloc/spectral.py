@@ -7,6 +7,11 @@ collects Q such RSS vectors per grid point from non-overlapping blocks of
 the site-survey recording. Only the K bins within +-1 of each tone's bin
 are read, so the DFT is evaluated at those alone (a direct DFT at a few
 bins, as in Goertzel's algorithm): one real (N, 2K) matrix product per grid.
+
+The receiver noise enters here, not in the samples: white noise of std s
+gives the cos / sin sums of distinct bins in [0, N/2] independent Gaussian
+values of variance s^2 times the column's sum of squares (N / 2; N and 0 at
+DC and Nyquist; Kay, Fundamentals of Statistical Signal Processing, vol. 1).
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ def to_db(linear) -> np.ndarray:
     return np.maximum(out, DB_FLOOR)
 
 
-def build_fingerprints(streams, grid_coords, fft_len: int, tones,
-                       sample_rate: float) -> FingerprintDB:
+def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: float,
+                       noise_std: float = 0.0, seeds=()) -> FingerprintDB:
     """Build the fingerprint database from per-grid sample streams.
 
     Each stream of T samples is cut into Q = floor(T / N) non-overlapping
@@ -91,11 +96,16 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
     and one RSS vector (the window maxima, in dB). All
     streams must supply the same Q. streams may be any iterable (including
     a generator, so site-survey recordings never need to coexist in memory).
+    With noise_std > 0 the g-th stream's tone-bin DFT gets the white noise
+    of that per-sample std, drawn from a Generator on the g-th of the
+    iterable seeds, which must hold one seed per stream.
     """
     tones = np.asarray(tones, dtype=float)
     grid = np.asarray(grid_coords, dtype=float)
     if fft_len < 2:
         raise ValueError("fft_len must be at least 2")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     bad = tones[~((tones > 0.0) & (tones <= sample_rate / 2.0))]
     if bad.size:
         raise ValueError(f"tone {bad[0]} Hz is not in (0, Nyquist = {sample_rate / 2.0} Hz]")
@@ -106,9 +116,11 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
     bins, window = np.unique(windows, return_inverse=True)
     angle = (2.0 * math.pi / fft_len) * (np.outer(np.arange(fft_len), bins) % fft_len)
     twiddle = np.hstack([np.cos(angle), np.sin(angle)])
+    noise_scale = noise_std * np.sqrt((twiddle**2).sum(axis=0))
 
     per_grid = []
     q_common = None
+    seeds = iter(seeds)
     for g, stream in enumerate(streams):
         y = np.asarray(stream, dtype=float)
         q = y.size // fft_len
@@ -119,6 +131,10 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones,
         elif q != q_common:
             raise ValueError(f"stream {g} yields {q} blocks, expected {q_common}")
         dft = y[: q * fft_len].reshape(q, fft_len) @ twiddle
+        if noise_std > 0.0:
+            if (seed := next(seeds, None)) is None:
+                raise ValueError(f"no seed for stream {g}: noise_std > 0 needs one per stream")
+            dft += np.random.default_rng(seed).standard_normal(dft.shape) * noise_scale
         power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
         per_grid.append(to_db(power[:, window.reshape(windows.shape)].max(axis=2)))
 

@@ -3,10 +3,9 @@
 reference_received is the per-sample cosine formula the tone-basis product
 replaced, with its arithmetic unchanged: one np.cos of 2*pi*f*t - phase per
 sample and tone, then the noise draw.
-whole_draw_received is the tone-basis product as it stood before the DC sum
-and the noise went in by chunks: the basis rebuilt on each call, the DC sum
-added in one pass over y, then one whole-length noise draw. The chunked
-synthesis must equal it bit for bit.
+basis_product_received is the tone-basis product as it stood before the
+basis was cached: the basis rebuilt on each call, then the DC sum added in
+one pass over y. The synthesis must equal it bit for bit.
 longdouble_received evaluates the same noise-free signal from the same
 double-precision gains and phases in np.longdouble, as the accuracy yardstick
 for all of them.
@@ -41,8 +40,8 @@ def reference_received(leds, pd, params, duration_samples: int, rng_seed) -> np.
     return y
 
 
-def whole_draw_received(leds, pd, params, duration_samples: int, rng_seed) -> np.ndarray:
-    """The tone-basis product, then y += DC sum and y += one whole-length draw."""
+def basis_product_received(leds, pd, params, duration_samples: int) -> np.ndarray:
+    """The noise-free tone-basis product, then y += DC sum."""
     freq = np.array([led.frequency for led in leds])
     fs = params.sample_rate
     amp = np.array([a for a, _ in tone_terms(leds, pd, params)])
@@ -53,9 +52,6 @@ def whole_draw_received(leds, pd, params, duration_samples: int, rng_seed) -> np
     coeff = np.hstack([amp * np.cos(theta), -amp * np.sin(theta)])
     y = (coeff @ np.vstack([np.cos(wj), np.sin(wj)])).ravel()[:duration_samples]
     y += amp.sum()
-    if params.noise_std > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        y += rng.normal(0.0, params.noise_std, duration_samples)
     return y
 
 

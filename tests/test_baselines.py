@@ -101,6 +101,7 @@ def test_noise_free_equal_gain_queries_are_located_exactly():
     [0.0, math.nan, 0.0, 0.0],
     [0.0, math.inf, 0.0, 0.0],
     [-math.inf, 0.0, 0.0, 0.0],
+    [7000.0, 0.0, 0.0, 0.0],     # a power that overflows
 ])
 def test_locate_rejects_bad_queries(query):
     with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestAttenuation:
 def assert_near_longdouble(leds, pd, params, n):
     """Noise-free synthesis within 4 ulps of the signal peak 2 * sum(a) of the
     longdouble reference, and no further from it than the per-sample formula."""
-    y = synthesize_received(leds, pd, params, n, rng_seed=0)
+    y = synthesize_received(leds, pd, params, n)
     ref = synth_reference.longdouble_received(leds, pd, params, n)
     peak = 2.0 * sum(a for a, _ in synth_reference.tone_terms(leds, pd, params))
     err = float(np.abs(y - ref).max())
@@ -123,21 +123,14 @@ class TestSynthesize:
                 LedConfig(position=[-0.4, 0.1, 1.5], frequency=odd_tone, gain=2.0)]
         assert_near_longdouble(leds, PdPose.at(0.1, -0.2), make_params(order=1.5), n)
 
-    def test_noise_is_the_seeded_normal_draw(self):
-        led = LedConfig(position=[0.3, -0.2, 1.48], frequency=850e3, gain=20.0)
-        pd = PdPose.at(0.1, 0.1)
-        noisy = synthesize_received([led], pd, make_params(noise=0.01), 10_001, rng_seed=5)
-        clean = synthesize_received([led], pd, make_params(noise=0.0), 10_001, rng_seed=5)
-        draws = np.random.default_rng(5).normal(0.0, 0.01, 10_001)
-        np.testing.assert_allclose(noisy - clean, draws, rtol=0,
-                                   atol=2.0 * np.spacing(np.abs(noisy).max()))
-
     @pytest.mark.parametrize("noise", [0.01, 0.0])
-    @pytest.mark.parametrize("n", [1, channel._ROW_LEN + 1, channel._CHUNK - 1, channel._CHUNK,
-                                   channel._CHUNK + 1, 3 * channel._CHUNK + 7, 400_000])
-    def test_chunked_noise_equals_one_whole_draw(self, n, noise):
-        # two tone sets called in turn, so a basis cached under the wrong
-        # key would hand one set's tones to the other
+    @pytest.mark.parametrize("n", [1, channel._ROW_LEN + 1, 65535, 65536, 65537,
+                                   3 * 65536 + 7, 400_000])
+    def test_waveform_is_the_noise_free_basis_product(self, n, noise):
+        # lengths around the 64 K-sample edges where the DC sum and the noise
+        # once went in by chunks; the noise std must not reach the waveform.
+        # Two tone sets called in turn, so a basis cached under the wrong key
+        # would hand one set's tones to the other
         pd = PdPose.at(0.1, -0.2)
         params = make_params(order=1.5, noise=noise)
         tone_sets = [[LedConfig(position=[0.5, 0.2, 1.5], frequency=801.5e3, gain=3.0),
@@ -145,80 +138,67 @@ class TestSynthesize:
                      [LedConfig(position=[0.5, 0.2, 1.5], frequency=1.1e6, gain=3.0),
                       LedConfig(position=[-0.4, 0.1, 1.5], frequency=955e3, gain=2.0)]]
         for leds in tone_sets + tone_sets:
-            y = synthesize_received(leds, pd, params, n, rng_seed=7)
-            assert np.array_equal(y, synth_reference.whole_draw_received(leds, pd, params, n, 7))
+            y = synthesize_received(leds, pd, params, n)
+            assert np.array_equal(y, synth_reference.basis_product_received(leds, pd, params, n))
 
     def test_no_full_length_temporary(self):
-        # y's own buffer and at most two chunks besides. The warm-up call on
-        # another tone set imports numpy.random, which would count, but
-        # leaves this tone set's basis to be built inside the traced call.
+        # y's own buffer, the tone basis built inside the call, and as much
+        # again for the per-row coefficients; a full-length temporary (3.2 MB)
+        # would be twelve times that slack. The warm-up call on another tone
+        # set imports what the call needs, but leaves this tone set's basis
+        # to be built inside the traced call.
         plan = config.plan_from_config(config.benchmark_config())
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=777e3)
-        synthesize_received([led], PdPose.at(0, 0), plan.channel, 1, rng_seed=3)
+        synthesize_received([led], PdPose.at(0, 0), plan.channel, 1)
         channel._tone_basis.cache_clear()
         tracemalloc.start()
         try:
             y = synthesize_received(list(plan.leds), PdPose.at(0.35, 0.2), plan.channel,
-                                    400_000, rng_seed=3)
+                                    400_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert plan.channel.noise_std > 0.0
-        assert peak <= y.base.nbytes + 2 * channel._CHUNK * 8
+        basis = channel._tone_basis(tuple(plan.tones.tolist()), plan.channel.sample_rate)
+        assert peak <= y.base.nbytes + 2 * basis.nbytes
 
     def test_superposition_of_two_leds(self):
         led1 = LedConfig(position=[1.0, 0.5, 1.5], frequency=800e3, gain=3.0)
         led2 = LedConfig(position=[-0.5, 1.0, 1.5], frequency=950e3, gain=5.0)
         pd = PdPose.at(0.2, 0.3)
         params = make_params(order=1.5, noise=0.0)
-        both = synthesize_received([led1, led2], pd, params, 2000, rng_seed=1)
-        solo = (synthesize_received([led1], pd, params, 2000, rng_seed=1)
-                + synthesize_received([led2], pd, params, 2000, rng_seed=1))
+        both = synthesize_received([led1, led2], pd, params, 2000)
+        solo = (synthesize_received([led1], pd, params, 2000)
+                + synthesize_received([led2], pd, params, 2000))
         np.testing.assert_allclose(both, solo, rtol=0, atol=1e-15)
-
-    def test_fixed_seed_bit_identical(self):
-        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
-        params = make_params(noise=0.01)
-        y1 = synthesize_received([led], PdPose.at(0, 0), params, 1024, rng_seed=42)
-        y2 = synthesize_received([led], PdPose.at(0, 0), params, 1024, rng_seed=42)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_different_seeds_differ(self):
-        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
-        params = make_params(noise=0.01)
-        y1 = synthesize_received([led], PdPose.at(0, 0), params, 1024, rng_seed=1)
-        y2 = synthesize_received([led], PdPose.at(0, 0), params, 1024, rng_seed=2)
-        assert not np.array_equal(y1, y2)
 
     def test_empty_led_list_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_received([], PdPose.at(0, 0), make_params(), 100, rng_seed=0)
+            synthesize_received([], PdPose.at(0, 0), make_params(), 100)
 
     def test_sample_rate_below_nyquist_rejected(self):
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=2.5e6)
         with pytest.raises(ValueError, match="sample_rate"):
-            synthesize_received([led], PdPose.at(0, 0), make_params(rate=4e6), 100, rng_seed=0)
+            synthesize_received([led], PdPose.at(0, 0), make_params(rate=4e6), 100)
 
     def test_nonpositive_duration_rejected(self):
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
         for n in (0, -5, np.int64(0)):
             with pytest.raises(ValueError, match="must be a positive integer"):
-                synthesize_received([led], PdPose.at(0, 0), make_params(), n, rng_seed=0)
+                synthesize_received([led], PdPose.at(0, 0), make_params(), n)
 
     @pytest.mark.parametrize("n", [4000.0, 4000.5, np.float64(4000), True, np.bool_(True),
                                    "4000", None], ids=repr)
     def test_non_integer_duration_rejected(self, n):
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
         with pytest.raises(ValueError, match="duration_samples must be a positive integer"):
-            synthesize_received([led], PdPose.at(0, 0), make_params(), n, rng_seed=0)
+            synthesize_received([led], PdPose.at(0, 0), make_params(), n)
 
     @pytest.mark.parametrize("n", [np.int64(4000), np.uint16(4000), np.int32(4000)])
     def test_numpy_integer_duration_accepted(self, n):
         led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
         params = make_params(noise=0.01)
-        y = synthesize_received([led], PdPose.at(0, 0), params, n, rng_seed=0)
-        assert np.array_equal(y, synthesize_received([led], PdPose.at(0, 0), params, 4000,
-                                                     rng_seed=0))
+        y = synthesize_received([led], PdPose.at(0, 0), params, n)
+        assert np.array_equal(y, synthesize_received([led], PdPose.at(0, 0), params, 4000))
 
 
 class TestDelay:

@@ -45,24 +45,64 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
     np.testing.assert_array_equal(first.est["rf"], plan.grid_coords[labels])
 
 
-def test_survey_matches_the_time_domain_full_fft_oracle():
-    plan = config.plan_from_config(tiny_config())
-    db = experiment.synthesize_fingerprint_db(plan)
+def oracle_rss(plan, coords, seeds) -> np.ndarray:
+    """(G, Q, M) RSS of the time-domain synthesis oracle (its noise drawn per
+    sample from the g-th seed) through the full-FFT periodogram oracle."""
     samples = plan.blocks_per_grid * plan.fft_len
-    oracle_rss = np.stack([
+    return np.stack([
         spectral_reference.stream_rss_db(
-            synth_reference.reference_received(
-                list(plan.leds), PdPose.at(x, y), plan.channel, samples,
-                experiment._seed(plan, experiment._SEED_SYNTH, g)),
+            synth_reference.reference_received(list(plan.leds), PdPose.at(x, y), plan.channel,
+                                               samples, seed),
             plan.fft_len, plan.channel.sample_rate, plan.tones)
-        for g, (x, y) in enumerate(plan.grid_coords)])
-    np.testing.assert_allclose(db.rss, oracle_rss, rtol=0, atol=1e-7)
+        for (x, y), seed in zip(coords, seeds)])
 
-    oracle = spectral.FingerprintDB(db.grid_coords, oracle_rss, db.tones, db.fft_len,
-                                    db.sample_rate)
+
+def test_survey_matches_the_time_domain_full_fft_oracle():
+    cfg = tiny_config()
+    cfg["channel"]["noise_std"] = 0.0
+    plan = config.plan_from_config(cfg)
+    db = experiment.synthesize_fingerprint_db(plan)
+    want = oracle_rss(plan, plan.grid_coords, range(plan.grid_coords.shape[0]))
+    np.testing.assert_allclose(db.rss, want, rtol=0, atol=1e-7)
+
+    oracle = spectral.FingerprintDB(db.grid_coords, want, db.tones, db.fft_len, db.sample_rate)
     got, want = experiment.run_experiment(plan, db), experiment.run_experiment(plan, oracle)
     for method in experiment.SINGLE_CLASSIFIERS:
         np.testing.assert_array_equal(got.est[method], want.est[method])
+
+
+def ks_rejects(a, b, alpha: float) -> bool:
+    """Two-sample Kolmogorov-Smirnov test of a and b at level alpha, with the
+    asymptotic critical value sqrt(-ln(alpha / 2) / 2) * sqrt((n + m) / (n m))."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = np.abs(np.searchsorted(a, both, side="right") / a.size
+               - np.searchsorted(b, both, side="right") / b.size).max()
+    return d > math.sqrt(-math.log(alpha / 2.0) / 2.0 * (a.size + b.size) / (a.size * b.size))
+
+
+@pytest.mark.parametrize("case", ["benchmark", "nyquist"])
+def test_noisy_survey_matches_the_oracle_in_distribution(case):
+    """Per grid point and tone, the survey's dB values (noise drawn at the tone
+    bins) against the time-domain oracle's (noise drawn per sample): three
+    recordings of 400 000 samples a side, a KS test at level 1e-3 each.
+
+    The benchmark points span -17 to 49 dB of on-bin SNR. In the Nyquist
+    case the weakest LED is retuned to 1.9995 MHz and N = 200, Q = 2000: its
+    window, bins 99..100, is clipped at Nyquist, whose cos column carries
+    twice the noise variance of any other bin's and its sin column none.
+    """
+    cfg = config.benchmark_config()
+    if case == "nyquist":
+        cfg["geometry"]["leds"][3]["frequency_hz"] = 1.9995e6
+        cfg["spectral"] = {"fft_len": 200, "blocks_per_grid": 2000}
+    plan = config.plan_from_config(cfg)
+    for g in (0, 112, 224):
+        coords = np.repeat(plan.grid_coords[g : g + 1], 3, axis=0)
+        got = experiment._survey(plan, coords, plan.fft_len, [10 + g, 20 + g, 30 + g]).rss
+        want = oracle_rss(plan, coords, [40 + g, 50 + g, 60 + g])
+        for m in range(len(plan.leds)):
+            assert not ks_rejects(got[:, :, m].ravel(), want[:, :, m].ravel(), 1e-3), (g, m)
 
 
 def test_nearest_mean_labels_match_the_one_piece_formula():

@@ -419,3 +419,57 @@ class TestFingerprintDbValidation:
                   "tones": [1e3, 2e3], "fft_len": 8, "sample_rate": 1e4} | kwargs
         with pytest.raises(ValueError, match=message):
             FingerprintDB(**fields)
+
+
+class TestNoiseAtToneBins:
+    """build_fingerprints' receiver noise: one seeded draw per stream at the
+    tone-bin DFT columns, each scaled as white noise of that std scales it."""
+
+    rate = 4e6
+    # N = 1000: 1 kHz rounds to bin 0 (window 0..1), 900 kHz is bin 225
+    # (window 224..226), 2 MHz is Nyquist, bin 500 (window 499..500, clipped)
+    tones = [1e3, 900e3, 2e6]
+
+    def stream(self, blocks=4):
+        return synth_tone_stream(blocks, 1000, self.rate, self.tones, [1e-2, 3e-3, 2e-3])
+
+    def build(self, streams, noise, seeds):
+        grid = [[0.0, float(g)] for g in range(len(streams))]
+        return build_fingerprints(streams, grid, 1000, self.tones, self.rate, noise, seeds)
+
+    def test_noise_is_the_seeded_draw_at_the_white_noise_scale(self):
+        # the DFT of white noise at bin k: cos and sin sums of variance
+        # N s^2 / 2 each, but N s^2 and 0 at DC and Nyquist
+        n, noise, y = 1000, 3e-3, self.stream()
+        bins = np.array([0, 1, 224, 225, 226, 499, 500])
+        cos_sd = noise * np.sqrt(np.where((bins == 0) | (bins == n // 2), n, n / 2))
+        sin_sd = noise * np.sqrt(np.where((bins == 0) | (bins == n // 2), 0.0, n / 2))
+        spec = np.fft.fft(y.reshape(4, n), axis=1)[:, bins]
+        z = np.random.default_rng(11).standard_normal((4, 2 * bins.size))
+        power = ((spec.real + z[:, : bins.size] * cos_sd) ** 2
+                 + (-spec.imag + z[:, bins.size :] * sin_sd) ** 2) / n
+        want = np.stack([power[:, [0, 1]].max(axis=1), power[:, 2:5].max(axis=1),
+                         power[:, [5, 6]].max(axis=1)], axis=1)
+        got = self.build([y], noise, [11]).rss[0]
+        np.testing.assert_allclose(from_db(got), want, rtol=1e-9, atol=0)
+
+    def test_fixed_seed_bit_identical(self):
+        streams = [self.stream(), self.stream()]
+        first = self.build(streams, 1e-3, [42, 43]).rss
+        np.testing.assert_array_equal(first, self.build(streams, 1e-3, iter([42, 43])).rss)
+        assert not np.array_equal(first[0], first[1])
+
+    def test_different_seeds_differ(self):
+        y = self.stream()
+        assert not np.array_equal(self.build([y], 1e-3, [1]).rss, self.build([y], 1e-3, [2]).rss)
+
+    @pytest.mark.parametrize("noise", [-1e-3, math.nan, math.inf])
+    def test_bad_noise_std_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_std must be finite and non-negative"):
+            self.build([self.stream()], noise, [1])
+
+    @pytest.mark.parametrize("seeds, short_at", [([], 0), ([1], 1), (iter([1]), 1)])
+    def test_fewer_seeds_than_streams_rejected(self, seeds, short_at):
+        with pytest.raises(ValueError, match=f"no seed for stream {short_at}: noise_std > 0 "
+                                             "needs one per stream"):
+            self.build([self.stream(), self.stream()], 1e-3, seeds)
