@@ -10,6 +10,7 @@ from vlcloc import channel, config
 from vlcloc.channel import (ChannelParams, LedConfig, PdPose, attenuation,
                             distance, lambertian_order_from_semiangle,
                             propagation_delay, synthesize_received)
+from vlcloc.spectral import build_fingerprints
 
 # -ln 2 / ln cos(22 deg), evaluated with mpmath at 40 digits
 LAMBERTIAN_ORDER_22DEG = 9.168201146812517
@@ -101,6 +102,15 @@ def assert_near_longdouble(leds, pd, params, n):
 
 
 class TestSynthesize:
+    @staticmethod
+    def survey(streams, params, seeds):
+        """The streams' fingerprints as the survey makes them (N = 1000 blocks
+        read at 800 kHz, bin 200), with params' receiver noise drawn from the
+        seeds at the tone bins: the waveform itself carries no noise."""
+        grid = [[0.0, float(g)] for g in range(len(streams))]
+        return build_fingerprints(streams, grid, 1000, [800e3], params.sample_rate,
+                                  params.noise_std, seeds).rss
+
     def test_single_led_closed_form(self):
         led = LedConfig(position=[0.3, -0.2, 1.48], frequency=850e3, amplitude=1.3, gain=7.0)
         assert_near_longdouble([led], PdPose.at(0.1, 0.1), make_params(order=2.0), 400_000)
@@ -123,12 +133,27 @@ class TestSynthesize:
                 LedConfig(position=[-0.4, 0.1, 1.5], frequency=odd_tone, gain=2.0)]
         assert_near_longdouble(leds, PdPose.at(0.1, -0.2), make_params(order=1.5), n)
 
+    def test_noise_is_the_seeded_normal_draw(self):
+        # the noise of a 10-block recording is one standard normal draw from
+        # the seed, (blocks, cos and sin sums of bins 199..201), each value
+        # scaled to white noise's std at an inner bin, noise_std * sqrt(N / 2)
+        led = LedConfig(position=[0.3, -0.2, 1.48], frequency=800e3, gain=20.0)
+        params = make_params(noise=0.01)
+        y = synthesize_received([led], PdPose.at(0.1, 0.1), params, 10_000)
+        spec = np.fft.fft(y.reshape(10, 1000), axis=1)[:, 199:202]
+        z = np.random.default_rng(5).standard_normal((10, 6)) * 0.01 * math.sqrt(500)
+        power = ((spec.real + z[:, :3]) ** 2 + (-spec.imag + z[:, 3:]) ** 2) / 1000
+        got = self.survey([y], params, [5])[0, :, 0]
+        np.testing.assert_allclose(10.0 ** (got / 10.0), power.max(axis=1), rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("noise", [0.01, 0.0])
     @pytest.mark.parametrize("n", [1, channel._ROW_LEN + 1, 65535, 65536, 65537,
                                    3 * 65536 + 7, 400_000])
-    def test_waveform_is_the_noise_free_basis_product(self, n, noise):
+    def test_chunked_noise_equals_one_whole_draw(self, n, noise):
         # lengths around the 64 K-sample edges where the DC sum and the noise
-        # once went in by chunks; the noise std must not reach the waveform.
+        # once went in by chunks. The noise is now one whole draw per stream
+        # at the tone bins (test_noise_is_the_seeded_normal_draw), so the
+        # waveform must equal the noise-free basis product whatever noise_std.
         # Two tone sets called in turn, so a basis cached under the wrong key
         # would hand one set's tones to the other
         pd = PdPose.at(0.1, -0.2)
@@ -170,6 +195,20 @@ class TestSynthesize:
         solo = (synthesize_received([led1], pd, params, 2000)
                 + synthesize_received([led2], pd, params, 2000))
         np.testing.assert_allclose(both, solo, rtol=0, atol=1e-15)
+
+    def test_fixed_seed_bit_identical(self):
+        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
+        params = make_params(noise=0.01)
+        y = synthesize_received([led], PdPose.at(0, 0), params, 4000)
+        first = self.survey([y, y], params, [42, 43])
+        np.testing.assert_array_equal(first, self.survey([y, y], params, iter([42, 43])))
+        assert not np.array_equal(first[0], first[1])
+
+    def test_different_seeds_differ(self):
+        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
+        params = make_params(noise=0.01)
+        y = synthesize_received([led], PdPose.at(0, 0), params, 4000)
+        assert not np.array_equal(self.survey([y], params, [1]), self.survey([y], params, [2]))
 
     def test_empty_led_list_rejected(self):
         with pytest.raises(ValueError):
