@@ -168,20 +168,18 @@ def _route(tree: KdTree, q: np.ndarray) -> np.ndarray:
     return node - tree.split_dim.size
 
 
-def _vote_row(d2: np.ndarray, kth: float, labels: np.ndarray, k: int, g: int) -> int:
-    """KNN label of one query from its squared distances d2 to candidate rows
-    in ascending training-row order (labels aligned with d2), where kth is
-    the k-th smallest d2 and every row that could rank among the k nearest
-    is a candidate. The tie rules of KnnClassifier."""
-    cand = np.nonzero(d2 <= kth)[0]  # ascending index order
-    nn = cand[np.argsort(d2[cand], kind="stable")][:k]
-    votes = np.bincount(labels[nn], minlength=g)
-    tied = np.nonzero(votes == votes.max())[0]
-    if tied.size == 1:
-        return int(tied[0])
-    dists = np.sqrt(d2[nn])
-    means = np.array([dists[labels[nn] == lab].mean() for lab in tied])
-    return int(tied[np.argmin(means)])  # argmin keeps lower label on ties
+def _norm_expansion(x, sq_norms, qg, qn, cols) -> np.ndarray:
+    """(rows, cols) clipped norm-expansion squared distances from the query rows
+    qg to the rows x[cols], bit for bit the full product's (see KnnClassifier)."""
+    r, c = qg.shape[0], cols.size
+    if r == 1:
+        qg, qn = np.repeat(qg, 2, axis=0), np.repeat(qn, 2)
+    pad = -c % _COL_ALIGN
+    if pad:
+        cols = np.concatenate([cols, np.repeat(cols[-1], pad)])
+    d2 = sq_norms[cols] + qn[:, np.newaxis]
+    d2 -= 2.0 * qg @ x[cols].T
+    return np.maximum(d2, 0.0, out=d2)[:r, :c]
 
 
 class KnnClassifier(_GridClassifier):
@@ -189,7 +187,7 @@ class KnnClassifier(_GridClassifier):
 
     Neighbour order breaks distance ties by lower training-row index; equal
     vote counts go to the label with the smaller mean neighbour distance,
-    then to the lower label.
+    then, within a rounding band (see Votes), to the lower label.
 
     k = 1 over the G per-grid mean fingerprints, labelled 0..G-1, is RSS
     matching and GD-LS's grid choice (run_experiment). Its labels equalled
@@ -223,7 +221,8 @@ class KnnClassifier(_GridClassifier):
     so it cannot be among query i's neighbours or tie with them. The margin
     used, U_i (1 + 4 gamma) + 12 gamma (|q_i|^2 + max |x|^2), is larger
     still. So every row the full computation ranks within the k nearest is
-    a candidate, and the tie rules see the same candidate order.
+    a candidate, and the tie rules see the same candidate order. U_i takes the
+    same kernel (_norm_expansion), whose clip and padding keep d2 within E_i.
 
     Same bits, as measured with the SkylakeX kernels of OpenBLAS 0.3.31
     only. There, a one-row product goes through gemv, and in a product of
@@ -237,10 +236,12 @@ class KnnClassifier(_GridClassifier):
     kernel, a tie within an ulp could take another label.
 
     Votes. At k = 1 a row takes the label of its first minimum d2: the lowest
-    training row among equals. Otherwise, with no tie at the k-th distance the
-    k nearest rows are exactly those with d2 <= k-th d2, and one offset bincount
-    counts their votes. Rows with a tie at the k-th distance or a vote tie take
-    the per-row rule (_vote_row).
+    training row among equals. Otherwise its k nearest rows are those with d2
+    <= its k-th d2, lowest training rows first at the k-th distance; offset
+    bincounts count their votes and sum their distances per label in row order.
+    Of the most-voted labels (equal counts) the smallest sum is the smallest
+    mean; sums within 4 gamma_k of it count as equal (each is within gamma_k of
+    exact), so an exact tie goes to the lower label in any summation order.
 
     Memory. Each batch is taken in row chunks of at most _BATCH_ENTRIES / width
     rows (one at least), width being the bound's subtree rows, or the padded
@@ -259,17 +260,7 @@ class KnnClassifier(_GridClassifier):
         self.tree = _kd_tree(train.features)
 
     def _sq_dists(self, qg: np.ndarray, qn: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(rows, cols) clipped norm-expansion squared distances, bit for bit
-        the entries of the full product (see the class docstring)."""
-        r, c = qg.shape[0], cols.size
-        if r == 1:
-            qg, qn = np.repeat(qg, 2, axis=0), np.repeat(qn, 2)
-        pad = -c % _COL_ALIGN
-        if pad:
-            cols = np.concatenate([cols, np.repeat(cols[-1], pad)])
-        d2 = self._sq_norms[cols] + qn[:, np.newaxis]
-        d2 -= 2.0 * qg @ self.train_set.features[cols].T
-        return np.maximum(d2, 0.0, out=d2)[:r, :c]
+        return _norm_expansion(self.train_set.features, self._sq_norms, qg, qn, cols)
 
     def predict_labels(self, queries) -> np.ndarray:
         x = self.train_set.features
@@ -294,10 +285,9 @@ class KnnClassifier(_GridClassifier):
             if leaf[idx[0]] >> shift != subtree:
                 subtree = leaf[idx[0]] >> shift
                 rows = np.flatnonzero(row_subtree == subtree)
-                x_rows, sn_rows = x[rows], self._sq_norms[rows]
             reach = -math.inf
             for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // rows.size)):
-                d2 = sn_rows + qn[part, np.newaxis] - 2.0 * q[part] @ x_rows.T
+                d2 = _norm_expansion(x, self._sq_norms, q[part], qn[part], rows)
                 bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
                 reach = max(reach, (bound * (1.0 + 4.0 * gamma) + slack[part]).max())
             qg = q[idx]
@@ -318,21 +308,19 @@ class KnnClassifier(_GridClassifier):
         labels = self.train_set.labels[cols]
         if self.k == 1:  # the first minimum: the lowest training row among equals
             return labels[np.argmin(d2, axis=1)]
-        g = self.train_set.num_grid_points
-        k = self.k
-        r, c = d2.shape
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        hit = np.flatnonzero(d2 <= kth[:, np.newaxis])  # row-major
-        row = hit // c
-        lab = labels[hit - row * c] + g * row
+        g, k, r = self.train_set.num_grid_points, self.k, d2.shape[0]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1, np.newaxis]
+        near = d2 <= kth
+        if np.count_nonzero(near) > r * k:  # a tie at the k-th distance: lowest rows first
+            below = d2 < kth
+            near &= below | (np.cumsum(d2 == kth, axis=1) <= k - below.sum(axis=1, keepdims=True))
+        row, col = np.nonzero(near)  # row-major: training-row order within a row
+        lab = labels[col] + g * row
         votes = np.bincount(lab, minlength=r * g).reshape(r, g)
-        best = np.argmax(votes, axis=1)  # lower label first
-        top = votes[np.arange(r), best]
-        unsure = np.bincount(row, minlength=r) > k  # a tie at the k-th distance
-        unsure |= np.count_nonzero(votes == top[:, np.newaxis], axis=1) > 1  # a vote tie
-        for i in np.flatnonzero(unsure):
-            best[i] = _vote_row(d2[i], kth[i], labels, k, g)
-        return best
+        sums = np.bincount(lab, np.sqrt(d2[row, col]), r * g).reshape(r, g)
+        sums[votes < votes.max(axis=1, keepdims=True)] = math.inf
+        band = sums.min(axis=1, keepdims=True) * (1.0 + 4.0 * _gamma(k))
+        return np.argmax(sums <= band, axis=1)  # the lower label within the band
 
 
 def _distinct_rows(x: np.ndarray) -> int:

@@ -3,7 +3,10 @@
 This is the implementation KnnClassifier replaced with its k-d-tree search,
 kept as the reference its labels must equal: the norm expansion
 |x|^2 + |q|^2 - 2 q.x over the full (rows, n) matrix in row chunks, the k-th
-distance by np.partition, and the tie rules row by row.
+distance by np.partition, and the tie rules row by row. A vote tie goes to
+the smallest sum of neighbour distances, summed in training-row order; sums
+within 4 gamma_k (Higham 2002) of the smallest count as equal, and the lower
+label wins.
 
 Each chunk's product is padded as KnnClassifier._sq_dists pads its blocks:
 to at least 2 query rows (a 1-row product goes through gemv) and to a
@@ -14,6 +17,8 @@ layout, and the labels do not depend on how the queries are chunked.
 """
 
 import numpy as np
+
+EPS = np.finfo(float).eps
 
 
 def knn_labels(train, k: int, queries) -> np.ndarray:
@@ -47,9 +52,11 @@ def knn_labels(train, k: int, queries) -> np.ndarray:
             if tied.size == 1:
                 out[start + r] = tied[0]
                 continue
-            dists = np.sqrt(d2[r, nn])
-            means = np.array(
-                [dists[labels[nn] == lab].mean() for lab in tied]
-            )
-            out[start + r] = tied[np.argmin(means)]  # argmin keeps lower label on ties
+            # equal counts: the smallest distance sum, summed in training-row
+            # order, is the smallest mean; sums within 4 gamma_k of it tie
+            nn = np.sort(nn)
+            sums = np.array([sum(np.sqrt(d2[r, nn[labels[nn] == lab]]).tolist())
+                             for lab in tied])
+            gamma = k * EPS / 2 / (1 - k * EPS / 2)
+            out[start + r] = tied[np.argmax(sums <= sums.min() * (1 + 4 * gamma))]
     return out

@@ -198,10 +198,22 @@ class TestKnnAgainstDenseReference:
         train = TrainSet(feats, np.array([3, 3, 1, 1, 2]), np.zeros((4, 2)))
         assert KnnClassifier(train, k=4).predict_labels([[0.0, 0.0]])[0] == 1
 
+    @pytest.mark.parametrize("near_label", [0, 1])
+    def test_exactly_equal_sums_that_round_apart_take_the_lower_label(self, near_label):
+        # from (0, 0), rows (1, 1) and (2, 2) sum to sqrt(2) + sqrt(8) and rows
+        # (0, 0) and (3, 3) to 0 + sqrt(18): both exactly 3 sqrt(2), yet they
+        # round to 4.242640687119286 and 4.242640687119285; label 0 wins either way
+        feats = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, 3.0]])
+        labels = np.array([near_label] * 2 + [1 - near_label] * 2)
+        train = TrainSet(feats, labels, np.zeros((2, 2)))
+        queries = np.array([[0.0, 0.0]])
+        assert KnnClassifier(train, k=4).predict_labels(queries)[0] == 0
+        assert knn_reference.knn_labels(train, 4, queries)[0] == 0
+
     def test_equal_means_whose_sums_round_apart_by_row_order(self):
         # both labels have neighbours at 1, sqrt(2) and sqrt(10), so their mean
-        # distances tie and label 0 wins; summed in training-row order instead
-        # of distance order, (1 + sqrt(10)) + sqrt(2) exceeds (1 + sqrt(2)) + sqrt(10)
+        # distances tie; summed in training-row order, (1 + sqrt(10)) + sqrt(2)
+        # exceeds (1 + sqrt(2)) + sqrt(10), and the rounding band ties them for label 0
         feats = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, 1.0],
                           [0.0, 1.0], [-1.0, -1.0], [3.0, 1.0]])
         train = TrainSet(feats, np.array([0, 0, 0, 1, 1, 1]), np.zeros((2, 2)))

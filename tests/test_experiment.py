@@ -294,6 +294,42 @@ def test_db_with_another_tone_count_is_a_synthesize_error(tmp_path, capsys, m):
     assert "[synthesize] fingerprint DB tones do not match plan LEDs" in capsys.readouterr().err
 
 
+# the plan check each DB change fails -> (the change to the plan's DB, message)
+DB_MISMATCHES = {
+    "grid size": (lambda db: dataclasses.replace(db, grid_coords=db.grid_coords[:-1],
+                                                 rss=db.rss[:-1]),
+                  "grid size does not match plan"),
+    "grid coordinates": (lambda db: dataclasses.replace(db, grid_coords=db.grid_coords + 0.01),
+                         "grid coordinates do not match plan"),
+    "fft length": (lambda db: dataclasses.replace(db, fft_len=2 * db.fft_len),
+                   "FFT length does not match plan"),
+    "sample rate": (lambda db: dataclasses.replace(db, sample_rate=db.sample_rate + 1.0),
+                    "sample rate does not match plan"),
+}
+
+
+@pytest.mark.parametrize("change", list(DB_MISMATCHES))
+def test_db_that_does_not_match_the_plan_is_a_synthesize_error(tmp_path, capsys, change):
+    alter, message = DB_MISMATCHES[change]
+    cfg_path, db_path = simulate(tmp_path, tiny_config())
+    spectral.save_fingerprints(alter(spectral.load_fingerprints(db_path)), db_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", cfg_path, "--db", db_path, "--out", str(out)]) == 3
+    assert f"[synthesize] fingerprint DB {message}" in capsys.readouterr().err
+    assert not os.path.exists(out / "results.csv")
+
+
+def test_result_tables_differing_in_one_ulp_are_not_equal():
+    table = experiment.run_experiment(config.plan_from_config(tiny_config()))
+    est = {method: e.copy() for method, e in table.est.items()}
+    assert table.equals(dataclasses.replace(table, est=est))
+    for method in table.methods:
+        est[method][-1, 1] = np.nextafter(est[method][-1, 1], math.inf)
+        assert not table.equals(dataclasses.replace(table, est=est)), method
+        est[method][-1, 1] = table.est[method][-1, 1]
+
+
 def _raise(*args, **kwargs):
     raise RuntimeError("injected failure")
 

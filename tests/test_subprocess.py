@@ -1,0 +1,125 @@
+"""vlcloc in child processes: `python -m vlcloc` keeps the CLI's exit codes,
+and the outputs hold under other OpenBLAS kernels.
+
+Every child imports vlcloc from this checkout's src/ and runs one OpenBLAS
+thread (ELM's output weights differ bit for bit between thread counts). The
+kernel variable is set in the child's environment only.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from vlcloc import cli, config, spectral
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def run_child(argv: list[str], **env) -> subprocess.CompletedProcess:
+    child_env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    child_env.pop("OPENBLAS_CORETYPE", None)
+    child_env.update(env)
+    return subprocess.run([sys.executable, *argv], env=child_env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def tiny_config() -> dict:
+    """The benchmark's tiny config: 3 x 3 grid, Q = 20 blocks, k = 5, seed 7."""
+    cfg = config.benchmark_config()
+    cfg["geometry"]["grid"]["q"] = 3
+    cfg["spectral"]["blocks_per_grid"] = 20
+    cfg["classifiers"]["knn"]["k"] = 5
+    cfg["run"]["seed"] = 7
+    return cfg
+
+
+def write_config(path, cfg) -> str:
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_python_m_vlcloc_exits_0_for_success_2_for_config_3_for_stage_errors(tmp_path):
+    cfg = tiny_config()
+    cfg["channel"]["noise_std"] = 0.0
+    cfg["spectral"]["blocks_per_grid"] = 2  # table1 synthesizes every FFT length
+    done = run_child(["-m", "vlcloc", "table1", "--config", write_config(tmp_path / "t1.json", cfg)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("# mean RSS (dB) per tone vs FFT length\n")
+
+    cfg["channel"]["noise_std"] = -1.0
+    done = run_child(["-m", "vlcloc", "table1", "--config", write_config(tmp_path / "bad.json", cfg)])
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: ") and "noise_std" in done.stderr
+
+    cfg_path = write_config(tmp_path / "config.json", tiny_config())
+    db_path = str(tmp_path / "db.txt")
+    assert cli.main(["simulate", "--config", cfg_path, "--out", db_path]) == 0
+    db = spectral.load_fingerprints(db_path)
+    spectral.save_fingerprints(dataclasses.replace(db, fft_len=2 * db.fft_len), db_path)
+    done = run_child(["-m", "vlcloc", "evaluate", "--config", cfg_path, "--db", db_path,
+                      "--out", str(tmp_path / "out")])
+    assert done.returncode == 3
+    assert "[synthesize] fingerprint DB FFT length does not match plan" in done.stderr
+
+
+KERNELS = ("SkylakeX", "Haswell", "Sandybridge")
+# Rows of results.csv that must not change with the kernel, and the bound (m)
+# on how far the others' estimates may move: GI-LS and GD-LS solve by SVD and
+# RSSR refines by matrix products, whose bits follow the kernel.
+SAME_BYTES = ("knn", "elm", "rf", "rss-match")
+BOUNDS = {"gi-ls": 1e-12, "gd-ls": 1e-12, "rssr": 1e-7}
+
+# simulate, then evaluate --db keeping the run's estimates at full precision
+SIMULATE_EVALUATE = """
+import sys
+import numpy as np
+from vlcloc import cli, experiment
+run, tables = experiment.run_experiment, []
+experiment.run_experiment = lambda *args: tables.append(run(*args)) or tables[-1]
+cfg, db, out = sys.argv[1:]
+assert cli.main(["simulate", "--config", cfg, "--out", db]) == 0
+assert cli.main(["evaluate", "--config", cfg, "--db", db, "--out", out]) == 0
+np.savez(out + "/est.npz", **tables[0].est)
+"""
+
+
+def kernel_outputs(tmp_path, kernel: str) -> dict | None:
+    """The kernel's DB bytes, cdf.csv bytes, results.csv lines and estimates;
+    None where OpenBLAS's banner says it runs another kernel."""
+    run_dir = tmp_path / kernel
+    run_dir.mkdir()
+    cfg_path = write_config(run_dir / "config.json", tiny_config())
+    db_path, out = run_dir / "db.txt", run_dir / "out"
+    done = run_child(["-c", SIMULATE_EVALUATE, cfg_path, str(db_path), str(out)],
+                     OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2")
+    if f"Core: {kernel}\n" not in done.stdout + done.stderr:
+        return None
+    assert done.returncode == 0, done.stderr
+    with np.load(out / "est.npz") as est:
+        return {"db": db_path.read_bytes(), "cdf": (out / "cdf.csv").read_bytes(),
+                "results": (out / "results.csv").read_text().splitlines(),
+                "est": dict(est)}
+
+
+def test_outputs_under_each_openblas_kernel_agree_within_stated_bounds(tmp_path):
+    runs = {k: o for k in KERNELS if (o := kernel_outputs(tmp_path, k)) is not None}
+    if len(runs) < 2:
+        pytest.skip(f"this host runs only {sorted(runs)} of the kernels {KERNELS}")
+    (first, ref), *others = runs.items()
+    for kernel, got in others:
+        where = f"{kernel} against {first}"
+        assert got["db"] == ref["db"], where
+        assert got["cdf"] == ref["cdf"], where
+        for method in SAME_BYTES:
+            rows = [[line for line in run["results"] if line.startswith(f"{method},")]
+                    for run in (got, ref)]
+            assert rows[0] == rows[1], f"{method}, {where}"
+            np.testing.assert_array_equal(got["est"][method], ref["est"][method], err_msg=where)
+        for method, bound in BOUNDS.items():
+            moved = np.abs(got["est"][method] - ref["est"][method]).max()
+            assert moved <= bound, f"{method} moved {moved:.3g} m, {where}"
