@@ -31,12 +31,12 @@ class RssrSolver:
 
     Everything that depends only on the geometry is built once here: the
     LED pair indices, m + 3, the LED x, y and h^2 columns, the scan grid's
-    model terms, and for each of the three
-    refinement rounds its 3x3 stencil offsets and the five rows of the
-    least-squares pseudo-inverse that map the nine objective values to the
-    quadratic's (gx, gy, cxx, cyy, cxy). A query then costs one matvec over
-    the scan grid plus, per round, nine objective values, one 5x9 matvec
-    and a closed-form 2x2 Newton step.
+    model terms and each refinement round's 3x3 stencil offsets. A query
+    costs one matvec over the scan grid, the only BLAS product that rounds,
+    plus, per round, nine objective values (exact +-1 pair differences), a
+    closed-form quadratic fit in plain Python and a 2x2 Newton step. So only
+    a near tie in the scan could make the estimate's bits follow the OpenBLAS
+    kernel; none was seen under SkylakeX, Haswell and Sandybridge.
 
     LedConfig and ChannelParams already guarantee finite positions and a
     positive, finite Lambertian order; the solver checks the rest: at least
@@ -73,19 +73,12 @@ class RssrSolver:
         # the scan values, and the cell picked among near-ties, agree bit for bit.
         self._model_x2 = np.asfortranarray(2.0 * model)
 
-        # Quadratic f ~ c0 + gx sx + gy sy + cxx sx^2 + cyy sy^2 + cxy sx sy on
-        # the stencil h * {-1, 0, 1}^2: with D = diag(1, h, h, h^2, h^2, h^2)
-        # the design matrix is A_1 D, so its pseudo-inverse is D^-1 pinv(A_1).
         unit = np.array([-1.0, 0.0, 1.0])
         ux, uy = (u.ravel() for u in np.meshgrid(unit, unit, indexing="ij"))
-        design = np.column_stack([np.ones(9), ux, uy, ux**2, uy**2, ux * uy])
-        unit_rows = np.linalg.pinv(design)[1:]
         self._rounds = []
         h = res
         for _ in range(3):
-            offsets = np.stack([h * ux, h * uy], axis=-1)
-            rows = unit_rows / np.array([h, h, h * h, h * h, h * h])[:, np.newaxis]
-            self._rounds.append((h, offsets, rows))
+            self._rounds.append((h, np.stack([h * ux, h * uy], axis=-1)))
             h /= 10.0
 
     def _model_at(self, xy: np.ndarray) -> np.ndarray:
@@ -102,6 +95,11 @@ class RssrSolver:
     def _refine(self, log_ratios: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Fit a 2-d quadratic on a 3x3 stencil and jump to its stationary point.
 
+        The quadratic f ~ c0 + gx sx + gy sy + cxx sx^2 + cyy sy^2 + cxy sx sy
+        is fit by least squares in closed form, as in Savitzky-Golay
+        smoothing: f[3 i + j], at offset h (i - 1, j - 1), enters through the
+        stencil's row sums X, its column sums Y and the corner term of cxy.
+
         Three rounds with a stencil shrinking tenfold each pull the scan
         optimum well below millimeter error on smooth noiseless objectives.
         A step is taken only where the fitted Hessian is positive definite,
@@ -109,9 +107,13 @@ class RssrSolver:
         cannot throw the estimate away.
         """
         c = center
-        for h, offsets, rows in self._rounds:
-            f = ((self._model_at(c + offsets) - log_ratios) ** 2).sum(axis=-1)
-            gx, gy, cxx, cyy, cxy = (rows @ f).tolist()
+        for h, offsets in self._rounds:
+            f = ((self._model_at(c + offsets) - log_ratios) ** 2).sum(axis=-1).tolist()
+            xm, x0, xp = f[0] + f[1] + f[2], f[3] + f[4] + f[5], f[6] + f[7] + f[8]
+            ym, y0, yp = f[0] + f[3] + f[6], f[1] + f[4] + f[7], f[2] + f[5] + f[8]
+            gx, gy, six_h2 = (xp - xm) / (6.0 * h), (yp - ym) / (6.0 * h), 6.0 * h * h
+            cxx, cyy = (xm - 2.0 * x0 + xp) / six_h2, (ym - 2.0 * y0 + yp) / six_h2
+            cxy = (f[8] - f[6] - f[2] + f[0]) / (4.0 * h * h)
             # Hessian [[2 cxx, cxy], [cxy, 2 cyy]]; Cramer's rule for H s = -g
             det = 4.0 * cxx * cyy - cxy * cxy
             if det > 0.0 and cxx > 0.0:

@@ -224,16 +224,17 @@ class KnnClassifier(_GridClassifier):
     a candidate, and the tie rules see the same candidate order. U_i takes the
     same kernel (_norm_expansion), whose clip and padding keep d2 within E_i.
 
-    Same bits, as measured with the SkylakeX kernels of OpenBLAS 0.3.31
-    only. There, a one-row product goes through gemv, and in a product of
-    more than ~1e6 multiply-adds the columns of the kernel's tail block (the
-    last n mod 8) sum in two accumulators; every other matmul entry is the
-    fused multiply-add chain over the M features. Each candidate block is a
-    matmul of >= 2 query rows and a column count padded to a multiple of
-    16, so its entries are that chain, and the labels do not depend on how
-    queries are batched. They equal the full product's entries except in
-    its tail columns when it is that large: there, and under any other BLAS
-    kernel, a tie within an ulp could take another label.
+    Same bits, as measured with the SkylakeX kernels of OpenBLAS 0.3.31: a
+    one-row product goes through gemv, and in a product of more than ~1e6
+    multiply-adds the columns of the kernel's tail block (the last n mod 8)
+    sum in two accumulators; every other matmul entry is the fused
+    multiply-add chain over the M features. Each candidate block is a matmul
+    of >= 2 query rows and a column count padded to a multiple of 16, so its
+    entries are that chain, and the labels do not depend on how queries are
+    batched. They equal the full product's entries except in its tail
+    columns when it is that large: there, and under other BLAS kernels, a
+    tie within an ulp could take another label. tests/test_subprocess.py
+    holds the labels under Haswell and Sandybridge at its tiny config.
 
     Votes. At k = 1 a row takes the label of its first minimum d2: the lowest
     training row among equals. Otherwise its k nearest rows are those with d2

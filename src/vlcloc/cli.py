@@ -63,7 +63,7 @@ def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
                                  table.truth[:, 1].tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("method,grid_index,true_x,true_y,est_x,est_y,error_m\r\n")
-        for method in table.methods:
+        for method in experiment.ALL_METHODS:
             est, errors = table.est[method], table.errors(method)
             for at in range(0, len(shared), _CSV_CHUNK_ROWS):
                 chunk = slice(at, at + _CSV_CHUNK_ROWS)
@@ -77,7 +77,7 @@ def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "threshold_m", "fraction"])
-        for method in table.methods:
+        for method in experiment.ALL_METHODS:
             fractions = table.cdf(method)
             for thr, frac in zip(experiment.CDF_THRESHOLDS, fractions):
                 writer.writerow([method, format(thr, ".9g"), format(frac, ".9g")])
@@ -116,7 +116,7 @@ def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
     _write_cdf_csv(table, os.path.join(out_dir, "cdf.csv"))
     _write_weights_csv(table, os.path.join(out_dir, "weights.csv"))
     print(f"{'method':<10} {'MSPE_m':>10} {'P(err<=5cm)':>12}")
-    for method in table.methods:
+    for method in experiment.ALL_METHODS:
         print(f"{method:<10} {table.mspe(method):>10.4f} "
               f"{table.fraction_within(method, 0.05):>12.4f}")
     print(f"results written to {out_dir}")

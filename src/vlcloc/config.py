@@ -19,8 +19,7 @@ Config layout (every key shown; `?` marks an optional key)::
       },
       "spectral": {"fft_len": int, "blocks_per_grid": int},
       "split"?: {"train"?: frac, "offline"?: frac, "online"?: frac, "shuffle"?: bool},
-      "classifiers"?: {"knn"?: {"k"?: int}, "elm"?: {"hidden"?: int},
-                       "rf"?: {"trees"?: int, "depth"?: int}},
+      "classifiers"?: {"knn"?: {"k"?: int}, "rf"?: {"depth"?: int}},
       "run": {"seed": int}
     }
 
@@ -33,10 +32,11 @@ other config key sets it. Every run trains KNN, ELM and RF, in that order,
 and scores all seven methods (`experiment.ALL_METHODS`), so no key selects
 them; `geometry.leds` needs at least 3 LEDs, the fewest RSSR can locate
 with. Fixed parts of the method are module constants, not keys: the speed
-of light (`channel.SPEED_OF_LIGHT`), the RSSR scan resolution and margin
-(`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`), the LS-SVD rank
-cutoff (1e-10 * max(L, H) of sigma_max, in `fusion.ls_svd_weights`) and the
-error-CDF thresholds (`experiment.CDF_THRESHOLDS`).
+of light (`channel.SPEED_OF_LIGHT`), ELM's hidden units and RF's trees
+(`experiment.ELM_HIDDEN`, `experiment.RF_TREES`), the RSSR scan resolution
+and margin (`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`), the
+LS-SVD rank cutoff (1e-10 * max(L, H) of sigma_max, `fusion.ls_svd_weights`)
+and the error-CDF thresholds (`experiment.CDF_THRESHOLDS`).
 
 plan_from_config checks each key as it reads it and rejects unknown keys
 anywhere, before any computation, so a bad config fails fast.
@@ -164,10 +164,9 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         online=_number(split, "online", "split", minimum=1e-9),
         shuffle=split.get("shuffle")))
 
-    clf = _check_keys(cfg.get("classifiers", {}), "classifiers", optional={"knn", "elm", "rf"})
+    clf = _check_keys(cfg.get("classifiers", {}), "classifiers", optional={"knn", "rf"})
     knn = _check_keys(clf.get("knn", {}), "classifiers.knn", optional={"k"})
-    elm = _check_keys(clf.get("elm", {}), "classifiers.elm", optional={"hidden"})
-    rf = _check_keys(clf.get("rf", {}), "classifiers.rf", optional={"trees", "depth"})
+    rf = _check_keys(clf.get("rf", {}), "classifiers.rf", optional={"depth"})
 
     run = _check_keys(cfg["run"], "run", required={"seed"})
 
@@ -181,8 +180,6 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         split=split_ratios,
         seed=_integer(run, "seed", "run", minimum=0),
         **_set(knn_k=_integer(knn, "k", "classifiers.knn", minimum=1),
-               elm_hidden=_integer(elm, "hidden", "classifiers.elm", minimum=1),
-               rf_trees=_integer(rf, "trees", "classifiers.rf", minimum=1),
                rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1)),
     )
 
@@ -216,10 +213,6 @@ def benchmark_config() -> dict:
         },
         "spectral": {"fft_len": 2000, "blocks_per_grid": 200},
         "split": {"train": 0.6, "offline": 0.2, "online": 0.2, "shuffle": False},
-        "classifiers": {
-            "knn": {"k": 120},
-            "elm": {"hidden": 600},
-            "rf": {"trees": 40, "depth": 5},
-        },
+        "classifiers": {"knn": {"k": 120}, "rf": {"depth": 5}},
         "run": {"seed": 1729},
     })

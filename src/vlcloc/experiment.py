@@ -33,6 +33,7 @@ METHOD_RSSR = "rssr"
 ALL_METHODS = (METHOD_KNN, METHOD_ELM, METHOD_RF, METHOD_GI, METHOD_GD,
                METHOD_MATCH, METHOD_RSSR)
 SINGLE_CLASSIFIERS = (METHOD_KNN, METHOD_ELM, METHOD_RF)
+ELM_HIDDEN, RF_TREES = 600, 40  # ELM's hidden units and RF's trees in every run
 
 # SeedSequence namespaces, so every random consumer has its own stream
 _SEED_SYNTH = 0
@@ -76,6 +77,8 @@ class SplitRatios:
     shuffle: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be a bool, got {self.shuffle!r}")
         fracs = (self.train, self.offline, self.online)
         if any(not f > 0.0 for f in fracs):
             raise ValueError("every split fraction must be positive")
@@ -105,15 +108,12 @@ class ExperimentPlan:
     blocks_per_grid: int
     split: SplitRatios = SplitRatios()
     knn_k: int = 120
-    elm_hidden: int = 600
-    rf_trees: int = 40
     rf_depth: int = 5
     seed: int = 0
     methods: ClassVar[tuple[str, ...]] = ALL_METHODS  # every run scores all seven
 
     def __post_init__(self):
-        for name in ("grid_q", "fft_len", "blocks_per_grid", "knn_k", "elm_hidden",
-                     "rf_trees", "rf_depth", "seed"):
+        for name in ("grid_q", "fft_len", "blocks_per_grid", "knn_k", "rf_depth", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -125,7 +125,7 @@ class ExperimentPlan:
             raise ValueError("fft_len >= 2 and blocks_per_grid >= 1 required")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("knn_k", "elm_hidden", "rf_trees", "rf_depth"):
+        for name in ("knn_k", "rf_depth"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if len(self.leds) < 3:
@@ -166,7 +166,6 @@ class ResultTable:
     resolves, counts every such miss within t = spacing.
     """
 
-    methods: ClassVar[tuple[str, ...]] = ALL_METHODS
     grid_index: np.ndarray  # (n,) true grid of each query
     truth: np.ndarray       # (n, 2) plan.grid_coords[grid_index]
     est: dict[str, np.ndarray]
@@ -193,7 +192,7 @@ class ResultTable:
         shared = ("grid_index", "truth")
         if not all(np.array_equal(getattr(self, f), getattr(other, f)) for f in shared):
             return False
-        return all(np.array_equal(self.est[m], other.est[m]) for m in self.methods)
+        return all(np.array_equal(self.est[m], other.est[m]) for m in ALL_METHODS)
 
 
 def _seed(plan: ExperimentPlan, *path: int) -> np.random.SeedSequence:
@@ -239,8 +238,8 @@ def _flatten_split(db: spectral.FingerprintDB, block_idx: np.ndarray):
 def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet):
     """The trained classifiers, in SINGLE_CLASSIFIERS order."""
     return [KnnClassifier(train_set, plan.knn_k),
-            ElmClassifier(train_set, plan.elm_hidden, _seed(plan, _SEED_ELM)),
-            RandomForest(train_set, plan.rf_trees, plan.rf_depth, _seed(plan, _SEED_RF))]
+            ElmClassifier(train_set, ELM_HIDDEN, _seed(plan, _SEED_ELM)),
+            RandomForest(train_set, RF_TREES, plan.rf_depth, _seed(plan, _SEED_RF))]
 
 
 def run_experiment(plan: ExperimentPlan,

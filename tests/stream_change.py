@@ -26,6 +26,15 @@ Pass rule, fixed before the first use: for every workload and metric
 Use seeds the change was not built on. The script exits 0 on a pass, 1 on a
 failure.
 
+Joint false rejection. Under no change, each sign test at 10 untied seeds
+rejects with probability 22/1024 = 2.1 % (a 0 : 10, 1 : 9, 9 : 1 or 10 : 0
+split). Over the 18 metric-workload pairs the chance that any rejects is at
+most 18 * 22/1024 = 38.7 % by the union bound, and 32.4 % if the pairs were
+independent; they are not, since both workloads share each seed's survey.
+The rule above is not corrected for that. A Holm step-down at 0.05 would
+compare the smallest p with 0.05/18, so it would reject only a 0 : 10 or
+10 : 0 split (p = 2/1024).
+
 One seed takes about 15 s per tree on one core with the benchmark config.
 """
 

@@ -156,6 +156,10 @@ RETIRED_KEYS = {
     "run.methods": (_set_in("run", "methods", list(ALL_METHODS)), "run: unknown keys ['methods']"),
     "classifiers.order": (_set_in("classifiers", "order", ["knn", "elm", "rf"]),
                           "classifiers: unknown keys ['order']"),
+    "classifiers.elm.hidden": (_set_in("classifiers", "elm", "hidden", 600),
+                               "classifiers: unknown keys ['elm']"),
+    "classifiers.rf.trees": (_set_in("classifiers", "rf", "trees", 40),
+                             "classifiers.rf: unknown keys ['trees']"),
 }
 
 

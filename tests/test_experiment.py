@@ -38,7 +38,7 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
     train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
     train_q, train_labels = experiment._flatten_split(db, train_idx)
     roots = rf_reference.reference_forest(
-        TrainSet(train_q, train_labels, plan.grid_coords), plan.rf_trees, plan.rf_depth,
+        TrainSet(train_q, train_labels, plan.grid_coords), experiment.RF_TREES, plan.rf_depth,
         experiment._seed(plan, experiment._SEED_RF))
     online_q, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
@@ -324,7 +324,7 @@ def test_result_tables_differing_in_one_ulp_are_not_equal():
     table = experiment.run_experiment(config.plan_from_config(tiny_config()))
     est = {method: e.copy() for method, e in table.est.items()}
     assert table.equals(dataclasses.replace(table, est=est))
-    for method in table.methods:
+    for method in experiment.ALL_METHODS:
         est[method][-1, 1] = np.nextafter(est[method][-1, 1], math.inf)
         assert not table.equals(dataclasses.replace(table, est=est)), method
         est[method][-1, 1] = table.est[method][-1, 1]
@@ -515,16 +515,16 @@ BAD_FIELDS = {
     "SplitRatios.train": lambda: SplitRatios(NAN, 0.5, 0.5),
     "SplitRatios.offline": lambda: SplitRatios(0.5, NAN, 0.5),
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
+    "SplitRatios.shuffle": lambda: SplitRatios(shuffle="yes"),
     "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()), grid_spacing=NAN),
     **{f"ExperimentPlan.{name}={value!r}": functools.partial(
         lambda name, value: dataclasses.replace(
             config.plan_from_config(tiny_config()), **{name: value}), name, value)
-       for name, value in [("knn_k", 0), ("elm_hidden", 0), ("rf_trees", 0), ("rf_depth", 0),
+       for name, value in [("knn_k", 0), ("rf_depth", 0),
                            # counts that are not integers, bools included
                            ("grid_q", 2.5), ("fft_len", 2000.5), ("blocks_per_grid", 3.5),
-                           ("knn_k", True), ("elm_hidden", 600.0), ("rf_trees", "40"),
-                           ("rf_depth", 2.5), ("seed", 1.5), ("seed", False),
+                           ("knn_k", True), ("rf_depth", 2.5), ("seed", 1.5), ("seed", False),
                            # an infinite spacing, and one whose grid extent overflows at q = 3
                            ("grid_spacing", INF), ("grid_spacing", 1e308)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
@@ -544,7 +544,7 @@ def _csv_writer_results(table, path):
         writer = csv.writer(fh)
         writer.writerow(["method", "grid_index", "true_x", "true_y", "est_x", "est_y",
                          "error_m"])
-        for method in table.methods:
+        for method in experiment.ALL_METHODS:
             est, errs = table.est[method], table.errors(method)
             for i in range(table.grid_index.size):
                 writer.writerow([method, table.grid_index[i],

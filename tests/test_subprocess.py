@@ -69,10 +69,10 @@ def test_python_m_vlcloc_exits_0_for_success_2_for_config_3_for_stage_errors(tmp
 
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge")
 # Rows of results.csv that must not change with the kernel, and the bound (m)
-# on how far the others' estimates may move: GI-LS and GD-LS solve by SVD and
-# RSSR refines by matrix products, whose bits follow the kernel.
-SAME_BYTES = ("knn", "elm", "rf", "rss-match")
-BOUNDS = {"gi-ls": 1e-12, "gd-ls": 1e-12, "rssr": 1e-7}
+# on how far the others' estimates may move: GI-LS and GD-LS solve by SVD,
+# whose bits follow the kernel.
+SAME_BYTES = ("knn", "elm", "rf", "rss-match", "rssr")
+BOUNDS = {"gi-ls": 1e-12, "gd-ls": 1e-12}
 
 # simulate, then evaluate --db keeping the run's estimates at full precision
 SIMULATE_EVALUATE = """
