@@ -551,10 +551,11 @@ class RandomForest(_GridClassifier):
     distinct grid labels: depth 5 allows 32 of the benchmark's G = 225, a
     cap on RF's exact-hit rate that no amount of training data lifts.
 
-    Each tree sorts every feature of its bootstrap sample once; a split
-    partitions those orders stably, so the rows of a node stay sorted by
-    (value, bootstrap row) and no node sorts again. Query row blocks
-    (predict_labels) bound the vote arrays and cannot change a label.
+    The forest sorts each feature once; a tree's orders repeat each training
+    row as often as its bootstrap drew it and split stably, so no node sorts
+    again (the order among equal values reaches only the screen's float sums,
+    whose bound holds in any order). Query row blocks (predict_labels) bound
+    the vote arrays and cannot change a label.
 
     Layout. All trees share four node arrays, `feature`, `threshold`,
     `child` and `label`; `roots` holds each tree's first node. Trees are
@@ -579,26 +580,22 @@ class RandomForest(_GridClassifier):
         n, m = x.shape
         self._n_candidates = max(1, math.ceil(math.sqrt(m)))
         xlog2x = _xlog2x(np.arange(n + 1.0))
-        # Dense per-feature value ranks: a stable integer sort of them orders
-        # rows exactly as a stable sort of the values would, and faster.
-        ranks = np.empty((m, n), dtype=np.min_scalar_type(n))
-        for f in range(m):
-            ranks[f] = np.unique(x[:, f], return_inverse=True)[1]
+        cols = x.T.copy()
+        presorted = np.argsort(cols, axis=1, kind="stable")
         slots = []  # one (feature, threshold, child, label) per node
         roots = []
         for _ in range(trees):
-            boot = rng.integers(0, n, n)
-            order = np.argsort(ranks[:, boot], axis=1, kind="stable")
-            roots.append(self._grow_tree(x[boot].T.copy(), y[boot], order, rng, xlog2x, slots))
+            copies = np.bincount(rng.integers(0, n, n), minlength=n)
+            order = np.repeat(presorted, copies[presorted].ravel()).reshape(m, n)
+            roots.append(self._grow_tree(cols, y, order, rng, xlog2x, slots))
         self.feature, self.threshold, self.child, self.label = map(np.array, zip(*slots))
         self.roots = np.array(roots)
 
     def _grow_tree(self, cols: np.ndarray, y: np.ndarray, order: np.ndarray,
                    rng: np.random.Generator, xlog2x: np.ndarray, slots: list) -> int:
-        """Grow one tree into slots from (M, n) feature columns and their
-        per-feature stable sort orders; returns its root. Depth first and
-        left before right: the order in which nodes draw their candidate
-        features."""
+        """Grow one tree into slots from the training columns, labels and the
+        tree's (M, n) per-feature orders of bootstrap rows; returns its root.
+        Depth first and left before right: the order nodes draw candidates in."""
         m = cols.shape[0]
         root = len(slots)
         slots.append(None)

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime / stage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -75,25 +74,22 @@ def _write_results_csv(table: experiment.ResultTable, path: str) -> None:
 
 def _write_cdf_csv(table: experiment.ResultTable, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "threshold_m", "fraction"])
+        fh.write("method,threshold_m,fraction\r\n")
         for method in experiment.ALL_METHODS:
-            fractions = table.cdf(method)
-            for thr, frac in zip(experiment.CDF_THRESHOLDS, fractions):
-                writer.writerow([method, format(thr, ".9g"), format(frac, ".9g")])
+            fh.write("".join(f"{method},{thr:.9g},{frac:.9g}\r\n" for thr, frac
+                             in zip(experiment.CDF_THRESHOLDS, table.cdf(method).tolist())))
 
 
 def _write_weights_csv(table: experiment.ResultTable, path: str) -> None:
     order = experiment.SINGLE_CLASSIFIERS
-    header = ["method", "grid_index"] + [f"wx_{c}" for c in order] + [f"wy_{c}" for c in order]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(["method", "grid_index", *(f"wx_{c}" for c in order),
+                           *(f"wy_{c}" for c in order)]) + "\r\n")
         for method, fit in (("gi-ls", table.gi), ("gd-ls", table.gd)):
             rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
             grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
-            for g, row in zip(grids, rows.tolist()):
-                writer.writerow([method, g] + [format(w, ".9g") for w in row])
+            fh.write("".join(f"{method},{g}," + ",".join(f"{w:.9g}" for w in row) + "\r\n"
+                             for g, row in zip(grids, rows.tolist())))
 
 
 def _check_trainable(plan: experiment.ExperimentPlan) -> None:

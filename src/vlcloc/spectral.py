@@ -118,29 +118,31 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
     twiddle = np.hstack([np.cos(angle), np.sin(angle)])
     noise_scale = noise_std * np.sqrt((twiddle**2).sum(axis=0))
 
-    per_grid = []
-    q_common = None
+    # one (G, Q, M) array: per-point rows left between the waveforms made glibc refault them
+    rss, g = None, -1
     seeds = iter(seeds)
     for g, stream in enumerate(streams):
+        if g == grid.shape[0]:
+            raise ValueError(f"got more than {g} streams for {g} grid points")
         y = np.asarray(stream, dtype=float)
         q = y.size // fft_len
         if q < 1:
             raise ValueError(f"stream {g} has {y.size} samples, fewer than one {fft_len}-block")
-        if q_common is None:
-            q_common = q
-        elif q != q_common:
-            raise ValueError(f"stream {g} yields {q} blocks, expected {q_common}")
+        if rss is None:
+            rss = np.empty((grid.shape[0], q, tones.size))
+        elif q != rss.shape[1]:
+            raise ValueError(f"stream {g} yields {q} blocks, expected {rss.shape[1]}")
         dft = y[: q * fft_len].reshape(q, fft_len) @ twiddle
         if noise_std > 0.0:
             if (seed := next(seeds, None)) is None:
                 raise ValueError(f"no seed for stream {g}: noise_std > 0 needs one per stream")
             dft += np.random.default_rng(seed).standard_normal(dft.shape) * noise_scale
         power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
-        per_grid.append(to_db(power[:, window.reshape(windows.shape)].max(axis=2)))
+        rss[g] = to_db(power[:, window.reshape(windows.shape)].max(axis=2))
 
-    if len(per_grid) != grid.shape[0]:
-        raise ValueError(f"got {len(per_grid)} streams for {grid.shape[0]} grid points")
-    db = FingerprintDB(grid, np.stack(per_grid), tones, fft_len, sample_rate)
+    if g + 1 != grid.shape[0]:
+        raise ValueError(f"got {g + 1} streams for {grid.shape[0]} grid points")
+    db = FingerprintDB(grid, rss, tones, fft_len, sample_rate)
     for f, nominal, on_bin in db.tone_alignment():
         if not on_bin:
             log.warning("tone %.6g Hz is off-bin (nearest DFT bin %d)", f, nominal)

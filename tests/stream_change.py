@@ -14,8 +14,13 @@ and GD-LS. The runs are paired by seed.
 
 A stream change keeps a metric's distribution, not its value on a seed, so
 per workload and metric the script prints the median over seeds of the
-paired relative difference (new - old) / old, and the sign-test counts: the
-seeds where the new tree reads higher, lower, or the same.
+paired relative difference (new - old) / old with its sign-test confidence
+interval, and the sign-test counts: the seeds where the new tree reads
+higher, lower, or the same. The interval is [d_(k), d_(n+1-k)] of the n
+sorted differences, with the largest k whose coverage 1 - 2 P(X <= k - 1),
+X ~ Bin(n, 1/2), is at least 1 - 0.05; at n = 10 it is [d_(2), d_(9)],
+coverage 1 - 22/1024 = 97.9 %. It is printed only; the pass rule below
+does not read it.
 
 Pass rule, fixed before the first use: for every workload and metric
 - the median paired relative difference lies within +- half that metric's
@@ -91,22 +96,39 @@ def sign_test_p(higher: int, lower: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+def sign_test_interval(diffs: list[float]) -> tuple[float, float, float]:
+    """(low, high, coverage) of the median's sign-test confidence interval
+    (see the module docstring); (-inf, inf, 1.0) when too few diffs allow one."""
+    d, n = sorted(diffs), len(diffs)
+    k, tail = 0, 0.0  # tail = P(X <= k - 1)
+    while 2.0 * (tail + math.comb(n, k) / 2.0**n) <= ALPHA:
+        tail += math.comb(n, k) / 2.0**n
+        k += 1
+    if k == 0:
+        return -math.inf, math.inf, 1.0
+    return d[k - 1], d[n - k], 1.0 - 2.0 * tail
+
+
 def compare(old: list[dict], new: list[dict], bounds: dict[str, float]) -> bool:
     """Print the paired table per workload; True when every metric passes."""
     ok = True
     for w in WORKLOADS:
-        print(f"\n{w}: {len(old)} seeds")
-        print(f"{'metric':14s} {'bound/2':>8s} {'median rel diff':>16s} {'new>old':>8s} "
-              f"{'new<old':>8s} {'ties':>5s} {'sign p':>7s}  pass")
+        coverage = sign_test_interval([0.0] * len(old))[2]
+        print(f"\n{w}: {len(old)} seeds; median interval coverage {coverage:.1%}")
+        print(f"{'metric':14s} {'bound/2':>8s} {'median rel diff':>16s} {'interval':>20s} "
+              f"{'new>old':>8s} {'new<old':>8s} {'ties':>5s} {'sign p':>7s}  pass")
         for metric in old[0][w]:
             pairs = [(o[w][metric], n[w][metric]) for o, n in zip(old, new)]
-            rel = statistics.median((b - a) / a for a, b in pairs)
+            rels = [(b - a) / a for a, b in pairs]
+            rel = statistics.median(rels)
+            low, high = sign_test_interval(rels)[:2]
             higher = sum(b > a for a, b in pairs)
             lower = sum(b < a for a, b in pairs)
             p = sign_test_p(higher, lower)
             passed = abs(rel) <= bounds[metric] / 2.0 and p >= ALPHA
             ok &= passed
-            print(f"{metric:14s} {bounds[metric] / 2.0:8.3f} {rel:+16.4f} {higher:8d} "
+            print(f"{metric:14s} {bounds[metric] / 2.0:8.3f} {rel:+16.4f} "
+                  f"{f'[{low:+.4f}, {high:+.4f}]':>20s} {higher:8d} "
                   f"{lower:8d} {len(pairs) - higher - lower:5d} {p:7.3f}  "
                   f"{'yes' if passed else 'NO'}")
     return ok

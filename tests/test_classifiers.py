@@ -573,7 +573,8 @@ class TestCommonInvariants:
         ([[0.0] * 2], "queries have 2 features, training rows 3"),
         ([[0.0] * 3, [np.nan] * 3], "queries must be finite"),
         ([[0.0, np.inf, 0.0]], "queries must be finite"),
-    ], ids=["wider", "narrower", "nan-row", "inf-row"])
+        ([[[0.0] * 3]], "queries must be a vector or an"),
+    ], ids=["wider", "narrower", "nan-row", "inf-row", "3d"])
     @each_classifier
     def test_malformed_queries_are_rejected(self, build, queries, message):
         clf = build(random_train_set(np.random.default_rng(12), m=3))
@@ -592,6 +593,12 @@ class TestCommonInvariants:
             TrainSet(np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             TrainSet(np.zeros((3, 2)), np.array([0, 1, 5]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="features must be a non-empty"):
+            TrainSet(np.zeros((0, 2)), np.array([], dtype=int), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="features must be a non-empty"):
+            TrainSet(np.zeros(3), np.array([0, 1, 0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="grid_coords must have shape"):
+            TrainSet(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("labels, row", [
         ([0, 1, 0.7, 1.9, 0], 2),
@@ -758,6 +765,20 @@ class TestForestMatchesReference:
         np.testing.assert_array_equal(tree_labels(forest, queries), want)
         np.testing.assert_array_equal(forest.predict_labels(queries),
                                       rf_reference.forest_labels(roots, queries, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 80), m=st.integers(1, 5), levels=st.integers(1, 5),
+           g=st.integers(2, 6), depth=st.integers(1, 6), trees=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tie_heavy_integer_features_node_for_node(self, n, m, levels, g, depth, trees,
+                                                      seed):
+        # few levels and rows: value ties and bootstrap copies in every node
+        rng = np.random.default_rng(seed)
+        train = TrainSet(rng.integers(0, levels, (n, m)).astype(float),
+                         rng.integers(0, g, n), np.zeros((g, 2)))
+        forest = RandomForest(train, trees, depth, seed)
+        rf_reference.assert_same_forest(
+            forest, rf_reference.reference_forest(train, trees, depth, seed))
 
     def test_root_leaves_of_a_tiny_training_set(self):
         # 3 rows, 2 classes: a third of the bootstrap samples hold one class,

@@ -328,6 +328,8 @@ def test_result_tables_differing_in_one_ulp_are_not_equal():
         est[method][-1, 1] = np.nextafter(est[method][-1, 1], math.inf)
         assert not table.equals(dataclasses.replace(table, est=est)), method
         est[method][-1, 1] = table.est[method][-1, 1]
+    assert not table.equals(dataclasses.replace(table, grid_index=table.grid_index + 1))
+    assert not table.equals(dataclasses.replace(table, truth=-table.truth))
 
 
 def _raise(*args, **kwargs):
@@ -516,6 +518,10 @@ BAD_FIELDS = {
     "SplitRatios.offline": lambda: SplitRatios(0.5, NAN, 0.5),
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
     "SplitRatios.shuffle": lambda: SplitRatios(shuffle="yes"),
+    "SplitRatios.sum": lambda: SplitRatios(0.5, 0.5, 0.5),
+    "ExperimentPlan.leds": lambda: dataclasses.replace(
+        config.plan_from_config(tiny_config()),
+        leds=(LedConfig(H, 8e5), LedConfig(H, 9e5), LedConfig(H, 8e5))),
     "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()), grid_spacing=NAN),
     **{f"ExperimentPlan.{name}={value!r}": functools.partial(
@@ -526,9 +532,12 @@ BAD_FIELDS = {
                            ("grid_q", 2.5), ("fft_len", 2000.5), ("blocks_per_grid", 3.5),
                            ("knn_k", True), ("rf_depth", 2.5), ("seed", 1.5), ("seed", False),
                            # an infinite spacing, and one whose grid extent overflows at q = 3
-                           ("grid_spacing", INF), ("grid_spacing", 1e308)]},
+                           ("grid_spacing", INF), ("grid_spacing", 1e308),
+                           # an integer below its least value
+                           ("fft_len", 1), ("seed", -1)]},
     "PdPose.x": lambda: PdPose.at(NAN, 0.0),
     "PdPose.y": lambda: PdPose.at(0.0, math.inf),
+    "PdPose.position": lambda: PdPose(np.zeros(2)),
 }
 
 
@@ -566,6 +575,45 @@ def test_results_csv_equals_the_csv_writer_text(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
         cli._write_results_csv(table, tmp_path / "bulk.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _csv_writer_cdf_and_weights(table, cdf_path, weights_path):
+    """The row-at-a-time csv.writer forms of cli._write_cdf_csv and cli._write_weights_csv."""
+    with open(cdf_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "threshold_m", "fraction"])
+        for method in experiment.ALL_METHODS:
+            for thr, frac in zip(experiment.CDF_THRESHOLDS, table.cdf(method)):
+                writer.writerow([method, format(thr, ".9g"), format(frac, ".9g")])
+    order = experiment.SINGLE_CLASSIFIERS
+    with open(weights_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "grid_index"] + [f"wx_{c}" for c in order]
+                        + [f"wy_{c}" for c in order])
+        for method, fit in (("gi-ls", table.gi), ("gd-ls", table.gd)):
+            rows = np.hstack([np.atleast_2d(fit.wx.weights), np.atleast_2d(fit.wy.weights)])
+            grids = [-1] if fit.wx.weights.ndim == 1 else range(len(rows))
+            for g, row in zip(grids, rows.tolist()):
+                writer.writerow([method, g] + [format(w, ".9g") for w in row])
+
+
+def test_cdf_and_weights_csv_equal_the_csv_writer_text(tmp_path):
+    rng = np.random.default_rng(15)
+    truth = np.zeros((9, 2))
+    edge = np.array([[-0.0, 1e21, 1.0 / 3.0], [1e-10, -2.0, 123456789.0]])
+    ranks = np.full(2, 3)
+    table = experiment.ResultTable(
+        grid_index=np.arange(9), truth=truth,
+        est={m: rng.uniform(0.0, 0.2, truth.shape) for m in experiment.ALL_METHODS},
+        gi=fusion.FusionWeights(fusion.LsFit(edge[0], 3), fusion.LsFit(edge[1], 3)),
+        gd=fusion.FusionWeights(fusion.LsFit(edge, ranks), fusion.LsFit(edge[::-1], ranks)))
+    _csv_writer_cdf_and_weights(table, tmp_path / "cdf_rows.csv", tmp_path / "weights_rows.csv")
+    cli._write_cdf_csv(table, tmp_path / "cdf.csv")
+    cli._write_weights_csv(table, tmp_path / "weights.csv")
+    assert (tmp_path / "cdf.csv").read_bytes() == (tmp_path / "cdf_rows.csv").read_bytes()
+    assert (tmp_path / "weights.csv").read_bytes() == (tmp_path / "weights_rows.csv").read_bytes()
+    assert b"gi-ls,-1,-0,1e+21,0.333333333,1e-10,-2,123456789\r\n" in (
+        tmp_path / "weights.csv").read_bytes()
 
 
 def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):

@@ -330,6 +330,17 @@ class TestValidation:
             ls_weights(np.ones((4, 2)), np.ones(3))
         with pytest.raises(ValueError):
             ls_svd_weights(np.ones((4, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="truth_xy must have shape"):
+            gi_ls_fit(np.ones((2, 4, 3)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("weights, rank, message", [
+        ([1.0, np.nan], 2, "weights must be finite"),
+        ([1.0, 2.0], [2], "one rank per weight vector"),
+        ([1.0, 2.0], 3, "rank_used cannot exceed"),
+    ], ids=["nan", "rank-shape", "rank-too-high"])
+    def test_bad_fit_rejected(self, weights, rank, message):
+        with pytest.raises(ValueError, match=message):
+            LsFit(np.array(weights), rank)
 
 
 

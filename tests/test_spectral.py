@@ -224,8 +224,10 @@ class TestBuildFingerprints:
 
     def test_stream_count_mismatch_rejected(self):
         s = synth_tone_stream(1, 400, self.rate, self.tones, [1e-3, 1e-3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 1 streams for 2 grid points"):
             build_fingerprints([s], [[0, 0], [1, 0]], 400, self.tones, self.rate)
+        with pytest.raises(ValueError, match="got more than 1 streams for 1 grid points"):
+            build_fingerprints([s, s], [[0, 0]], 400, self.tones, self.rate)
 
     def test_block_permutation_leaves_mean_unchanged(self):
         n = 400
@@ -349,6 +351,9 @@ class TestPersistence:
         path.write_text("3 2 4 2000 4000000\n800000 850000 900000 950000\n0 0\n")
         with pytest.raises(ValueError, match="expected"):
             load_fingerprints(path)
+        path.write_text("3 2 4 2000 4000000\n")
+        with pytest.raises(ValueError, match="bad.txt: truncated fingerprint file"):
+            load_fingerprints(path)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -413,6 +418,8 @@ class TestFingerprintDbValidation:
         ({"sample_rate": -4e6}, "sample_rate must be finite and positive, got -4000000.0"),
         ({"sample_rate": 0.0}, "sample_rate must be finite and positive, got 0.0"),
         ({"fft_len": 1}, "fft_len must be at least 2, got 1"),
+        ({"grid_coords": [[0.0, 0.0, 0.0]]}, "grid_coords must have shape"),
+        ({"rss": np.zeros((1, 2, 3))}, "rss must have shape"),
     ])
     def test_each_bad_geometry_field_named(self, kwargs, message):
         fields = {"grid_coords": [[0.0, 0.0]], "rss": np.zeros((1, 2, 2)),

@@ -1,5 +1,7 @@
 """The pass rule of tests/stream_change.py, on synthetic paired metrics."""
 
+import math
+
 import pytest
 
 import stream_change
@@ -41,3 +43,27 @@ def test_lopsided_split_fails_the_sign_test(higher, passes):
     old = runs([1.0] * 10)
     new = runs([1.0 + 1e-6] * higher + [1.0 - 1e-6] * (10 - higher))
     assert stream_change.compare(old, new, BOUNDS) == passes
+
+
+def test_ten_seeds_give_the_second_to_ninth_order_statistics():
+    diffs = [0.03, -0.02, 0.09, 0.0, 0.05, -0.01, 0.07, 0.02, 0.04, 0.08]
+    assert stream_change.sign_test_interval(diffs) == (-0.01, 0.08, 1.0 - 22 / 1024)
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (6, 1), (9, 2), (11, 2), (12, 3), (20, 6)])
+def test_interval_takes_the_largest_k_covering_95_percent(n, k):
+    low, high, coverage = stream_change.sign_test_interval(list(range(n))[::-1])
+    if k == 0:
+        assert (low, high, coverage) == (float("-inf"), float("inf"), 1.0)
+    else:
+        tail = sum(math.comb(n, i) for i in range(k)) / 2.0**n
+        assert (low, high, coverage) == (k - 1, n - k, 1.0 - 2.0 * tail)
+        assert coverage >= 0.95 and 1.0 - 2.0 * (tail + math.comb(n, k) / 2.0**n) < 0.95
+
+
+def test_compare_prints_each_interval(capsys):
+    old = runs([1.0] * 10)
+    stream_change.compare(old, runs([1.0 + 0.01 * i for i in range(10)]), BOUNDS)
+    out = capsys.readouterr().out
+    assert out.count("10 seeds; median interval coverage 97.9%") == 2
+    assert out.count("[+0.0100, +0.0800]") == 2
