@@ -104,10 +104,6 @@ def _gamma(k: int) -> float:
 _LEAF_ROWS = 8
 _CELL_LEAVES = 4
 _BOUND_ROWS_PER_K = 4
-# Candidate blocks are padded to a multiple of this many columns: a matmul
-# column past the last full block of the BLAS kernel can take another
-# summation order than the same column inside a full block.
-_COL_ALIGN = 16
 _BATCH_ENTRIES = 1 << 18  # rows x columns of one KNN distance block (2 MB), so memory is fixed
 
 
@@ -168,18 +164,22 @@ def _route(tree: KdTree, q: np.ndarray) -> np.ndarray:
     return node - tree.split_dim.size
 
 
-def _norm_expansion(x, sq_norms, qg, qn, cols) -> np.ndarray:
-    """(rows, cols) clipped norm-expansion squared distances from the query rows
-    qg to the rows x[cols], bit for bit the full product's (see KnnClassifier)."""
-    r, c = qg.shape[0], cols.size
-    if r == 1:
-        qg, qn = np.repeat(qg, 2, axis=0), np.repeat(qn, 2)
-    pad = -c % _COL_ALIGN
-    if pad:
-        cols = np.concatenate([cols, np.repeat(cols[-1], pad)])
-    d2 = sq_norms[cols] + qn[:, np.newaxis]
-    d2 -= 2.0 * qg @ x[cols].T
-    return np.maximum(d2, 0.0, out=d2)[:r, :c]
+def _sq_dists(xt: np.ndarray, qg: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(rows, cols) squared distances from the query rows qg to the training
+    rows cols, sum_j (x_j - q_j)^2 added in feature order j = 0, 1, ...: an
+    entry's bits depend on its query and training row only. xt is the (M, n)
+    feature-major training matrix."""
+    xc = xt[:, cols]
+    d2 = np.empty((qg.shape[0], cols.size))
+    diff = np.empty_like(d2)
+    for j in range(xt.shape[0]):
+        term = diff if j else d2
+        term[...] = xc[j]  # copy, then subtract in place: faster than one broadcast subtract
+        term -= qg[:, j : j + 1]
+        term *= term
+        if j:
+            d2 += diff
+    return d2
 
 
 class KnnClassifier(_GridClassifier):
@@ -190,64 +190,55 @@ class KnnClassifier(_GridClassifier):
     then, within a rounding band (see Votes), to the lower label.
 
     k = 1 over the G per-grid mean fingerprints, labelled 0..G-1, is RSS
-    matching and GD-LS's grid choice (run_experiment). Its labels equalled
-    the argmin of direct differences sum((q - mean)^2) on every survey
-    measured; unproven, as the norm expansion below may split a near tie.
+    matching and GD-LS's grid choice (run_experiment): by construction the
+    first argmin of the direct differences sum((mean - q)^2).
 
-    Squared distances are the norm expansion |x|^2 + |q|^2 - 2 q.x clipped
-    at 0, computed only for rows that can be among the k nearest. Where
-    those entries equal the full product's bit for bit (see Same bits), the
-    labels are those of computing every training row
-    (tests/knn_reference.py). A k-d tree (KdTree) splits the training rows
-    into leaves with bounding boxes. Queries are routed to leaves and
-    batched by cell; per batch:
+    Squared distances are direct differences (_sq_dists), computed only for
+    rows that can be among the k nearest; the labels are those of computing
+    every training row (tests/knn_reference.py). A k-d tree (KdTree) splits
+    the training rows into leaves with bounding boxes. Queries are routed to
+    leaves and batched by cell; per batch:
 
     1. U_i, the k-th smallest squared distance from query i to the rows of
        a subtree holding >= min(4 k, n) rows, bounds its k-th distance over
        all rows from above.
     2. The candidates are the rows of every leaf whose box lies within
-       max_i U_i (plus a rounding margin) of the batch's bounding box.
+       max_i U_i of the batch's bounding box.
     3. The batch's squared distances to the candidates, in ascending
        training-row order, decide the votes.
 
-    Exactness. With gamma = gamma_{M+2}, every computed squared distance,
-    whatever the summation order, is within E_i = 3 gamma (|q_i|^2 +
-    max_j |x_j|^2) of the exact one (Higham 2002, eq. 3.5 for the dot
-    products, plus the add and subtract), and the exact squared distance
-    from the batch box to a leaf box, which no row of the leaf undercuts, is
-    at least (1 - gamma) times the computed one. The k-th distance of
-    the full computation is at most U_i + 2 E_i, and a row of a leaf whose
-    computed bound exceeds (U_i + 3 E_i) / (1 - gamma) is farther than that,
-    so it cannot be among query i's neighbours or tie with them. The margin
-    used, U_i (1 + 4 gamma) + 12 gamma (|q_i|^2 + max |x|^2), is larger
-    still. So every row the full computation ranks within the k nearest is
-    a candidate, and the tie rules see the same candidate order. U_i takes the
-    same kernel (_norm_expansion), whose clip and padding keep d2 within E_i.
-
-    Same bits, as measured with the SkylakeX kernels of OpenBLAS 0.3.31: a
-    one-row product goes through gemv, and in a product of more than ~1e6
-    multiply-adds the columns of the kernel's tail block (the last n mod 8)
-    sum in two accumulators; every other matmul entry is the fused
-    multiply-add chain over the M features. Each candidate block is a matmul
-    of >= 2 query rows and a column count padded to a multiple of 16, so its
-    entries are that chain, and the labels do not depend on how queries are
-    batched. They equal the full product's entries except in its tail
-    columns when it is that large: there, and under other BLAS kernels, a
-    tie within an ulp could take another label. tests/test_subprocess.py
-    holds the labels under Haswell and Sandybridge at its tiny config.
+    Exactness. _sq_dists gives a (query, row) pair the same bits in every
+    block, so U_i bounds the k-th d2 of the full computation itself. The box
+    gap is summed as d2 is: per feature, g_j = max(lo_j - max q_j, min q_j -
+    hi_j, 0) is at most |x_j - q_j| for every query of the batch and row of
+    the leaf; rounding is monotone, so fl(g_j) <= |fl(x_j - q_j)|, and the
+    squares and each addition, taken in the same order, keep that order. A
+    leaf whose computed gap exceeds max_i U_i therefore holds only rows whose
+    computed d2 exceeds U_i: none is among query i's k nearest or ties with
+    them, so every row the full computation ranks within the k nearest is a
+    candidate and the tie rules see the same candidate order. No rounding
+    margin enters, and underflow cannot break the argument. A sum of M
+    non-negative terms has no cancellation: each d2 is within gamma_{M+2}
+    of the exact squared distance, relatively (Higham 2002, sec. 3.1: the
+    difference's rounding enters squared, the product's once, then M - 1
+    additions; barring underflow). No BLAS product is involved, so the
+    labels do not depend on the BLAS kernel or thread count.
 
     Votes. At k = 1 a row takes the label of its first minimum d2: the lowest
     training row among equals. Otherwise its k nearest rows are those with d2
-    <= its k-th d2, lowest training rows first at the k-th distance; offset
-    bincounts count their votes and sum their distances per label in row order.
-    Of the most-voted labels (equal counts) the smallest sum is the smallest
-    mean; sums within 4 gamma_k of it count as equal (each is within gamma_k of
-    exact), so an exact tie goes to the lower label in any summation order.
+    <= its k-th d2; only in a row that has more of them (a tie at the k-th
+    distance) does a cumsum mask keep the lowest training rows at that
+    distance. One flatnonzero lists them row by row in training-row order,
+    and offset bincounts count their votes and sum their distances per label
+    in that order. Of the most-voted labels (equal counts) the smallest sum
+    is the smallest mean; sums within 4 gamma_k of it count as equal (each is
+    within gamma_k of exact), so an exact tie goes to the lower label in any
+    summation order.
 
     Memory. Each batch is taken in row chunks of at most _BATCH_ENTRIES / width
-    rows (one at least), width being the bound's subtree rows, or the padded
+    rows (one at least), width being the bound's subtree rows, or the
     candidate columns and, for the votes at k > 1, G: no block grows with the
-    queries of a cell, and as labels do not depend on the batching, none changes.
+    queries of a cell, and as no entry depends on its block, no label changes.
     """
 
     def __init__(self, train: TrainSet, k: int):
@@ -257,21 +248,15 @@ class KnnClassifier(_GridClassifier):
             raise ValueError(f"k = {k} exceeds the {train.features.shape[0]} training rows")
         self.train_set = train
         self.k = k
-        self._sq_norms = np.einsum("ij,ij->i", train.features, train.features)
+        self._xt = train.features.T.copy()
         self.tree = _kd_tree(train.features)
 
-    def _sq_dists(self, qg: np.ndarray, qn: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return _norm_expansion(self.train_set.features, self._sq_norms, qg, qn, cols)
-
     def predict_labels(self, queries) -> np.ndarray:
-        x = self.train_set.features
-        q = _as_query_matrix(queries, x.shape[1])
+        xt = self._xt
+        q = _as_query_matrix(queries, xt.shape[0])
         if q.shape[0] == 0:
             return np.empty(0, dtype=int)
-        tree, k, n = self.tree, self.k, x.shape[0]
-        qn = np.einsum("ij,ij->i", q, q)
-        gamma = _gamma(x.shape[1] + 2)
-        slack = 12.0 * gamma * (qn + self._sq_norms.max())
+        tree, k, n = self.tree, self.k, xt.shape[1]
         leaf = _route(tree, q)
         order = np.argsort(leaf, kind="stable")
         cell = leaf[order] // _CELL_LEAVES
@@ -288,20 +273,19 @@ class KnnClassifier(_GridClassifier):
                 rows = np.flatnonzero(row_subtree == subtree)
             reach = -math.inf
             for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // rows.size)):
-                d2 = _norm_expansion(x, self._sq_norms, q[part], qn[part], rows)
-                bound = np.partition(d2, k - 1, axis=1)[:, k - 1]
-                reach = max(reach, (bound * (1.0 + 4.0 * gamma) + slack[part]).max())
+                d2 = _sq_dists(xt, q[part], rows)
+                d2.partition(k - 1, axis=1)
+                reach = max(reach, d2[:, k - 1].max())
             qg = q[idx]
             gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
                              qg.min(axis=0)[:, np.newaxis] - tree.hi)
             np.maximum(gap, 0.0, out=gap)
-            near = np.einsum("ij,ij->j", gap, gap) <= reach
+            near = sum(g * g for g in gap) <= reach  # summed in _sq_dists' order
             cols = np.flatnonzero(near[tree.row_leaf])
-            # a chunk's (rows, padded cols) distances and, for k > 1, its (rows, G) votes
-            width = max(cols.size + -cols.size % _COL_ALIGN,
-                        self.train_set.num_grid_points if k > 1 else 0)
+            # a chunk's (rows, cols) distances and, for k > 1, its (rows, G) votes
+            width = max(cols.size, self.train_set.num_grid_points if k > 1 else 0)
             for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // width)):
-                out[part] = self._vote(self._sq_dists(q[part], qn[part], cols), cols)
+                out[part] = self._vote(_sq_dists(xt, q[part], cols), cols)
         return out
 
     def _vote(self, d2: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -309,16 +293,19 @@ class KnnClassifier(_GridClassifier):
         labels = self.train_set.labels[cols]
         if self.k == 1:  # the first minimum: the lowest training row among equals
             return labels[np.argmin(d2, axis=1)]
-        g, k, r = self.train_set.num_grid_points, self.k, d2.shape[0]
+        g, k, (r, c) = self.train_set.num_grid_points, self.k, d2.shape
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1, np.newaxis]
         near = d2 <= kth
-        if np.count_nonzero(near) > r * k:  # a tie at the k-th distance: lowest rows first
-            below = d2 < kth
-            near &= below | (np.cumsum(d2 == kth, axis=1) <= k - below.sum(axis=1, keepdims=True))
-        row, col = np.nonzero(near)  # row-major: training-row order within a row
-        lab = labels[col] + g * row
+        tie = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+        if tie.size:  # a tie at the k-th distance: the lowest training rows first
+            dt, kt = d2[tie], kth[tie]
+            below, at = dt < kt, dt == kt
+            near[tie] = below | at & (np.cumsum(at, axis=1) <= k - below.sum(axis=1, keepdims=True))
+        flat = np.flatnonzero(near)  # row-major: training-row order within a row
+        row = flat // c
+        lab = labels[flat - row * c] + g * row
         votes = np.bincount(lab, minlength=r * g).reshape(r, g)
-        sums = np.bincount(lab, np.sqrt(d2[row, col]), r * g).reshape(r, g)
+        sums = np.bincount(lab, np.sqrt(d2.ravel()[flat]), r * g).reshape(r, g)
         sums[votes < votes.max(axis=1, keepdims=True)] = math.inf
         band = sums.min(axis=1, keepdims=True) * (1.0 + 4.0 * _gamma(k))
         return np.argmax(sums <= band, axis=1)  # the lower label within the band

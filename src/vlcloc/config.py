@@ -19,7 +19,7 @@ Config layout (every key shown; `?` marks an optional key)::
       },
       "spectral": {"fft_len": int, "blocks_per_grid": int},
       "split"?: {"train"?: frac, "offline"?: frac, "online"?: frac, "shuffle"?: bool},
-      "classifiers"?: {"knn"?: {"k"?: int}, "rf"?: {"depth"?: int}},
+      "classifiers"?: {"knn"?: {"k"?: int}},
       "run": {"seed": int}
     }
 
@@ -32,11 +32,12 @@ other config key sets it. Every run trains KNN, ELM and RF, in that order,
 and scores all seven methods (`experiment.ALL_METHODS`), so no key selects
 them; `geometry.leds` needs at least 3 LEDs, the fewest RSSR can locate
 with. Fixed parts of the method are module constants, not keys: the speed
-of light (`channel.SPEED_OF_LIGHT`), ELM's hidden units and RF's trees
-(`experiment.ELM_HIDDEN`, `experiment.RF_TREES`), the RSSR scan resolution
-and margin (`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`), the
-LS-SVD rank cutoff (1e-10 * max(L, H) of sigma_max, `fusion.ls_svd_weights`)
-and the error-CDF thresholds (`experiment.CDF_THRESHOLDS`).
+of light (`channel.SPEED_OF_LIGHT`), ELM's hidden units and RF's trees and
+depth (`experiment.ELM_HIDDEN`, `RF_TREES`, `RF_DEPTH`), the RSSR scan
+resolution and margin (`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`),
+the LS-SVD rank cutoff (1e-10 * max(L, H) of sigma_max,
+`fusion.ls_svd_weights`) and the error-CDF thresholds
+(`experiment.CDF_THRESHOLDS`).
 
 plan_from_config checks each key as it reads it and rejects unknown keys
 anywhere, before any computation, so a bad config fails fast.
@@ -164,9 +165,8 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         online=_number(split, "online", "split", minimum=1e-9),
         shuffle=split.get("shuffle")))
 
-    clf = _check_keys(cfg.get("classifiers", {}), "classifiers", optional={"knn", "rf"})
+    clf = _check_keys(cfg.get("classifiers", {}), "classifiers", optional={"knn"})
     knn = _check_keys(clf.get("knn", {}), "classifiers.knn", optional={"k"})
-    rf = _check_keys(clf.get("rf", {}), "classifiers.rf", optional={"depth"})
 
     run = _check_keys(cfg["run"], "run", required={"seed"})
 
@@ -179,8 +179,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         blocks_per_grid=_integer(spec, "blocks_per_grid", "spectral", minimum=1),
         split=split_ratios,
         seed=_integer(run, "seed", "run", minimum=0),
-        **_set(knn_k=_integer(knn, "k", "classifiers.knn", minimum=1),
-               rf_depth=_integer(rf, "depth", "classifiers.rf", minimum=1)),
+        **_set(knn_k=_integer(knn, "k", "classifiers.knn", minimum=1)),
     )
 
 
@@ -213,6 +212,6 @@ def benchmark_config() -> dict:
         },
         "spectral": {"fft_len": 2000, "blocks_per_grid": 200},
         "split": {"train": 0.6, "offline": 0.2, "online": 0.2, "shuffle": False},
-        "classifiers": {"knn": {"k": 120}, "rf": {"depth": 5}},
+        "classifiers": {"knn": {"k": 120}},
         "run": {"seed": 1729},
     })

@@ -33,7 +33,7 @@ METHOD_RSSR = "rssr"
 ALL_METHODS = (METHOD_KNN, METHOD_ELM, METHOD_RF, METHOD_GI, METHOD_GD,
                METHOD_MATCH, METHOD_RSSR)
 SINGLE_CLASSIFIERS = (METHOD_KNN, METHOD_ELM, METHOD_RF)
-ELM_HIDDEN, RF_TREES = 600, 40  # ELM's hidden units and RF's trees in every run
+ELM_HIDDEN, RF_TREES, RF_DEPTH = 600, 40, 5  # ELM's hidden units, RF's trees and depth
 
 # SeedSequence namespaces, so every random consumer has its own stream
 _SEED_SYNTH = 0
@@ -108,12 +108,11 @@ class ExperimentPlan:
     blocks_per_grid: int
     split: SplitRatios = SplitRatios()
     knn_k: int = 120
-    rf_depth: int = 5
     seed: int = 0
     methods: ClassVar[tuple[str, ...]] = ALL_METHODS  # every run scores all seven
 
     def __post_init__(self):
-        for name in ("grid_q", "fft_len", "blocks_per_grid", "knn_k", "rf_depth", "seed"):
+        for name in ("grid_q", "fft_len", "blocks_per_grid", "knn_k", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -125,9 +124,8 @@ class ExperimentPlan:
             raise ValueError("fft_len >= 2 and blocks_per_grid >= 1 required")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("knn_k", "rf_depth"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be at least 1, got {self.knn_k}")
         if len(self.leds) < 3:
             raise ValueError(f"rssr needs at least 3 LEDs, got {len(self.leds)}")
         freqs = [led.frequency for led in self.leds]
@@ -239,7 +237,7 @@ def _build_classifiers(plan: ExperimentPlan, train_set: TrainSet):
     """The trained classifiers, in SINGLE_CLASSIFIERS order."""
     return [KnnClassifier(train_set, plan.knn_k),
             ElmClassifier(train_set, ELM_HIDDEN, _seed(plan, _SEED_ELM)),
-            RandomForest(train_set, RF_TREES, plan.rf_depth, _seed(plan, _SEED_RF))]
+            RandomForest(train_set, RF_TREES, RF_DEPTH, _seed(plan, _SEED_RF))]
 
 
 def run_experiment(plan: ExperimentPlan,

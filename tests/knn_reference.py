@@ -1,19 +1,14 @@
 """Dense KNN oracle: the squared distance to every training row.
 
 This is the implementation KnnClassifier replaced with its k-d-tree search,
-kept as the reference its labels must equal: the norm expansion
-|x|^2 + |q|^2 - 2 q.x over the full (rows, n) matrix in row chunks, the k-th
-distance by np.partition, and the tie rules row by row. A vote tie goes to
-the smallest sum of neighbour distances, summed in training-row order; sums
-within 4 gamma_k (Higham 2002) of the smallest count as equal, and the lower
-label wins.
-
-Each chunk's product is padded as KnnClassifier._sq_dists pads its blocks:
-to at least 2 query rows (a 1-row product goes through gemv) and to a
-multiple of 16 training columns by repeating the last row (the tail columns
-of a large product can sum in two accumulators), then cropped. So every d2
-is the fused multiply-add chain over the features, whatever the chunk
-layout, and the labels do not depend on how the queries are chunked.
+kept as the reference its labels must equal: direct differences
+sum_j (q_j - x_j)^2, added in feature order, over the full (rows, n) matrix
+in row chunks, the k-th distance by np.partition, and the tie rules row by
+row. A vote tie goes to the smallest sum of neighbour distances, summed in
+training-row order; sums within 4 gamma_k (Higham 2002) of the smallest
+count as equal, and the lower label wins. An entry's bits depend on its
+query and training row only, so the labels do not depend on how the
+queries are chunked, nor on the BLAS.
 """
 
 import numpy as np
@@ -28,19 +23,14 @@ def knn_labels(train, k: int, queries) -> np.ndarray:
     labels = train.labels
     g = train.num_grid_points
     n = x.shape[0]
-    xp = np.concatenate([x, np.repeat(x[-1:], -n % 16, axis=0)])
-    sq_norms = np.einsum("ij,ij->i", xp, xp)
     out = np.empty(q.shape[0], dtype=int)
     chunk = max(1, int(4e6) // max(1, n))
     for start in range(0, q.shape[0], chunk):
         qc = q[start : start + chunk]
-        qp = np.repeat(qc, 2, axis=0) if qc.shape[0] == 1 else qc
-        d2 = np.maximum(
-            sq_norms[np.newaxis, :]
-            + np.einsum("ij,ij->i", qp, qp)[:, np.newaxis]
-            - 2.0 * qp @ xp.T,
-            0.0,
-        )[: qc.shape[0], :n]
+        d2 = np.zeros((qc.shape[0], n))
+        for j in range(x.shape[1]):
+            diff = qc[:, j, np.newaxis] - x[:, j]
+            d2 += diff * diff
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
         for r in range(qc.shape[0]):
             cand = np.nonzero(d2[r] <= kth[r])[0]  # ascending index order

@@ -169,7 +169,7 @@ class TestSynthesize:
     def test_no_full_length_temporary(self):
         # y's own buffer, the tone basis built inside the call, and as much
         # again for the per-row coefficients; a full-length temporary (3.2 MB)
-        # would be twelve times that slack. The warm-up call on another tone
+        # would be twelve times that allowance. The warm-up call on another tone
         # set imports what the call needs, but leaves this tone set's basis
         # to be built inside the traced call.
         plan = config.plan_from_config(config.benchmark_config())

@@ -126,6 +126,26 @@ def integer_knn_case(draw):
     return TrainSet(feats, labels, rng.normal(size=(g, 2))), k, queries
 
 
+@st.composite
+def offset_knn_case(draw):
+    """(train, k, queries) with features at per-feature offsets of up to 1e4
+    plus spreads of 1e-4 to 1e-2, where |x|^2 + |q|^2 - 2 q.x loses the
+    digits that separate rows: M from 1 to 4, k from 1 to n, duplicated rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 9, 40, 130]))
+    offset = rng.uniform(-1.0, 1.0, m) * draw(st.sampled_from([1.0, 1e2, 1e4]))
+    spread = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    feats = offset + spread * rng.normal(size=(n, m))
+    if draw(st.booleans()):  # duplicated rows
+        feats = feats[rng.integers(0, max(1, n // 3), n)]
+    g = draw(st.integers(1, 6))
+    labels = rng.integers(0, g, n)
+    k = draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]))
+    queries = offset + spread * rng.normal(size=(draw(st.sampled_from([1, 3, 70])), m))
+    return TrainSet(feats, labels, rng.normal(size=(g, 2))), k, queries
+
+
 class TestKnnAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     @given(integer_knn_case())
@@ -160,21 +180,25 @@ class TestKnnAgainstDenseReference:
             np.testing.assert_array_equal(KnnClassifier(train, k).predict_labels(queries),
                                           knn_reference.knn_labels(train, k, queries))
 
-    def test_candidate_blocks_reproduce_the_full_product_bit_for_bit(self):
+    @settings(max_examples=200, deadline=None)
+    @given(offset_knn_case())
+    def test_offset_features_match_the_dense_oracle(self, case):
+        train, k, queries = case
+        np.testing.assert_array_equal(KnnClassifier(train, k).predict_labels(queries),
+                                      knn_reference.knn_labels(train, k, queries))
+
+    def test_candidate_blocks_equal_the_feature_order_sum_bit_for_bit(self):
         rng = np.random.default_rng(13)
         feats = rng.normal(-40.0, 8.0, (512, 4))
         clf = KnnClassifier(TrainSet(feats, np.zeros(512, dtype=int), np.zeros((1, 2))), k=1)
         q = rng.normal(-40.0, 8.0, (64, 4))
-        qn = np.einsum("ij,ij->i", q, q)
-        full = np.maximum(clf._sq_norms + qn[:, np.newaxis] - 2.0 * q @ feats.T, 0.0)
-        for rows in (slice(0, 1), slice(3, 6), slice(0, 64)):
-            for width in (1, 2, 7, 17, 100, 512):
+        for rows in (1, 2, 3, 64):
+            for width in (1, 7, 17, 100):
                 cols = np.sort(rng.choice(512, width, replace=False))
-                np.testing.assert_array_equal(
-                    clf._sq_dists(q[rows], qn[rows], cols), full[rows][:, cols],
-                    err_msg="written for the SkylakeX kernels of OpenBLAS 0.3.31: on another "
-                            "BLAS build or CPU this reads as a change of summation order, "
-                            "not of the KNN rule")
+                plain = [[sum((a - b) * (a - b) for a, b in zip(qi, feats[c].tolist()))
+                          for c in cols] for qi in q[:rows].tolist()]
+                np.testing.assert_array_equal(classifiers._sq_dists(clf._xt, q[:rows], cols),
+                                              plain)
 
     def test_vote_tie_with_equal_means_takes_the_lower_label(self):
         # labels 3 and 1 tie on votes and on mean distance; label 2 is farther
@@ -203,19 +227,31 @@ class TestKnnAgainstDenseReference:
         train = TrainSet(feats, np.array([0, 0, 0, 1, 1, 1]), np.zeros((2, 2)))
         assert KnnClassifier(train, k=6).predict_labels([[0.0, 0.0]])[0] == 0
 
-    def test_rounding_margin_keeps_a_leaf_the_norm_expansion_ties(self):
-        # Near 1e4 the norm expansion rounds both d2 to 2**-25: row 5 (3e-5
-        # away, in the query's leaf) and row 0 (2.2e-4 away, in the other
-        # leaf) tie, and the lower row index wins. The other leaf's box has
-        # squared gap 4.8e-8 > 2**-25, the computed bound; only the rounding
-        # margin keeps that leaf.
+    def test_nearest_row_wins_where_a_norm_expansion_would_tie(self):
+        # Near 1e4, |x|^2 is ~1e8 with an ulp of 1.5e-8: |x|^2 + |q|^2 - 2 q.x
+        # rounds the d2 of row 5 (3e-5 away, label 0, in the query's leaf) and
+        # of row 0 (2.2e-4 away, label 1, in the other leaf) to the same value.
+        # Direct differences keep them 9e-10 and 4.8e-8, and label 0 wins.
         b = 1.0e4
         feats = np.array([b + 2.2e-4, b + 2e-3, b + 3e-3, b + 4e-3, b + 5e-3,
                           b - 3e-5, b - 2e-3, b - 3e-3, b - 4e-3])[:, np.newaxis]
         train = TrainSet(feats, np.array([1, 1, 1, 1, 1, 0, 0, 0, 0]), np.zeros((2, 2)))
         queries = np.array([[b]])
-        assert knn_reference.knn_labels(train, 1, queries)[0] == 1
-        assert KnnClassifier(train, k=1).predict_labels(queries)[0] == 1
+        assert knn_reference.knn_labels(train, 1, queries)[0] == 0
+        assert KnnClassifier(train, k=1).predict_labels(queries)[0] == 0
+
+    def test_a_leaf_nearer_than_the_kth_distance_is_a_candidate(self):
+        # From 0.5, rows 0 and 1 (labels 0, 1) are 0.5 away and the 3rd
+        # nearest, row -3 (label 2), 3.5 away in the other leaf: three labels
+        # with one vote each, and 0 and 1 tie on distance. A reach at the 2nd
+        # distance would drop that leaf and take row 10 (label 1) instead.
+        feats = np.array([-30.0, -29, -28, -27, -26, -25, -24, -3,
+                          0, 1, 10, 11, 12, 13, 14, 15])[:, np.newaxis]
+        labels = np.array([2] * 8 + [0, 1, 1] + [2] * 5)
+        train = TrainSet(feats, labels, np.zeros((3, 2)))
+        queries = np.array([[0.5]])
+        assert knn_reference.knn_labels(train, 3, queries)[0] == 0
+        assert KnnClassifier(train, k=3).predict_labels(queries)[0] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_or_misshaped_queries(self, bad):
@@ -259,21 +295,22 @@ class TestKnnChunkedBatches:
         queries = np.vstack([centres[rng.integers(0, 6, 300)] + rng.normal(0.0, 1.5, (300, 4)),
                              feats[240:260] + 0.5])
         chunks = []
-        sq_dists = KnnClassifier._sq_dists
+        sq_dists = classifiers._sq_dists
 
-        def spy(self, qg, qn, cols):
+        def spy(xt, qg, cols):
             chunks.append((qg.shape[0], cols.size))
-            return sq_dists(self, qg, qn, cols)
-        monkeypatch.setattr(KnnClassifier, "_sq_dists", spy)
+            return sq_dists(xt, qg, cols)
+        monkeypatch.setattr(classifiers, "_sq_dists", spy)
         got = KnnClassifier(train, k).predict_labels(queries)
         np.testing.assert_array_equal(got, knn_reference.knn_labels(train, k, queries))
-        assert sum(r for r, _ in chunks) == queries.shape[0]
-        assert all(r <= max(1, budget // (c + -c % 16)) for r, c in chunks)
-        assert (max(r for r, _ in chunks) >= 2) == (budget > 16)
+        # every query row is in one bound chunk and one candidate chunk
+        assert sum(r for r, _ in chunks) == 2 * queries.shape[0]
+        assert all(r <= max(1, budget // c) for r, c in chunks)
+        assert (max(r for r, c in chunks if c > 16) >= 2) == (budget > 16)
 
     def test_peak_memory_is_set_by_the_budget_not_the_query_count(self, monkeypatch):
         # queries inside the middle half of leaf 0's box all route to it: one
-        # batch of n rows, whose unchunked (n, >= 16) distances and (n, 256)
+        # batch of n rows, whose unchunked (n, candidates) distances and (n, 256)
         # votes grow with n
         budget = 1 << 12
         monkeypatch.setattr(classifiers, "_BATCH_ENTRIES", budget, raising=False)

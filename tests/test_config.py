@@ -104,7 +104,6 @@ CONFIG_ERRORS = {
     "semi-angle-range": (_set_in("channel", "semi_angle_deg", 95.0),
                          "channel.semi_angle_deg: must be in (0, 90)"),
     "shuffle": (_set_in("split", "shuffle", "yes"), "split.shuffle: expected a boolean"),
-    "rf-depth": (_set_in("classifiers", "rf", "depth", 0), "classifiers.rf.depth: must be >= 1"),
     # classifiers.order and run.methods are retired: any value is an unknown key
     "classifier-order": (_set_in("classifiers", "order", ["svm"]),
                          "classifiers: unknown keys ['order']"),
@@ -159,7 +158,9 @@ RETIRED_KEYS = {
     "classifiers.elm.hidden": (_set_in("classifiers", "elm", "hidden", 600),
                                "classifiers: unknown keys ['elm']"),
     "classifiers.rf.trees": (_set_in("classifiers", "rf", "trees", 40),
-                             "classifiers.rf: unknown keys ['trees']"),
+                             "classifiers: unknown keys ['rf']"),
+    "classifiers.rf.depth": (_set_in("classifiers", "rf", "depth", 5),
+                             "classifiers: unknown keys ['rf']"),
 }
 
 

@@ -19,12 +19,11 @@ from vlcloc.experiment import SplitRatios
 
 
 def tiny_config() -> dict:
-    """3 x 3 grid, Q = 20 blocks, k = 5, RF depth 3: the whole pipeline in about a second."""
+    """3 x 3 grid, Q = 20 blocks, k = 5: the whole pipeline in about a second."""
     cfg = config.benchmark_config()
     cfg["geometry"]["grid"]["q"] = 3
     cfg["spectral"]["blocks_per_grid"] = 20
     cfg["classifiers"]["knn"]["k"] = 5
-    cfg["classifiers"]["rf"]["depth"] = 3
     return cfg
 
 
@@ -38,7 +37,7 @@ def test_run_is_deterministic_and_rf_matches_reference_forest():
     train_idx, _, online_idx = experiment._split_indices(plan, db.blocks_per_grid)
     train_q, train_labels = experiment._flatten_split(db, train_idx)
     roots = rf_reference.reference_forest(
-        TrainSet(train_q, train_labels, plan.grid_coords), experiment.RF_TREES, plan.rf_depth,
+        TrainSet(train_q, train_labels, plan.grid_coords), experiment.RF_TREES, experiment.RF_DEPTH,
         experiment._seed(plan, experiment._SEED_RF))
     online_q, _ = experiment._flatten_split(db, online_idx)
     labels = rf_reference.forest_labels(roots, online_q, plan.grid_coords.shape[0])
@@ -527,10 +526,10 @@ BAD_FIELDS = {
     **{f"ExperimentPlan.{name}={value!r}": functools.partial(
         lambda name, value: dataclasses.replace(
             config.plan_from_config(tiny_config()), **{name: value}), name, value)
-       for name, value in [("knn_k", 0), ("rf_depth", 0),
+       for name, value in [("knn_k", 0),
                            # counts that are not integers, bools included
                            ("grid_q", 2.5), ("fft_len", 2000.5), ("blocks_per_grid", 3.5),
-                           ("knn_k", True), ("rf_depth", 2.5), ("seed", 1.5), ("seed", False),
+                           ("knn_k", True), ("seed", 1.5), ("seed", False),
                            # an infinite spacing, and one whose grid extent overflows at q = 3
                            ("grid_spacing", INF), ("grid_spacing", 1e308),
                            # an integer below its least value

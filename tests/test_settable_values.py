@@ -73,7 +73,7 @@ def test_command_line_sums_every_module(tmp_path):
 
 # The settable values of vlcloc itself may not grow unnoticed: a change that
 # adds one raises this ceiling and says why in CHANGES.md.
-SETTABLE_CEILING = 117
+SETTABLE_CEILING = 116
 
 
 def test_vlcloc_stays_under_its_settable_value_ceiling():

@@ -1,9 +1,15 @@
 """vlcloc in child processes: `python -m vlcloc` keeps the CLI's exit codes,
-and the outputs hold under other OpenBLAS kernels.
+and the outputs hold under other OpenBLAS kernels and thread counts.
 
 Every child imports vlcloc from this checkout's src/ and runs one OpenBLAS
-thread (ELM's output weights differ bit for bit between thread counts). The
-kernel variable is set in the child's environment only.
+thread unless a test sets another count; the kernel and thread variables are
+set in the child's environment only. The kernel matrix runs the tiny config
+under each kernel on one thread and under the first kernel on two. KNN and
+rss-match take no BLAS product (direct-difference distances), so their rows
+hold by construction; the others hold as measured on this config. At this
+size OpenBLAS may not thread at all, so the two-thread child pins the scope
+of the byte rules, not their truth on larger inputs: there ELM's output
+weights, for one, may differ between thread counts.
 """
 
 import dataclasses
@@ -68,13 +74,14 @@ def test_python_m_vlcloc_exits_0_for_success_2_for_config_3_for_stage_errors(tmp
 
 
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge")
-# Rows of results.csv that must not change with the kernel, and the bound (m)
-# on how far the others' estimates may move: GI-LS and GD-LS solve by SVD,
-# whose bits follow the kernel.
+# Rows of results.csv that must not change with the kernel or thread count,
+# and the bound (m) on how far the others' estimates may move: GI-LS and
+# GD-LS solve by SVD, whose bits follow the kernel.
 SAME_BYTES = ("knn", "elm", "rf", "rss-match", "rssr")
 BOUNDS = {"gi-ls": 1e-12, "gd-ls": 1e-12}
 
-# simulate, then evaluate --db keeping the run's estimates at full precision
+# simulate, then evaluate with --db and without (on its own in-memory
+# survey), keeping each run's estimates at full precision
 SIMULATE_EVALUATE = """
 import sys
 import numpy as np
@@ -83,43 +90,56 @@ run, tables = experiment.run_experiment, []
 experiment.run_experiment = lambda *args: tables.append(run(*args)) or tables[-1]
 cfg, db, out = sys.argv[1:]
 assert cli.main(["simulate", "--config", cfg, "--out", db]) == 0
-assert cli.main(["evaluate", "--config", cfg, "--db", db, "--out", out]) == 0
-np.savez(out + "/est.npz", **tables[0].est)
+for name, args in (("db", ["--db", db]), ("nodb", [])):
+    assert cli.main(["evaluate", "--config", cfg, *args, "--out", f"{out}/{name}"]) == 0
+    np.savez(f"{out}/{name}/est.npz", **tables[-1].est)
 """
 
 
-def kernel_outputs(tmp_path, kernel: str) -> dict | None:
-    """The kernel's DB bytes, cdf.csv bytes, results.csv lines and estimates;
-    None where OpenBLAS's banner says it runs another kernel."""
-    run_dir = tmp_path / kernel
+def case_outputs(tmp_path, kernel: str, threads: int) -> dict | None:
+    """The DB bytes and, per evaluate run, the cdf.csv bytes, results.csv
+    lines and estimates under an OpenBLAS kernel and thread count; None where
+    OpenBLAS's banner says it runs another kernel."""
+    run_dir = tmp_path / f"{kernel}-{threads}"
     run_dir.mkdir()
     cfg_path = write_config(run_dir / "config.json", tiny_config())
     db_path, out = run_dir / "db.txt", run_dir / "out"
     done = run_child(["-c", SIMULATE_EVALUATE, cfg_path, str(db_path), str(out)],
-                     OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2")
+                     OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=str(threads),
+                     OPENBLAS_VERBOSE="2")
     if f"Core: {kernel}\n" not in done.stdout + done.stderr:
         return None
     assert done.returncode == 0, done.stderr
-    with np.load(out / "est.npz") as est:
-        return {"db": db_path.read_bytes(), "cdf": (out / "cdf.csv").read_bytes(),
-                "results": (out / "results.csv").read_text().splitlines(),
-                "est": dict(est)}
+    outputs = {"db.txt": db_path.read_bytes()}
+    for name in ("db", "nodb"):
+        with np.load(out / name / "est.npz") as est:
+            outputs[name] = {"cdf": (out / name / "cdf.csv").read_bytes(),
+                             "results": (out / name / "results.csv").read_text().splitlines(),
+                             "est": dict(est)}
+    return outputs
 
 
 def test_outputs_under_each_openblas_kernel_agree_within_stated_bounds(tmp_path):
-    runs = {k: o for k in KERNELS if (o := kernel_outputs(tmp_path, k)) is not None}
-    if len(runs) < 2:
-        pytest.skip(f"this host runs only {sorted(runs)} of the kernels {KERNELS}")
+    runs = {k: o for k in KERNELS if (o := case_outputs(tmp_path, k, 1)) is not None}
+    if not runs:
+        pytest.skip(f"this host runs none of the kernels {KERNELS}")
     (first, ref), *others = runs.items()
-    for kernel, got in others:
-        where = f"{kernel} against {first}"
-        assert got["db"] == ref["db"], where
-        assert got["cdf"] == ref["cdf"], where
-        for method in SAME_BYTES:
-            rows = [[line for line in run["results"] if line.startswith(f"{method},")]
-                    for run in (got, ref)]
-            assert rows[0] == rows[1], f"{method}, {where}"
-            np.testing.assert_array_equal(got["est"][method], ref["est"][method], err_msg=where)
-        for method, bound in BOUNDS.items():
-            moved = np.abs(got["est"][method] - ref["est"][method]).max()
-            assert moved <= bound, f"{method} moved {moved:.3g} m, {where}"
+    # another kernel fingerprints its in-memory survey with other last bits,
+    # so only evaluate --db is compared; two threads on one kernel compare both
+    cases = [(kernel, got, ("db",)) for kernel, got in others]
+    cases.append((f"{first} on 2 threads", case_outputs(tmp_path, first, 2), ("db", "nodb")))
+    for case, got, compared in cases:
+        assert got["db.txt"] == ref["db.txt"], f"{case} against {first}"
+        for name in compared:
+            where = f"{case} against {first}, evaluate {name}"
+            new, old = got[name], ref[name]
+            assert new["cdf"] == old["cdf"], where
+            for method in SAME_BYTES:
+                rows = [[line for line in run["results"] if line.startswith(f"{method},")]
+                        for run in (new, old)]
+                assert rows[0] == rows[1], f"{method}, {where}"
+                np.testing.assert_array_equal(new["est"][method], old["est"][method],
+                                              err_msg=where)
+            for method, bound in BOUNDS.items():
+                moved = np.abs(new["est"][method] - old["est"][method]).max()
+                assert moved <= bound, f"{method} moved {moved:.3g} m, {where}"
