@@ -100,11 +100,13 @@ def _gamma(k: int) -> float:
 
 # KNN search layout: leaves of at most 8 training rows, queries batched by
 # the cell of 4 sibling leaves they route to, and each batch's first bound
-# taken over a subtree of at least 4 k training rows.
+# taken over the leaves nearest the batch that hold at least 4 k training rows.
 _LEAF_ROWS = 8
 _CELL_LEAVES = 4
 _BOUND_ROWS_PER_K = 4
-_BATCH_ENTRIES = 1 << 18  # rows x columns of one KNN distance block (2 MB), so memory is fixed
+# rows x columns of one KNN distance block: its d2, _sq_dists' diff buffer and
+# the vote's partition copy (3 x 512 KB) fit in a 2 MB per-core L2 cache
+_BATCH_ENTRIES = 1 << 16
 
 
 class KdTree(NamedTuple):
@@ -199,11 +201,11 @@ class KnnClassifier(_GridClassifier):
     the training rows into leaves with bounding boxes. Queries are routed to
     leaves and batched by cell; per batch:
 
-    1. U_i, the k-th smallest squared distance from query i to the rows of
-       a subtree holding >= min(4 k, n) rows, bounds its k-th distance over
-       all rows from above.
-    2. The candidates are the rows of every leaf whose box lies within
-       max_i U_i of the batch's bounding box.
+    1. The squared gaps from the batch's bounding box to the leaf boxes rank
+       the leaves. Each leaf holds >= n >> depth rows, so the fewest nearest
+       leaves sure to hold min(4 k, n) rows give U_i, query i's k-th smallest
+       squared distance to their rows: a bound on its k-th over all rows.
+    2. The candidates are the rows of every leaf whose gap is <= max_i U_i.
     3. The batch's squared distances to the candidates, in ascending
        training-row order, decide the votes.
 
@@ -236,9 +238,9 @@ class KnnClassifier(_GridClassifier):
     summation order.
 
     Memory. Each batch is taken in row chunks of at most _BATCH_ENTRIES / width
-    rows (one at least), width being the bound's subtree rows, or the
-    candidate columns and, for the votes at k > 1, G: no block grows with the
-    queries of a cell, and as no entry depends on its block, no label changes.
+    rows (one at least), width being the bound rows, or the candidate
+    columns and, for the votes at k > 1, G: no block grows with the queries
+    of a cell, and as no entry depends on its block, no label changes.
     """
 
     def __init__(self, train: TrainSet, k: int):
@@ -260,28 +262,24 @@ class KnnClassifier(_GridClassifier):
         leaf = _route(tree, q)
         order = np.argsort(leaf, kind="stable")
         cell = leaf[order] // _CELL_LEAVES
-        # the subtree level whose every subtree has min(4 k, n) rows or more
-        shift = 0
-        while np.bincount(tree.row_leaf >> shift).min() < min(_BOUND_ROWS_PER_K * k, n):
-            shift += 1
-        row_subtree = tree.row_leaf >> shift
+        # the fewest leaves sure to hold min(4 k, n) rows: each holds n >> depth or more
+        bound_leaves = min(-(-min(_BOUND_ROWS_PER_K * k, n) // (n >> tree.depth)), 1 << tree.depth)
         out = np.empty(q.shape[0], dtype=int)
-        subtree = -1
         for idx in np.split(order, np.flatnonzero(np.diff(cell)) + 1):
-            if leaf[idx[0]] >> shift != subtree:
-                subtree = leaf[idx[0]] >> shift
-                rows = np.flatnonzero(row_subtree == subtree)
+            qg = q[idx]
+            gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
+                             qg.min(axis=0)[:, np.newaxis] - tree.hi)
+            np.maximum(gap, 0.0, out=gap)
+            gap2 = sum(g * g for g in gap)  # summed in _sq_dists' order
+            mark = np.zeros(gap2.size, dtype=bool)
+            mark[np.argpartition(gap2, bound_leaves - 1)[:bound_leaves]] = True
+            rows = np.flatnonzero(mark[tree.row_leaf])
             reach = -math.inf
             for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // rows.size)):
                 d2 = _sq_dists(xt, q[part], rows)
                 d2.partition(k - 1, axis=1)
                 reach = max(reach, d2[:, k - 1].max())
-            qg = q[idx]
-            gap = np.maximum(tree.lo - qg.max(axis=0)[:, np.newaxis],
-                             qg.min(axis=0)[:, np.newaxis] - tree.hi)
-            np.maximum(gap, 0.0, out=gap)
-            near = sum(g * g for g in gap) <= reach  # summed in _sq_dists' order
-            cols = np.flatnonzero(near[tree.row_leaf])
+            cols = np.flatnonzero((gap2 <= reach)[tree.row_leaf])
             # a chunk's (rows, cols) distances and, for k > 1, its (rows, G) votes
             width = max(cols.size, self.train_set.num_grid_points if k > 1 else 0)
             for part in _row_blocks(idx, max(1, _BATCH_ENTRIES // width)):
@@ -306,9 +304,10 @@ class KnnClassifier(_GridClassifier):
         lab = labels[flat - row * c] + g * row
         votes = np.bincount(lab, minlength=r * g).reshape(r, g)
         sums = np.bincount(lab, np.sqrt(d2.ravel()[flat]), r * g).reshape(r, g)
-        sums[votes < votes.max(axis=1, keepdims=True)] = math.inf
+        top = votes == votes.max(axis=1, keepdims=True)
+        sums[~top] = math.inf
         band = sums.min(axis=1, keepdims=True) * (1.0 + 4.0 * _gamma(k))
-        return np.argmax(sums <= band, axis=1)  # the lower label within the band
+        return np.argmax(top & (sums <= band), axis=1)  # the lowest top label in the band
 
 
 def _distinct_rows(x: np.ndarray) -> int:

@@ -164,12 +164,11 @@ def save_fingerprints(db: FingerprintDB, path) -> None:
     file byte for byte.
     """
     g, q, m = db.rss.shape
-    row = " ".join(["{:.9g}"] * m) + "\n"
+    row = " ".join(["%.9g"] * m) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"{g} {q} {m} {db.fft_len} {db.sample_rate:.9g}\n" + row.format(*db.tones))
+        fh.write(f"{g} {q} {m} {db.fft_len} {db.sample_rate:.9g}\n" + row % tuple(db.tones))
         for xy, block in zip(db.grid_coords.tolist(), db.rss):
-            fh.write("{:.9g} {:.9g}\n".format(*xy)
-                     + "".join(row.format(*v) for v in block.tolist()))
+            fh.write("%.9g %.9g\n" % tuple(xy) + (row * q) % tuple(block.ravel().tolist()))
 
 
 def load_fingerprints(path) -> FingerprintDB:

@@ -253,6 +253,16 @@ class TestKnnAgainstDenseReference:
         assert knn_reference.knn_labels(train, 3, queries)[0] == 0
         assert KnnClassifier(train, k=3).predict_labels(queries)[0] == 0
 
+    def test_the_most_voted_label_wins_where_distances_overflow(self):
+        # every squared distance overflows to inf, so every sum of distances is
+        # inf: label 1 must still win on its 2 votes against label 0's one
+        train = TrainSet(np.array([[1e200], [2e200], [3e200]]), np.array([0, 1, 1]),
+                         np.zeros((2, 2)))
+        queries = np.array([[-1e200]])
+        with np.errstate(over="ignore"):
+            assert knn_reference.knn_labels(train, 3, queries)[0] == 1
+            assert KnnClassifier(train, k=3).predict_labels(queries)[0] == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_or_misshaped_queries(self, bad):
         clf = KnnClassifier(random_train_set(np.random.default_rng(12), m=3), k=3)
@@ -260,6 +270,47 @@ class TestKnnAgainstDenseReference:
             clf.predict_labels([[0.0, bad, 0.0]])
         with pytest.raises(ValueError, match="features"):
             clf.predict_labels([[0.0, 0.0]])
+
+
+@st.composite
+def kd_tree_rows(draw):
+    """(n, M) training rows, n from 1 to 5 000, of small integers with
+    duplicated rows and constant columns, and a k from 1 to n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, 5000)))
+    feats = rng.integers(0, draw(st.sampled_from([1, 3, 50])), (n, draw(st.integers(1, 4))))
+    if draw(st.booleans()):  # more duplicated rows
+        feats = feats[rng.integers(0, max(1, n // 4), n)]
+    if draw(st.booleans()):  # a constant column
+        feats[:, 0] = 7
+    return feats.astype(float), draw(st.integers(1, n))
+
+
+class TestKdTreeLeaves:
+    @settings(max_examples=60, deadline=None)
+    @given(kd_tree_rows())
+    def test_leaves_halve_evenly_and_the_bound_leaves_hold_enough_rows(self, case):
+        feats, k_any = case
+        n = feats.shape[0]
+        tree = classifiers._kd_tree(feats)
+        sizes = np.bincount(tree.row_leaf, minlength=1 << tree.depth)
+        assert sizes.size == tree.lo.shape[1] == 1 << tree.depth
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.min() == n >> tree.depth
+        # one query is one batch: its first distance block is the bound pass
+        widths = []
+        sq_dists = classifiers._sq_dists
+
+        def spy(xt, qg, cols):
+            widths.append(cols.size)
+            return sq_dists(xt, qg, cols)
+        train = TrainSet(feats, np.zeros(n, dtype=int), np.zeros((1, 2)))
+        for k in (1, k_any, n):
+            widths.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(classifiers, "_sq_dists", spy)
+                KnnClassifier(train, k).predict_labels(feats[:1] + 0.5)
+            assert widths[0] >= min(4 * k, n), (k, widths)
 
 
 class TestKnnChunkedBatches:
