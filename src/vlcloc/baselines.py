@@ -32,11 +32,11 @@ class RssrSolver:
     Everything that depends only on the geometry is built once here: the
     LED pair indices, m + 3, the LED x, y and h^2 columns, the scan grid's
     model terms and each refinement round's 3x3 stencil offsets. A query
-    costs one matvec over the scan grid, the only BLAS product that rounds,
-    plus, per round, nine objective values (exact +-1 pair differences), a
-    closed-form quadratic fit in plain Python and a 2x2 Newton step. So only
-    a near tie in the scan could make the estimate's bits follow the OpenBLAS
-    kernel; none was seen under SkylakeX, Haswell and Sandybridge.
+    costs one matvec over the scan grid, its only BLAS product, plus, per
+    round, nine objective values (indexed pair differences), a closed-form
+    quadratic fit in plain Python and a 2x2 Newton step. So only a near tie
+    in the scan could make the estimate's bits follow the OpenBLAS kernel;
+    none was seen under SkylakeX, Haswell and Sandybridge.
 
     LedConfig and ChannelParams already guarantee finite positions and a
     positive, finite Lambertian order; the solver checks the rest: at least
@@ -55,8 +55,6 @@ class RssrSolver:
             raise ValueError("the RSSR scan needs a finite, non-empty rectangle: "
                              "grid_coords must be a finite (G, 2) array with G >= 1")
         self._i, self._j = np.triu_indices(m, 1)  # LED pairs i < j
-        # (M, P) pair differences: (v @ diff)[p] = v[j_p] - v[i_p], exactly
-        self._pair_diff = np.eye(m)[:, self._j] - np.eye(m)[:, self._i]
         self._m3 = channel.lambertian_order + 3.0
         self._led_xy = led[:, :2].T.copy()   # (2, M)
         self._led_h2 = led[:, 2] ** 2
@@ -68,8 +66,8 @@ class RssrSolver:
         self._cells = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         model = self._model_at(self._cells)
         self._model_sq = (model**2).sum(axis=1)
-        # Column-major, like the fancy-indexed model of the reference solver
-        # in the tests: BLAS then adds each cell's terms in the same order, so
+        # Column-major, as numpy lays out this fancy-indexed model and the tests'
+        # reference one: BLAS then adds each cell's terms in the same order, so
         # the scan values, and the cell picked among near-ties, agree bit for bit.
         self._model_x2 = np.asfortranarray(2.0 * model)
 
@@ -85,7 +83,7 @@ class RssrSolver:
         """Per-pair model (m+3)(log d_j - log d_i) at positions xy (..., 2)."""
         d2 = ((xy[..., np.newaxis] - self._led_xy) ** 2).sum(axis=-2) + self._led_h2
         ld = 0.5 * np.log(d2)
-        return self._m3 * (ld @ self._pair_diff)
+        return self._m3 * (ld[..., self._j] - ld[..., self._i])
 
     def _scan(self, log_ratios: np.ndarray) -> np.ndarray:
         # argmin of sum_p (model - c)^2; the c^2 term is constant over cells

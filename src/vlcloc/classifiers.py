@@ -55,12 +55,10 @@ class TrainSet:
 
 
 def _as_query_matrix(queries, m: int) -> np.ndarray:
-    """queries as a finite (n, m) float matrix; a vector is one row."""
+    """queries as a finite (n, m) float matrix."""
     q = np.asarray(queries, dtype=float)
-    if q.ndim == 1:
-        q = q[np.newaxis, :]
     if q.ndim != 2:
-        raise ValueError("queries must be a vector or an (n, M) matrix")
+        raise ValueError("queries must be an (n, M) matrix")
     if q.shape[1] != m:
         raise ValueError(f"queries have {q.shape[1]} features, training rows {m}")
     if not np.isfinite(q).all():
@@ -316,13 +314,6 @@ def _distinct_rows(x: np.ndarray) -> int:
     return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
 
 
-def _one_hot(labels: np.ndarray, g: int) -> np.ndarray:
-    """(n, g) float targets: 1 at each row's label, 0 elsewhere."""
-    targets = np.zeros((labels.size, g))
-    targets[np.arange(labels.size), labels] = 1.0
-    return targets
-
-
 # Corrected semi-normal equation passes after ELM's Cholesky solve, and the
 # largest last correction, relative to the weights, that counts as converged.
 _REFINE_STEPS = 2
@@ -394,7 +385,7 @@ class ElmClassifier(_GridClassifier):
                 list(zip(_row_blocks(x), _row_blocks(labels))), g)
             if weights is not None:
                 return weights
-        return np.linalg.lstsq(self._hidden_out(x), _one_hot(labels, g), rcond=None)[0]
+        return np.linalg.lstsq(self._hidden_out(x), np.eye(g)[labels], rcond=None)[0]
 
     def _refined_cholesky_weights(self, blocks: list, g: int) -> np.ndarray | None:
         """Output weights from the normal equations summed over (features,
@@ -405,7 +396,7 @@ class ElmClassifier(_GridClassifier):
         for xb, yb in blocks:
             h = self._hidden_out(xb)
             gram += h.T @ h
-            rhs += h.T @ _one_hot(yb, g)
+            rhs += h.T @ np.eye(g)[yb]
             del h  # one block's H at a time: free it before the next is built
         try:
             chol = np.linalg.cholesky(gram)

@@ -190,10 +190,10 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
 # is calibrated so single-classifier hit rates land in the 75-90 % band.
 BENCHMARK_NOISE_STD = 0.0045
 _BENCHMARK_LEDS = [
-    {"position_m": [1.56, 0.70, 1.48], "frequency_hz": 800e3, "amplitude": 1.0, "gain": 4525.5},
-    {"position_m": [-1.13, 0.67, 1.48], "frequency_hz": 850e3, "amplitude": 1.0, "gain": 475.007},
-    {"position_m": [1.56, -0.47, 1.48], "frequency_hz": 900e3, "amplitude": 1.0, "gain": 4708.06},
-    {"position_m": [-1.13, -0.50, 1.48], "frequency_hz": 950e3, "amplitude": 1.0, "gain": 417.073},
+    {"position_m": [1.56, 0.70, 1.48], "frequency_hz": 800e3, "gain": 4525.5},
+    {"position_m": [-1.13, 0.67, 1.48], "frequency_hz": 850e3, "gain": 475.007},
+    {"position_m": [1.56, -0.47, 1.48], "frequency_hz": 900e3, "gain": 4708.06},
+    {"position_m": [-1.13, -0.50, 1.48], "frequency_hz": 950e3, "gain": 417.073},
 ]
 
 

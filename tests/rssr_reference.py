@@ -3,8 +3,9 @@
 reference_locate scans the same grid as vlcloc's RssrSolver and refines
 the scan optimum with a fresh meshgrid stencil, design matrix and
 np.linalg.lstsq fit in each of its three rounds. The fast solver, which
-applies a precomputed pseudo-inverse instead, must land on the same scan
-cell and within rounding of the same position.
+fits the stencil quadratic in closed form instead, must land on the same
+scan cell and within rounding of the same position; its pair model must
+equal _model's bit for bit.
 
 The geometry comes as plain values: led (M, 3) LED positions, the
 Lambertian order m and bounds ((xmin, xmax), (ymin, ymax)) of the scan;

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rssr_reference
@@ -54,6 +54,38 @@ def assert_matches_reference(fingerprint, tol_m):
 def test_scan_covers_the_grid_extent_plus_the_margin():
     np.testing.assert_array_equal(BENCH_SOLVER._cells, rssr_reference.scan_cells(BOUNDS))
     np.testing.assert_allclose(BOUNDS, [(-0.05, 0.75), (-0.05, 0.75)], rtol=0, atol=1e-12)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# 3-5 distinct LED positions within 3 m of the origin, 0.5-3 m high, and a
+# Lambertian order; None stands for the benchmark's LEDs and order
+LED_LAYOUTS = st.one_of(st.none(), st.tuples(
+    st.integers(3, 5).flatmap(lambda m: st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.5, 3.0)),
+        min_size=m, max_size=m, unique=True)),
+    st.floats(0.5, 20.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(None, [(0.0, 0.0)])
+@given(LED_LAYOUTS, st.lists(st.tuples(st.floats(-1.0, 1.7), st.floats(-1.0, 1.7)),
+                             min_size=1, max_size=20))
+def test_pair_model_equals_the_reference_bit_for_bit(layout, points):
+    """On the scan cells and on points within 1 m of the grid, the model's
+    pair differences and the reference's indexed ones agree in every bit,
+    the sign of a zero included."""
+    if layout is None:
+        solver, led, order = BENCH_SOLVER, LEDS, ORDER
+    else:
+        led, order = np.array(layout[0]), layout[1]
+        channel = dataclasses.replace(BENCH_PLAN.channel, lambertian_order=order)
+        solver = RssrSolver([LedConfig(pos, 8e5) for pos in led], channel, GRID)
+    for xy in (solver._cells, np.array(points)):
+        assert_same_bits(solver._model_at(xy), rssr_reference._model(led, order, xy))
 
 
 def test_benchmark_queries_match_the_lstsq_reference():

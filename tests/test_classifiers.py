@@ -165,7 +165,8 @@ class TestKnnAgainstDenseReference:
                                   rng.integers(0, 4), replace=True))
         pieces = [clf.predict_labels(p) for p in np.split(queries, cuts) if p.size]
         np.testing.assert_array_equal(np.concatenate(pieces), whole)
-        np.testing.assert_array_equal([clf.predict_labels(row)[0] for row in queries], whole)
+        np.testing.assert_array_equal(
+            [clf.predict_labels(row[np.newaxis])[0] for row in queries], whole)
 
     def test_real_valued_features_match_the_dense_oracle(self):
         # a many-leaf tree, many query batches, and squared distances that
@@ -661,8 +662,9 @@ class TestCommonInvariants:
         ([[0.0] * 2], "queries have 2 features, training rows 3"),
         ([[0.0] * 3, [np.nan] * 3], "queries must be finite"),
         ([[0.0, np.inf, 0.0]], "queries must be finite"),
-        ([[[0.0] * 3]], "queries must be a vector or an"),
-    ], ids=["wider", "narrower", "nan-row", "inf-row", "3d"])
+        ([0.0] * 3, "queries must be an"),
+        ([[[0.0] * 3]], "queries must be an"),
+    ], ids=["wider", "narrower", "nan-row", "inf-row", "1d", "3d"])
     @each_classifier
     def test_malformed_queries_are_rejected(self, build, queries, message):
         clf = build(random_train_set(np.random.default_rng(12), m=3))
