@@ -82,7 +82,9 @@ class _GridClassifier:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-_BLOCK_ROWS = 1024  # rows per block of ELM fit and ELM / RF queries, so memory is fixed
+# rows per block of ELM fit and ELM / RF queries, so memory is fixed; the size
+# sets the ELM fit's peak, the evaluate run's high-water mark
+_BLOCK_ROWS = 512
 
 
 def _row_blocks(a: np.ndarray, rows: int | None = None) -> list[np.ndarray]:
@@ -354,7 +356,7 @@ class ElmClassifier(_GridClassifier):
     minimum-norm one.
 
     Past one block of training rows or queries each has >= _BLOCK_ROWS / 2 =
-    512 rows: 512 x 600 x 225 is far above OpenBLAS's gemv and small-product
+    256 rows: 256 x 600 x 225 is far above OpenBLAS's gemv and small-product
     paths; a block's last rows still sum the G mod 8 tail columns unlike one product.
     """
 
@@ -390,7 +392,9 @@ class ElmClassifier(_GridClassifier):
     def _refined_cholesky_weights(self, blocks: list, g: int) -> np.ndarray | None:
         """Output weights from the normal equations summed over (features,
         labels) row blocks, refined; None where the Cholesky factorisation
-        fails or the last correction is not small."""
+        fails or the last correction is not small. The Gram matrix is freed
+        once factored: of the (hidden, hidden) matrices the refinement keeps
+        only the Cholesky factor."""
         gram = np.zeros((self.hidden, self.hidden))
         rhs = np.zeros((self.hidden, g))
         for xb, yb in blocks:
@@ -402,6 +406,7 @@ class ElmClassifier(_GridClassifier):
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             return None
+        del gram
 
         def solve(b):
             return np.linalg.solve(chol.T, np.linalg.solve(chol, b))

@@ -95,7 +95,8 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
     N-blocks; every block yields its periodogram at the tones' window bins
     and one RSS vector (the window maxima, in dB). All
     streams must supply the same Q. streams may be any iterable (including
-    a generator, so site-survey recordings never need to coexist in memory).
+    a generator, so that at most two site-survey recordings coexist in
+    memory: the loop's enumerate keeps the last one while the next is made).
     With noise_std > 0 the g-th stream's tone-bin DFT gets the white noise
     of that per-sample std, drawn from a Generator on the g-th of the
     iterable seeds, which must hold one seed per stream.
@@ -144,7 +145,9 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
             dft += np.random.default_rng(seed).standard_normal(dft.shape) * noise_scale
         power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
         rss[g] = to_db(power[:, window.reshape(windows.shape)].max(axis=2))
-        del stream, y  # else this waveform lives on while the generator makes the next
+        # frees no float waveform: enumerate's reused result tuple keeps it until
+        # the generator has made the next, so two recordings live at a time
+        del stream, y
 
     if g + 1 != grid.shape[0]:
         raise ValueError(f"got {g + 1} streams for {grid.shape[0]} grid points")

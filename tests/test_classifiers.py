@@ -541,6 +541,24 @@ class TestElmSolve:
         want = elm_reference.output_weights(train, hidden, 3)
         assert np.linalg.norm(clf.output_weights - want) <= 1e-8 * np.linalg.norm(want)
 
+    def test_fit_holds_one_hidden_by_hidden_matrix_at_a_time(self, monkeypatch):
+        # the benchmark's 600 hidden units and 225 labels over 4 blocks, on the
+        # Cholesky path: with the Gram matrix freed once factored and 512-row
+        # blocks the peak is 3.68 (600, 600) matrices; keeping the Gram matrix
+        # or taking 1024-row blocks reads >= 4.68, and both 5.86
+        hidden, g = 600, 225
+        train = random_train_set(np.random.default_rng(29), n=4 * classifiers._BLOCK_ROWS,
+                                 m=4, g=g)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        square = hidden * hidden * train.features.itemsize
+        tracemalloc.start()
+        try:
+            ElmClassifier(train, hidden, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * square, peak / square
+
 
 def stump_oracle(values, labels):
     """All midpoints between consecutive distinct values, gains by hand."""

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -628,9 +629,16 @@ def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):
     calls += ["_write_results_csv"]
     assert [r[0] for r in records] == ["synthesize_fingerprint_db", "load_fingerprints", *calls]
     assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1 and faults >= 0
-               for _, hwm0, hwm1, rss0, rss1, faults in records)
+               and traced is None for _, hwm0, hwm1, rss0, rss1, faults, traced in records)
+    tracemalloc.start()
+    try:
+        traced = stage_memory.replay(cfg_path, "evaluate", str(tmp_path))
+    finally:
+        tracemalloc.stop()
+    assert [r[0] for r in traced] == [r[0] for r in records]
+    assert all(0 <= live <= peak for *_, (live, peak) in traced)
     capsys.readouterr()
-    stage_memory.print_report(stage_memory.memory_mb(), records)
+    stage_memory.print_report(stage_memory.memory_mb(), records, traced)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 + len(records) and lines[2].startswith("synthesize_fingerprint_db")
     assert stage_memory.main(["evaluate"]) == 2
