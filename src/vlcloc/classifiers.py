@@ -332,6 +332,30 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
+# Rows of the Cholesky factor per step of _cholesky_solve's substitution.
+_SUBST_ROWS = 64
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b for the lower Cholesky factor L = chol, by blocked
+    forward and back substitution (Golub & Van Loan, Matrix Computations,
+    sections 3.1 and 4.2): each _SUBST_ROWS block of x takes off its product
+    with the solved blocks, one panel of L, then solves its small diagonal
+    block (np.linalg.solve, an LU of that block alone). L is only read, so
+    no (n, n) array is copied or factored again."""
+    x = b.copy()
+    starts = range(0, chol.shape[0], _SUBST_ROWS)
+    for s in starts:  # L y = b
+        e = s + _SUBST_ROWS
+        x[s:e] -= chol[s:e, :s] @ x[:s]
+        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e])
+    for s in reversed(starts):  # L^T x = y
+        e = s + _SUBST_ROWS
+        x[s:e] -= chol[e:, s:e].T @ x[e:]
+        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e])
+    return x
+
+
 class ElmClassifier(_GridClassifier):
     """Single-hidden-layer network trained in closed form.
 
@@ -343,14 +367,17 @@ class ElmClassifier(_GridClassifier):
 
     B comes from the normal equations H^T H B = H^T T, summed over row
     blocks (_row_blocks) so that neither H nor T exists whole, and solved
-    by Cholesky. As cond(H^T H) = cond(H)^2 is near 1 / eps on the
-    benchmark, _REFINE_STEPS passes of the corrected semi-normal equations
-    (Bjorck 1996, section 2.9) follow: each adds the Cholesky solution of
-    H^T (T - H B), with H recomputed block by block. On the benchmark this
-    gives lstsq's labels. B is instead lstsq's minimum-norm solution on the
-    whole H, as before, when there are fewer distinct training rows than
-    hidden units (H is rank deficient, as in a noise-free survey), when
-    Cholesky fails, or when the last correction exceeds _REFINE_TOL of |B|.
+    through one Cholesky factorisation of H^T H by blocked triangular
+    substitution (_cholesky_solve), with no LU of a (hidden, hidden)
+    matrix. As cond(H^T H) = cond(H)^2 is near 1 / eps on the benchmark,
+    _REFINE_STEPS passes of the corrected semi-normal equations (Bjorck
+    1996, section 2.9) follow: each adds the solution of H^T H D =
+    H^T (T - H B) through the same factor, with H recomputed block by
+    block. On the benchmark this gives lstsq's labels. B is instead
+    lstsq's minimum-norm solution on the whole H, as before, when there
+    are fewer distinct training rows than hidden units (H is rank
+    deficient, as in a noise-free survey), when Cholesky fails, or when the
+    last correction exceeds _REFINE_TOL of |B|.
     An H with enough distinct rows but a numerically deficient rank can
     still pass these checks with a least-squares solution other than the
     minimum-norm one.
@@ -394,7 +421,9 @@ class ElmClassifier(_GridClassifier):
         labels) row blocks, refined; None where the Cholesky factorisation
         fails or the last correction is not small. The Gram matrix is freed
         once factored: of the (hidden, hidden) matrices the refinement keeps
-        only the Cholesky factor."""
+        only the Cholesky factor, and every solve is a blocked triangular
+        substitution through it (_cholesky_solve), so LAPACK copies and
+        factors no (hidden, hidden) array but the Gram matrix's one Cholesky."""
         gram = np.zeros((self.hidden, self.hidden))
         rhs = np.zeros((self.hidden, g))
         for xb, yb in blocks:
@@ -407,11 +436,7 @@ class ElmClassifier(_GridClassifier):
         except np.linalg.LinAlgError:
             return None
         del gram
-
-        def solve(b):
-            return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
-
-        weights = solve(rhs)
+        weights = _cholesky_solve(chol, rhs)
         for _ in range(_REFINE_STEPS):
             rhs.fill(0.0)
             for xb, yb in blocks:
@@ -421,7 +446,7 @@ class ElmClassifier(_GridClassifier):
                 residual[np.arange(yb.size), yb] += 1.0  # T - H B, as if T were built
                 rhs += h.T @ residual
                 del h, residual
-            step = solve(rhs)
+            step = _cholesky_solve(chol, rhs)
             weights += step
         return weights if np.linalg.norm(step) <= _REFINE_TOL * np.linalg.norm(weights) else None
 

@@ -95,8 +95,8 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
     N-blocks; every block yields its periodogram at the tones' window bins
     and one RSS vector (the window maxima, in dB). All
     streams must supply the same Q. streams may be any iterable (including
-    a generator, so that at most two site-survey recordings coexist in
-    memory: the loop's enumerate keeps the last one while the next is made).
+    a generator, so that one site-survey recording at a time is in memory:
+    the loop frees each before it asks for the next).
     With noise_std > 0 the g-th stream's tone-bin DFT gets the white noise
     of that per-sample std, drawn from a Generator on the g-th of the
     iterable seeds, which must hold one seed per stream.
@@ -125,9 +125,9 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
     noise_scale = noise_std * np.sqrt((twiddle**2).sum(axis=0))
 
     # one (G, Q, M) array: per-point rows left between the waveforms made glibc refault them
-    rss, g = None, -1
+    rss, g = None, 0
     seeds = iter(seeds)
-    for g, stream in enumerate(streams):
+    for stream in streams:
         if g == grid.shape[0]:
             raise ValueError(f"got more than {g} streams for {g} grid points")
         y = np.asarray(stream, dtype=float)
@@ -145,12 +145,13 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
             dft += np.random.default_rng(seed).standard_normal(dft.shape) * noise_scale
         power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
         rss[g] = to_db(power[:, window.reshape(windows.shape)].max(axis=2))
-        # frees no float waveform: enumerate's reused result tuple keeps it until
-        # the generator has made the next, so two recordings live at a time
+        g += 1
+        # free this recording before the generator makes the next (a g taken
+        # from enumerate would keep it alive in the reused result tuple)
         del stream, y
 
-    if g + 1 != grid.shape[0]:
-        raise ValueError(f"got {g + 1} streams for {grid.shape[0]} grid points")
+    if g != grid.shape[0]:
+        raise ValueError(f"got {g} streams for {grid.shape[0]} grid points")
     db = FingerprintDB(grid, rss, tones, fft_len, sample_rate)
     for f, nominal, on_bin in db.tone_alignment():
         if not on_bin:

@@ -559,6 +559,36 @@ class TestElmSolve:
             tracemalloc.stop()
         assert peak <= 4.5 * square, peak / square
 
+    def test_fit_hands_lapack_no_hidden_by_hidden_operand_but_the_cholesky(self, monkeypatch):
+        # LAPACK's work copies are malloc'd, so tracemalloc cannot see an LU
+        # of the factor; spy on the calls instead
+        hidden, g = 600, 225
+        train = random_train_set(np.random.default_rng(29), n=4 * classifiers._BLOCK_ROWS,
+                                 m=4, g=g)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        square = []
+        for name in ("solve", "inv", "cholesky"):
+            def spy(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(a) == (hidden, hidden):
+                    square.append(_name)
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        ElmClassifier(train, hidden, seed=3)
+        assert square == ["cholesky"]
+
+    @pytest.mark.parametrize("hidden", [1, classifiers._SUBST_ROWS - 1, classifiers._SUBST_ROWS,
+                                        classifiers._SUBST_ROWS + 1, 600])
+    def test_substitution_solves_the_normal_equations(self, hidden):
+        # a (2 hidden + 1, hidden) Gaussian A gives cond(A^T A) <~ 40, so both
+        # solutions lie within a few hundred eps of the exact one
+        rng = np.random.default_rng(hidden)
+        a = rng.normal(size=(2 * hidden + 1, hidden))
+        gram = a.T @ a
+        b = rng.normal(size=(hidden, 7))
+        got = classifiers._cholesky_solve(np.linalg.cholesky(gram), b)
+        want = np.linalg.solve(gram, b)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
 
 def stump_oracle(values, labels):
     """All midpoints between consecutive distinct values, gains by hand."""

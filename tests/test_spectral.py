@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -228,6 +229,23 @@ class TestBuildFingerprints:
             build_fingerprints([s], [[0, 0], [1, 0]], 400, self.tones, self.rate)
         with pytest.raises(ValueError, match="got more than 1 streams for 1 grid points"):
             build_fingerprints([s, s], [[0, 0]], 400, self.tones, self.rate)
+
+    def test_a_generator_survey_holds_one_stream_at_a_time(self):
+        # each recording must be freed before the generator makes the next
+        alive = []
+
+        def stream():
+            s = synth_tone_stream(1, 400, self.rate, self.tones, [1e-3, 1e-3])
+            alive.append(weakref.ref(s))
+            return s
+
+        def streams():
+            for _ in range(3):
+                assert all(ref() is None for ref in alive), "an earlier stream is alive"
+                yield stream()
+
+        db = build_fingerprints(streams(), [[0, 0], [1, 0], [2, 0]], 400, self.tones, self.rate)
+        assert db.rss.shape == (3, 1, 2)
 
     def test_block_permutation_leaves_mean_unchanged(self):
         n = 400
