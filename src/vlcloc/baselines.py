@@ -38,9 +38,9 @@ class RssrSolver:
     in the scan could make the estimate's bits follow the OpenBLAS kernel;
     none was seen under SkylakeX, Haswell and Sandybridge.
 
-    LedConfig and ChannelParams already guarantee finite positions and a
-    positive, finite Lambertian order; the solver checks the rest: at least
-    3 LEDs at distinct positions and a finite, non-empty (G, 2) grid.
+    LedConfig, ChannelParams and ExperimentPlan guarantee finite, distinct
+    positions and a positive, finite Lambertian order; the solver checks the
+    rest: at least 3 LEDs and a finite, non-empty (G, 2) grid.
     """
 
     def __init__(self, leds: Sequence[LedConfig], channel: ChannelParams, grid_coords):
@@ -48,8 +48,6 @@ class RssrSolver:
             raise ValueError("RSSR needs at least 3 LED positions")
         led = np.stack([x.position for x in leds])
         m = led.shape[0]
-        if len(np.unique(led, axis=0)) != m:
-            raise ValueError("LED positions must be distinct")
         grid = np.asarray(grid_coords, dtype=float)
         if grid.ndim != 2 or grid.shape[1] != 2 or grid.size == 0 or not np.isfinite(grid).all():
             raise ValueError("the RSSR scan needs a finite, non-empty rectangle: "

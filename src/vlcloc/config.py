@@ -30,8 +30,8 @@ copy; `benchmark_config()` is the calibrated testbed, not a list of defaults.
 `experiment.TABLE1_FFT_LENS`, over `spectral.blocks_per_grid` blocks, so no
 other config key sets it. Every run trains KNN, ELM and RF, in that order,
 and scores all seven methods (`experiment.ALL_METHODS`), so no key selects
-them; `geometry.leds` needs at least 3 LEDs, the fewest RSSR can locate
-with. Fixed parts of the method are module constants, not keys: the speed
+them; `geometry.leds` needs at least 3 LEDs at distinct positions, as RSSR
+does. Fixed parts of the method are module constants, not keys: the speed
 of light (`channel.SPEED_OF_LIGHT`), ELM's hidden units and RF's trees and
 depth (`experiment.ELM_HIDDEN`, `RF_TREES`, `RF_DEPTH`), the RSSR scan
 resolution and margin (`baselines.SCAN_RESOLUTION`, `baselines.SCAN_MARGIN`),

@@ -2,12 +2,12 @@
 
 run_experiment drives the full pipeline on a square survey grid: per-grid
 signal synthesis, fingerprint construction, a train / offline / online
-split of the Q blocks, classifier training, GI / GD fusion fitting on the
-offline split, and evaluation of every method on the online split. RSS
-matching and GD-LS's grid choice are one search: a k = 1 KnnClassifier
-over the train blocks' per-grid mean fingerprints. Everything
-is a pure function of the plan (all randomness flows from the plan seed
-through named SeedSequence children).
+split of the Q blocks, classifier training, one prediction pass over the
+offline and online rows, GI / GD fusion fitting on the offline split and
+evaluation of every method on the online split. RSS matching and GD-LS's
+grid choice are one search: a k = 1 KnnClassifier over the train blocks'
+per-grid mean fingerprints. Everything is a pure function of the plan (all
+randomness flows from the plan seed through named SeedSequence children).
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ class ExperimentPlan:
             raise ValueError(f"knn_k must be at least 1, got {self.knn_k}")
         if len(self.leds) < 3:
             raise ValueError(f"rssr needs at least 3 LEDs, got {len(self.leds)}")
+        if len({tuple(led.position) for led in self.leds}) != len(self.leds):
+            raise ValueError("LED positions must be distinct")
         freqs = [led.frequency for led in self.leds]
         if len(set(freqs)) != len(freqs):
             raise ValueError("LED tone frequencies must be distinct")
@@ -266,15 +268,17 @@ def run_experiment(plan: ExperimentPlan,
         clfs = _build_classifiers(plan, train_set)
         matcher = KnnClassifier(TrainSet(mean_fps, np.arange(coords.shape[0]), coords), 1)
 
-    with _stage("fusion-fit"):
+    with _stage("predict"):  # one pass over the offline and online rows, sliced apart
         off_q, off_labels = _flatten_split(db, off_idx)
-        off_pred = fusion.build_prediction_matrix(clfs, off_q)
+        on_q, on_labels = _flatten_split(db, on_idx)
+        pred = fusion.build_prediction_matrix(clfs, np.concatenate([off_q, on_q]))
+        off_pred, on_pred = np.split(pred, [off_q.shape[0]], axis=1)
+
+    with _stage("fusion-fit"):
         gi = fusion.gi_ls_fit(off_pred, coords[off_labels])
         gd = fusion.gd_ls_fit(off_pred, off_labels, coords)
 
     with _stage("evaluate"):
-        on_q, on_labels = _flatten_split(db, on_idx)
-        on_pred = fusion.build_prediction_matrix(clfs, on_q)
         nearest = matcher.predict_labels(on_q)
         est = _estimate(plan, on_q, on_pred, nearest, coords, gi, gd)
 

@@ -27,14 +27,8 @@ class LsFit:
     rank_used: int | np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        r = np.asarray(self.rank_used)
-        if w.ndim < 1 or r.shape != w.shape[:-1] or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite, with one rank per weight vector")
-        if np.any(r > w.shape[-1]):
-            raise ValueError("rank_used cannot exceed the number of classifiers")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rank_used", int(r) if r.ndim == 0 else r)
+        if np.ndim(self.rank_used) == 0:  # one fit's rank as a plain int
+            object.__setattr__(self, "rank_used", int(self.rank_used))
 
 
 @dataclass(frozen=True)
@@ -47,8 +41,6 @@ class FusionWeights:
 
 def build_prediction_matrix(classifiers, queries) -> np.ndarray:
     """(2, L, H) C-contiguous: [axis, query, classifier] coordinate predictions."""
-    if not classifiers:
-        raise ValueError("at least one classifier is required")
     coords = np.stack([clf.predict_coords(queries) for clf in classifiers])  # (H, L, 2)
     return np.ascontiguousarray(coords.transpose(2, 1, 0))
 
@@ -69,8 +61,6 @@ def ls_svd_weights(pred: np.ndarray, truth: np.ndarray) -> LsFit:
     """
     x = np.asarray(pred, dtype=float)
     t = np.asarray(truth, dtype=float)
-    if x.ndim < 2 or t.shape != x.shape[:-1]:
-        raise ValueError(f"truth must have shape {x.shape[:-1]}")
     tol = 1e-10 * max(x.shape[-2:])
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     ranks = np.count_nonzero((sv > 0.0) & (sv >= tol * sv[..., :1]), axis=-1)
@@ -91,10 +81,7 @@ def _per_axis(fit: LsFit) -> FusionWeights:
 
 def gi_ls_fit(pred: np.ndarray, truth_xy) -> FusionWeights:
     """Grid-independent fit: one weight vector per axis over all offline rows."""
-    truth = np.asarray(truth_xy, dtype=float)
-    if truth.shape != (pred.shape[1], 2):
-        raise ValueError("truth_xy must have shape (L, 2)")
-    return _per_axis(ls_svd_weights(pred, truth.T))
+    return _per_axis(ls_svd_weights(pred, np.asarray(truth_xy, dtype=float).T))
 
 
 def gi_ls_predict_all(weights: FusionWeights, online_pred: np.ndarray) -> np.ndarray:
@@ -107,16 +94,11 @@ def gd_ls_fit(pred: np.ndarray, labels, grid_coords) -> FusionWeights:
     """Grid-dependent fit: per grid point g, regress the offline predictions
     of the rows labelled g, in their original order, onto the constant truth
     (x_g, y_g). Every grid point needs the same number of rows."""
-    labels = np.asarray(labels)
     coords = np.asarray(grid_coords, dtype=float)
     g = coords.shape[0]
-    if labels.shape != (pred.shape[1],) or np.any((labels < 0) | (labels >= g)):
-        raise ValueError(f"labels must be one grid index in [0, {g}) per prediction row")
-    counts = np.bincount(labels, minlength=g)
-    if np.any(counts != counts[0]):
-        raise ValueError("every grid point needs the same number of rows")
-    rows = np.argsort(labels, kind="stable").reshape(g, counts[0])
-    truth = np.repeat(coords.T[..., np.newaxis], counts[0], axis=2)
+    per_grid = pred.shape[1] // g
+    rows = np.argsort(labels, kind="stable").reshape(g, per_grid)
+    truth = np.repeat(coords.T[..., np.newaxis], per_grid, axis=2)
     return _per_axis(ls_svd_weights(pred[:, rows], truth))
 
 

@@ -161,7 +161,8 @@ def test_rssr_config_rejects_each_bad_field(kwargs, message):
     """The RSSR configuration is the plan's LEDs, channel and grid that
     RssrSolver is built from. A non-finite or wrongly shaped LED position
     and a Lambertian order of 0, NaN or inf are rejected by LedConfig and
-    ChannelParams before a solver sees them; the solver rejects the rest."""
+    ChannelParams before a solver sees them; the solver rejects too few LEDs
+    and a bad grid, and the plan that holds the LEDs two at one position."""
     fields = {"led_positions": LEDS, "lambertian_order": ORDER, "grid_coords": GRID,
               **kwargs}
     with pytest.raises(ValueError, match=message):
@@ -169,3 +170,4 @@ def test_rssr_config_rejects_each_bad_field(kwargs, message):
         channel = dataclasses.replace(BENCH_PLAN.channel,
                                       lambertian_order=fields["lambertian_order"])
         RssrSolver(leds, channel, fields["grid_coords"])
+        dataclasses.replace(BENCH_PLAN, leds=tuple(leds), channel=channel)

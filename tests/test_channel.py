@@ -12,6 +12,7 @@ from vlcloc.channel import (ChannelParams, LedConfig, PdPose, attenuation,
                             propagation_delay, synthesize_received)
 from vlcloc.spectral import build_fingerprints
 
+BENCH_PLAN = config.plan_from_config(config.benchmark_config())
 # -ln 2 / ln cos(22 deg), evaluated with mpmath at 40 digits
 LAMBERTIAN_ORDER_22DEG = 9.168201146812517
 
@@ -210,27 +211,29 @@ class TestSynthesize:
         y = synthesize_received([led], PdPose.at(0, 0), params, 4000)
         assert not np.array_equal(self.survey([y], params, [1]), self.survey([y], params, [2]))
 
+    # synthesize_received trusts the plan every survey is made from: the
+    # plan rejects the LEDs, sample rates and durations (blocks_per_grid *
+    # fft_len samples) that the survey cannot take.
     def test_empty_led_list_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_received([], PdPose.at(0, 0), make_params(), 100)
+        with pytest.raises(ValueError, match="rssr needs at least 3 LEDs, got 0"):
+            dataclasses.replace(BENCH_PLAN, leds=())
 
     def test_sample_rate_below_nyquist_rejected(self):
-        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=2.5e6)
-        with pytest.raises(ValueError, match="sample_rate"):
-            synthesize_received([led], PdPose.at(0, 0), make_params(rate=4e6), 100)
+        slow = dataclasses.replace(BENCH_PLAN.channel, sample_rate=1.9e6)  # tones to 950 kHz
+        with pytest.raises(ValueError, match="sample_rate 1900000.0 Hz must exceed twice"):
+            dataclasses.replace(BENCH_PLAN, channel=slow)
 
     def test_nonpositive_duration_rejected(self):
-        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
         for n in (0, -5, np.int64(0)):
-            with pytest.raises(ValueError, match="must be a positive integer"):
-                synthesize_received([led], PdPose.at(0, 0), make_params(), n)
+            with pytest.raises(ValueError, match="blocks_per_grid >= 1 required"):
+                dataclasses.replace(BENCH_PLAN, blocks_per_grid=n)
 
     @pytest.mark.parametrize("n", [4000.0, 4000.5, np.float64(4000), True, np.bool_(True),
                                    "4000", None], ids=repr)
     def test_non_integer_duration_rejected(self, n):
-        led = LedConfig(position=[0.0, 0.0, 1.5], frequency=800e3)
-        with pytest.raises(ValueError, match="duration_samples must be a positive integer"):
-            synthesize_received([led], PdPose.at(0, 0), make_params(), n)
+        for field in ("fft_len", "blocks_per_grid"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+                dataclasses.replace(BENCH_PLAN, **{field: n})
 
     @pytest.mark.parametrize("n", [np.int64(4000), np.uint16(4000), np.int32(4000)])
     def test_numpy_integer_duration_accepted(self, n):

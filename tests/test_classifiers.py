@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import rf_reference
 from rf_reference import entropy, presorted_stump_split, tree_labels
 from vlcloc import classifiers, config, experiment
 from vlcloc.classifiers import ElmClassifier, KnnClassifier, RandomForest, TrainSet
+from vlcloc.spectral import FingerprintDB
 
 # the O(n) presorted search and the one-hot reference it must reproduce
 SPLITS = (presorted_stump_split, rf_reference.best_stump_split)
@@ -84,11 +86,12 @@ class TestKnn:
         assert KnnClassifier(train, k=1).predict_labels([[0.0]])[0] == 2
 
     def test_k_validation(self):
-        rng = np.random.default_rng(2)
-        train = random_train_set(rng, n=10)
-        with pytest.raises(ValueError):
-            KnnClassifier(train, k=0)
-        with pytest.raises(ValueError):
+        # k >= 1 is the plan's to check; k above the training rows, KNN's own
+        plan = config.plan_from_config(config.benchmark_config())
+        with pytest.raises(ValueError, match="knn_k must be at least 1, got 0"):
+            dataclasses.replace(plan, knn_k=0)
+        train = random_train_set(np.random.default_rng(2), n=10)
+        with pytest.raises(ValueError, match="k = 11 exceeds the 10 training rows"):
             KnnClassifier(train, k=11)
 
     def test_noiseless_identifiability(self):
@@ -454,11 +457,6 @@ class TestElm:
         clf.output_weights = np.zeros_like(clf.output_weights)
         assert clf.predict_labels([[0.0, 0.0, 0.0]])[0] == 0
 
-    def test_hidden_count_validation(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            ElmClassifier(random_train_set(rng), hidden=0, seed=0)
-
 
 def no_lstsq(*args, **kwargs):
     raise AssertionError("the fit fell back to np.linalg.lstsq")
@@ -684,14 +682,6 @@ class TestRandomForest:
         forest = RandomForest(train, trees=1, depth=1, seed=0)
         np.testing.assert_array_equal(forest.predict_labels(feats), [0, 0, 1, 1])
 
-    def test_hyperparameter_validation(self):
-        rng = np.random.default_rng(17)
-        train = random_train_set(rng)
-        with pytest.raises(ValueError):
-            RandomForest(train, trees=0, depth=5, seed=0)
-        with pytest.raises(ValueError):
-            RandomForest(train, trees=5, depth=0, seed=0)
-
 
 class TestCommonInvariants:
     def test_predictions_stay_on_grid(self):
@@ -726,28 +716,6 @@ class TestCommonInvariants:
         assert labels.shape == (0,) and labels.dtype.kind == "i"
         assert clf.predict_coords(np.empty((0, 3))).shape == (0, 2)
 
-    def test_train_set_validation(self):
-        with pytest.raises(ValueError):
-            TrainSet(np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            TrainSet(np.zeros((3, 2)), np.array([0, 1, 5]), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="features must be a non-empty"):
-            TrainSet(np.zeros((0, 2)), np.array([], dtype=int), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="features must be a non-empty"):
-            TrainSet(np.zeros(3), np.array([0, 1, 0]), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="grid_coords must have shape"):
-            TrainSet(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("labels, row", [
-        ([0, 1, 0.7, 1.9, 0], 2),
-        ([0.0, 1.0, 1.0, np.nan, 0.0], 3),
-        ([0.0, 1.0, -np.inf, 0.0, 1.0], 2),
-        ([True, False, True, True, False], 0),
-    ], ids=["fraction", "nan", "inf", "bool"])
-    def test_non_integer_labels_rejected_naming_the_row(self, labels, row):
-        with pytest.raises(ValueError, match=f"labels row {row} is not an integer"):
-            TrainSet(np.zeros((5, 2)), labels, np.zeros((2, 2)))
-
     def test_integral_float_labels_become_ints(self):
         train = TrainSet(np.zeros((3, 2)), [0.0, 1.0, 1.0], np.zeros((2, 2)))
         assert train.labels.dtype.kind == "i"
@@ -755,11 +723,13 @@ class TestCommonInvariants:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected_naming_the_row(self, bad):
+        # training rows are FingerprintDB rows, and the DB rejects a
+        # non-finite one, naming its first (grid, block) row and tone
         feats = np.zeros((5, 2))
         feats[3, 1] = bad
         feats[4, 0] = bad
-        with pytest.raises(ValueError, match="features row 3 is not finite"):
-            TrainSet(feats, np.zeros(5, dtype=int), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=f"RSS of grid 0, block 3, tone 1 is {bad}"):
+            FingerprintDB(np.zeros((1, 2)), feats[np.newaxis], [1e5, 2e5], 2000, 4e6)
 
 
 BLOCK = 5  # a patched block size: near-equal blocks past one then hold >= 3 rows

@@ -196,6 +196,23 @@ def test_fewer_than_3_leds_exits_2_for_each_command(tmp_path, capsys, count):
         assert not out.exists()
 
 
+def test_two_leds_at_one_position_exit_2_for_each_command(tmp_path, capsys):
+    # RSSR cannot tell the two apart; the plan rejects them before the survey,
+    # so evaluate --db fails on the config, not after reading and training
+    cfg = minimal_config()
+    cfg["geometry"]["leds"][1]["position_m"] = list(cfg["geometry"]["leds"][0]["position_m"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for argv in (["simulate", "--out", str(out)], ["evaluate", "--out", str(out)],
+                 ["evaluate", "--db", str(tmp_path / "db.txt"), "--out", str(out)], ["table1"]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == "config error: LED positions must be distinct\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("contents, prefix", [
     (None, "cannot read "),
     ("{", "{path} is not valid JSON"),

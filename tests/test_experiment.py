@@ -13,7 +13,7 @@ import rf_reference
 import spectral_reference
 import stage_memory
 import synth_reference
-from vlcloc import cli, config, experiment, fusion, spectral
+from vlcloc import classifiers, cli, config, experiment, fusion, spectral
 from vlcloc.channel import ChannelParams, LedConfig, PdPose
 from vlcloc.classifiers import KnnClassifier, TrainSet
 from vlcloc.experiment import SplitRatios
@@ -345,6 +345,7 @@ STAGE_CALLEES = {
     "synthesize": (experiment, "synthesize_fingerprint_db", _raise),
     "split": (experiment, "_split_indices", _raise),
     "train": (experiment, "_build_classifiers", _raise),
+    "predict": (fusion, "build_prediction_matrix", _raise),
     "fusion-fit": (fusion, "gi_ls_fit", _raise),
     "evaluate": (experiment, "_estimate", _raise),
     "inner": (experiment, "_estimate", _raise_tagged),  # passed through unchanged
@@ -363,6 +364,24 @@ def test_each_stage_tags_its_failure(tmp_path, capsys, monkeypatch, stage):
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert f"[{stage}]" in capsys.readouterr().err
+
+
+def test_each_classifier_predicts_once_per_run(monkeypatch):
+    # one prediction pass: KNN, ELM and RF each label the offline and online
+    # rows in one call; the k = 1 matcher labels the online rows only
+    calls = []
+    for owner in (KnnClassifier, classifiers._GridClassifier):
+        def spy(self, queries, inner=owner.predict_labels):
+            calls.append((type(self).__name__, getattr(self, "k", None), len(queries)))
+            return inner(self, queries)
+        monkeypatch.setattr(owner, "predict_labels", spy)
+    plan = config.plan_from_config(tiny_config())
+    table = experiment.run_experiment(plan)
+    _, n_off, n_on = plan.split.counts(plan.blocks_per_grid)
+    rows, online = 9 * (n_off + n_on), 9 * n_on
+    assert calls == [("KnnClassifier", 5, rows), ("ElmClassifier", None, rows),
+                     ("RandomForest", None, rows), ("KnnClassifier", 1, online)]
+    assert table.grid_index.size == online
 
 
 def test_noise_free_equal_gain_rssr_is_exact_end_to_end():
@@ -462,6 +481,19 @@ def test_cdf_csv_thresholds_are_0_to_25_cm_in_steps_of_2_5_mm(tmp_path):
     assert (tmp_path / "out" / "weights.csv").is_file()
 
 
+def test_an_error_a_tenth_of_a_nanometre_past_a_threshold_counts_outside_it():
+    # the within-t rule's 1e-12 m absorbs coordinate rounding, nothing more
+    at = 20
+    t = experiment.CDF_THRESHOLDS[at]
+    est = np.array([[t + 1e-10, 0.0], [0.0, t + 1e-13]])
+    table = experiment.ResultTable(grid_index=np.zeros(2, dtype=int), truth=np.zeros((2, 2)),
+                                   est={m: est for m in experiment.ALL_METHODS}, gi=None, gd=None)
+    assert table.errors("knn")[0] > t + 9e-11
+    for method in experiment.ALL_METHODS:
+        assert table.fraction_within(method, t) == 0.5
+        assert table.cdf(method)[at] == 0.5
+
+
 def test_every_one_step_miss_on_the_benchmark_grid_counts_within_one_step():
     plan = config.plan_from_config(config.benchmark_config())
     coords, q, step = plan.grid_coords, plan.grid_q, plan.grid_spacing
@@ -519,9 +551,14 @@ BAD_FIELDS = {
     "SplitRatios.online": lambda: SplitRatios(0.5, 0.5, NAN),
     "SplitRatios.shuffle": lambda: SplitRatios(shuffle="yes"),
     "SplitRatios.sum": lambda: SplitRatios(0.5, 0.5, 0.5),
+    # two LEDs on one tone, then two at one position
     "ExperimentPlan.leds": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()),
-        leds=(LedConfig(H, 8e5), LedConfig(H, 9e5), LedConfig(H, 8e5))),
+        leds=(LedConfig(H, 8e5), LedConfig([1.0, 0.0, 1.0], 9e5),
+              LedConfig([0.0, 1.0, 1.0], 8e5))),
+    "ExperimentPlan.leds.position": lambda: dataclasses.replace(
+        config.plan_from_config(tiny_config()),
+        leds=(LedConfig(H, 8e5), LedConfig(H, 9e5), LedConfig([1.0, 0.0, 1.0], 1e6))),
     "ExperimentPlan.grid_spacing": lambda: dataclasses.replace(
         config.plan_from_config(tiny_config()), grid_spacing=NAN),
     **{f"ExperimentPlan.{name}={value!r}": functools.partial(
@@ -624,8 +661,8 @@ def test_stage_memory_probe_reports_each_peak_setting_call(tmp_path, capsys):
              "KnnClassifier(k=1).fit"]
     predicts = ["KnnClassifier(k=5).predict_labels", "ElmClassifier.predict_labels",
                 "RandomForest.predict_labels"]
-    calls += predicts + ["gi_ls_fit", "gd_ls_fit"]  # the offline rows, then the fits
-    calls += predicts + ["KnnClassifier(k=1).predict_labels", "_estimate"]  # the online rows
+    calls += predicts + ["gi_ls_fit", "gd_ls_fit"]  # offline and online rows, then the fits
+    calls += ["KnnClassifier(k=1).predict_labels", "_estimate"]  # the online rows
     calls += ["_write_results_csv"]
     assert [r[0] for r in records] == ["synthesize_fingerprint_db", "load_fingerprints", *calls]
     assert all(0 < hwm0 <= hwm1 and 0 < rss0 <= hwm0 and 0 < rss1 <= hwm1 and faults >= 0

@@ -136,6 +136,9 @@ class TestLsSvdWeights:
         x = np.array([[1.0, 1.0], [1e-14, -1e-14]])
         fit = ls_svd_weights(x, np.array([1.0, 0.0]))  # sigma ratio 1e-14 < 2e-10
         assert fit.rank_used == 1
+        fit = ls_svd_weights(np.diag([1.0, 1e-8]), np.array([1.0, 1e-8]))  # 1e-8 >= 2e-10
+        assert fit.rank_used == 2
+        np.testing.assert_allclose(fit.weights, [1.0, 1.0], rtol=1e-12)
 
 
 class TestPermutationEquivariance:
@@ -324,26 +327,6 @@ class TestGdLs:
                 sum(a * b for a, b in zip(online[1, r], gd.wy.weights[g])), rel=1e-12)
 
 
-class TestValidation:
-    def test_truth_shape_checked(self):
-        with pytest.raises(ValueError):
-            ls_weights(np.ones((4, 2)), np.ones(3))
-        with pytest.raises(ValueError):
-            ls_svd_weights(np.ones((4, 2)), np.ones(3))
-        with pytest.raises(ValueError, match="truth_xy must have shape"):
-            gi_ls_fit(np.ones((2, 4, 3)), np.ones((3, 2)))
-
-    @pytest.mark.parametrize("weights, rank, message", [
-        ([1.0, np.nan], 2, "weights must be finite"),
-        ([1.0, 2.0], [2], "one rank per weight vector"),
-        ([1.0, 2.0], 3, "rank_used cannot exceed"),
-    ], ids=["nan", "rank-shape", "rank-too-high"])
-    def test_bad_fit_rejected(self, weights, rank, message):
-        with pytest.raises(ValueError, match=message):
-            LsFit(np.array(weights), rank)
-
-
-
 @st.composite
 def mixed_rank_stack(draw):
     """(G, L, H) stack mixing full-rank, all-zero, duplicated-column and
@@ -419,19 +402,3 @@ class TestStackedSolve:
         fit = ls_svd_weights(x, t)
         assert fit.rank_used == h
         np.testing.assert_allclose(fit.weights, ls_weights(x, t), rtol=1e-7, atol=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 5), min_size=2, max_size=6).filter(
-        lambda counts: len(set(counts)) > 1))
-    def test_gd_fit_rejects_unequal_per_grid_counts(self, counts):
-        labels = np.repeat(np.arange(len(counts)), counts)
-        with pytest.raises(ValueError, match="same number of rows"):
-            gd_ls_fit(np.ones((2, labels.size, 2)), labels, np.zeros((len(counts), 2)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 5), st.sampled_from([-1, 0, 3]), st.integers(0, 9))
-    def test_gd_fit_rejects_out_of_range_labels(self, g, offset, row):
-        labels = np.repeat(np.arange(g), 2)
-        labels[row % labels.size] = -1 if offset == -1 else g + offset
-        with pytest.raises(ValueError, match="grid index in"):
-            gd_ls_fit(np.ones((2, labels.size, 2)), labels, np.zeros((g, 2)))

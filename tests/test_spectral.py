@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -7,6 +8,7 @@ import pytest
 import spectral_reference
 from spectral_reference import from_db, periodogram
 from vlcloc import config, experiment
+from vlcloc.channel import ChannelParams
 from vlcloc.classifiers import KnnClassifier
 from vlcloc.spectral import (DB_FLOOR, FingerprintDB, build_fingerprints,
                              load_fingerprints, save_fingerprints, to_db)
@@ -114,8 +116,13 @@ class TestExtractRss:
         assert rss_db(np.zeros(256), 4e6, [800e3])[0] == DB_FLOOR
 
     def test_tone_above_nyquist_rejected(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            rss_db(np.ones(256), 4e6, [2.5e6])
+        # build_fingerprints reads the plan's tones, and the plan rejects one
+        # at or above Nyquist
+        plan = config.plan_from_config(config.benchmark_config())
+        led = dataclasses.replace(plan.leds[0], frequency=2.5e6)
+        with pytest.raises(ValueError, match=r"4000000.0 Hz must exceed twice the highest "
+                                             r"tone \(2500000.0 Hz\)"):
+            dataclasses.replace(plan, leds=(led, *plan.leds[1:]))
 
     def test_off_bin_tone_found_within_one_bin(self):
         n, rate = 1000, 4e6
@@ -480,8 +487,10 @@ class TestNoiseAtToneBins:
 
     @pytest.mark.parametrize("noise", [-1e-3, math.nan, math.inf])
     def test_bad_noise_std_rejected(self, noise):
-        with pytest.raises(ValueError, match="noise_std must be finite and non-negative"):
-            self.build([self.stream()], noise, [1])
+        # build_fingerprints takes the plan channel's noise_std, which
+        # ChannelParams checks
+        with pytest.raises(ValueError, match="noise_std must be non-negative and finite"):
+            ChannelParams(1.0, 1e-4, noise, self.rate)
 
     @pytest.mark.parametrize("seeds, short_at", [([], 0), ([1], 1), (iter([1]), 1)])
     def test_fewer_seeds_than_streams_rejected(self, seeds, short_at):
