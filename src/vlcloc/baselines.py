@@ -10,7 +10,9 @@ quadratic refinement.
 The solver is built from the plan's own geometry: its LEDs, its channel's
 Lambertian order and its survey grid, whose extent plus SCAN_MARGIN is the
 scan area. The LED gains are deliberately ignored: RSSR is the paper's
-uncalibrated comparator, so unequal gains show up as its error.
+uncalibrated comparator, so unequal gains show up as its error. The plan
+guarantees 3 or more distinct LEDs and a finite grid and Lambertian order,
+and run_experiment holds a DB's RSS levels within +-DB_LIMIT dB.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .channel import ChannelParams, LedConfig
 
 SCAN_RESOLUTION = 0.01  # meters between cells of the area scan
 SCAN_MARGIN = 0.05  # meters the area scan reaches beyond the survey grid
-_DB_LIMIT = 6000.0  # 10^(dB/20) is positive and finite for |dB| < 6000 (+6165 overflows)
+DB_LIMIT = 6000.0  # 10^(dB/20) is positive and finite for |dB| < 6000 (+6165 overflows)
 
 
 class RssrSolver:
@@ -37,29 +39,18 @@ class RssrSolver:
     quadratic fit in plain Python and a 2x2 Newton step. So only a near tie
     in the scan could make the estimate's bits follow the OpenBLAS kernel;
     none was seen under SkylakeX, Haswell and Sandybridge.
-
-    LedConfig, ChannelParams and ExperimentPlan guarantee finite, distinct
-    positions and a positive, finite Lambertian order; the solver checks the
-    rest: at least 3 LEDs and a finite, non-empty (G, 2) grid.
     """
 
     def __init__(self, leds: Sequence[LedConfig], channel: ChannelParams, grid_coords):
-        if len(leds) < 3:
-            raise ValueError("RSSR needs at least 3 LED positions")
         led = np.stack([x.position for x in leds])
-        m = led.shape[0]
-        grid = np.asarray(grid_coords, dtype=float)
-        if grid.ndim != 2 or grid.shape[1] != 2 or grid.size == 0 or not np.isfinite(grid).all():
-            raise ValueError("the RSSR scan needs a finite, non-empty rectangle: "
-                             "grid_coords must be a finite (G, 2) array with G >= 1")
-        self._i, self._j = np.triu_indices(m, 1)  # LED pairs i < j
+        self._i, self._j = np.triu_indices(led.shape[0], 1)  # LED pairs i < j
         self._m3 = channel.lambertian_order + 3.0
         self._led_xy = led[:, :2].T.copy()   # (2, M)
         self._led_h2 = led[:, 2] ** 2
 
         res = SCAN_RESOLUTION
         xs, ys = (np.arange(lo - SCAN_MARGIN, hi + SCAN_MARGIN + 0.5 * res, res)
-                  for lo, hi in zip(grid.min(axis=0), grid.max(axis=0)))
+                  for lo, hi in zip(grid_coords.min(axis=0), grid_coords.max(axis=0)))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self._cells = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         model = self._model_at(self._cells)
@@ -126,11 +117,6 @@ class RssrSolver:
         the ratio model wants the optical power, its square root: 10^(dB/20).
         Ratios cancel any common scale factor, so only relative levels matter.
         """
-        r = np.asarray(fingerprint, dtype=float)
-        if r.shape != (self._led_h2.size,):
-            raise ValueError("fingerprint length must match the number of LEDs")
-        if not all(-_DB_LIMIT < v < _DB_LIMIT for v in r.tolist()):
-            raise ValueError(f"RSSR needs finite RSS levels within +-{_DB_LIMIT:g} dB")
-        r = 10.0 ** (r / 20.0)
+        r = 10.0 ** (np.asarray(fingerprint, dtype=float) / 20.0)
         log_ratios = np.log(r[self._i] / r[self._j])
         return self._refine(log_ratios, self._scan(log_ratios))

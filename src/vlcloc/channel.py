@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,8 @@ _ROW_LEN = 2048  # samples per tone-basis row; 512-2048 cost the same within 20 
 
 
 def lambertian_order_from_semiangle(semi_angle_deg: float) -> float:
-    """Lambertian order m = -ln(2) / ln(cos(semi_angle)) from the half-power semi-angle."""
-    if not 0.0 < semi_angle_deg < 90.0:
-        raise ValueError(f"semi-angle must be in (0, 90) degrees, got {semi_angle_deg}")
+    """Lambertian order m = -ln(2) / ln(cos(semi_angle)) from the half-power
+    semi-angle, which the config holds in (0, 90) degrees."""
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
@@ -86,19 +85,10 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class PdPose:
-    """Receiver pose: position on the z = 0 plane, normal pointing straight up."""
+    """Receiver pose: position on the z = 0 plane, normal pointing straight up.
+    Built by `at` from a plan's grid coordinates, which the plan keeps finite."""
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError(f"PD position must be a 3-vector, got shape {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError(f"PD position must be finite, got {pos}")
-        if pos[2] != 0.0:
-            raise ValueError(f"PD must sit on the z = 0 plane, got z = {pos[2]}")
-        object.__setattr__(self, "position", pos)
+    position: np.ndarray
 
     @classmethod
     def at(cls, x: float, y: float) -> "PdPose":

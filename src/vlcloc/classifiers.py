@@ -3,7 +3,8 @@
 Every classifier maps an M-dim RSS vector (dB) to one of G grid labels and
 the grid point's coordinates. All three are deterministic functions of the
 training data, the hyperparameters and (for ELM / RF) an explicit seed.
-Tie rules are fixed so repeated runs agree bit for bit.
+Tie rules are fixed so repeated runs agree bit for bit. Queries are finite
+(n, M) FingerprintDB rows and KNN's k fits (ExperimentPlan.check_trainable).
 """
 
 from __future__ import annotations
@@ -33,18 +34,6 @@ class TrainSet:
         return self.grid_coords.shape[0]
 
 
-def _as_query_matrix(queries, m: int) -> np.ndarray:
-    """queries as a finite (n, m) float matrix."""
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2:
-        raise ValueError("queries must be an (n, M) matrix")
-    if q.shape[1] != m:
-        raise ValueError(f"queries have {q.shape[1]} features, training rows {m}")
-    if not np.isfinite(q).all():
-        raise ValueError("queries must be finite")
-    return q
-
-
 class _GridClassifier:
     """Shared prediction plumbing; subclasses label one block (_block_labels)."""
 
@@ -52,7 +41,7 @@ class _GridClassifier:
 
     def predict_labels(self, queries) -> np.ndarray:
         """(n,) labels, found block by block (_row_blocks)."""
-        q = _as_query_matrix(queries, self.train_set.features.shape[1])
+        q = np.asarray(queries, dtype=float)
         return np.concatenate([self._block_labels(b) for b in _row_blocks(q)])
 
     def predict_coords(self, queries) -> np.ndarray:
@@ -223,8 +212,6 @@ class KnnClassifier(_GridClassifier):
     """
 
     def __init__(self, train: TrainSet, k: int):
-        if k > train.features.shape[0]:
-            raise ValueError(f"k = {k} exceeds the {train.features.shape[0]} training rows")
         self.train_set = train
         self.k = k
         self._xt = train.features.T.copy()
@@ -232,7 +219,7 @@ class KnnClassifier(_GridClassifier):
 
     def predict_labels(self, queries) -> np.ndarray:
         xt = self._xt
-        q = _as_query_matrix(queries, xt.shape[0])
+        q = np.asarray(queries, dtype=float)
         if q.shape[0] == 0:
             return np.empty(0, dtype=int)
         tree, k, n = self.tree, self.k, xt.shape[1]
@@ -454,7 +441,7 @@ def _class_ids(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
-                  xlog2x: np.ndarray) -> tuple[float, float]:
+                  xlog2x: np.ndarray, step: np.ndarray) -> tuple[float, float]:
     """(information gain, threshold) of the best cut of one node's feature.
 
     Candidate thresholds are midpoints between consecutive distinct values
@@ -464,16 +451,17 @@ def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
     feature is constant over the node.
 
     vs holds the node's values in ascending order, ys their dense class ids
-    (see _class_ids) in the same order, totals the class counts, and xlog2x
-    the table c * log2(c) for c = 0 .. at least vs.size.
+    (see _class_ids) in the same order, totals the class counts, xlog2x the
+    table c * log2(c) for c = 0 .. at least vs.size, and step its
+    differences xlog2x[c + 1] - xlog2x[c] (np.diff, built once per forest).
 
     Every cut is screened in O(n): sample i, the k-th of its class in sorted
     order, moves that class's left count from k to k + 1 and its right count
-    from r - k to r - k - 1, so two cumsums of table steps give the left and
-    right sums of c log2 c at every cut. Cuts whose screened score lies within
-    a rounding-error bound of the best are then re-scored with the one-hot
-    formula on their exact class counts, so gain and threshold are the ones
-    the full one-hot scan over all cuts returns, bit for bit.
+    from r - k to r - k - 1, so one cumsum of the two table steps gives the
+    left plus right sum of c log2 c at every cut. Cuts whose screened score
+    lies within a rounding-error bound of the best are then re-scored with
+    the one-hot formula on their exact class counts, so gain and threshold
+    are the ones the full one-hot scan over all cuts returns, bit for bit.
     """
     n = vs.size
     cuts = np.flatnonzero(vs[1:] > vs[:-1])
@@ -483,27 +471,28 @@ def _split_sorted(vs: np.ndarray, ys: np.ndarray, totals: np.ndarray,
     by_class = np.argsort(ys, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[by_class] = np.arange(n) - (np.cumsum(totals) - totals)[ys[by_class]]
-    step = xlog2x[1 : n + 1] - xlog2x[:n]
-    d_left = step[rank]
-    d_right = -step[totals[ys] - rank - 1]
     sizes = cuts + 1
     # gain * n up to a constant: sum over both sides of c log2 c minus n_side log2 n_side
-    screen = (np.cumsum(d_left)[cuts] + np.cumsum(d_right)[cuts]
+    screen = (np.cumsum(step[rank] - step[totals[ys] - rank - 1])[cuts]
               - xlog2x[sizes] - xlog2x[n - sizes])
     # Rounding-error bound on screen and exact formula alike, in units of
-    # gain * n (Higham 2002, eqs. 3.4 and 4.4): gamma_n sum |d| for the two
-    # cumsums, and, as n log2 n bounds every sum of c log2 c over a partition
-    # of the node, gamma_C for the exact formula's sums over C classes plus
-    # gamma_64 for the table entries, the screen's additions and the exact
-    # formula's log2 / divide / multiply chain. A cut can beat the screened
-    # best only if its screen trails by less than twice that.
-    bound = (_gamma(n) * (np.abs(d_left).sum() + np.abs(d_right).sum())
-             + (_gamma(totals.size) + _gamma(64)) * xlog2x[n])
+    # gain * n (Higham 2002, eqs. 3.4 and 4.4): gamma_n sum |d| for the one
+    # cumsum, where every step d is >= 0 and each class's steps telescope to
+    # xlog2x[t_c] per side, so sum |d| <= 2 sum_c xlog2x[t_c] (1 + gamma_{C+1}
+    # for the steps' and the sum's own roundings); and, as n log2 n bounds
+    # every sum of c log2 c over a partition of the node, gamma_C for the
+    # exact formula's sums over C classes plus gamma_64 for the table entries,
+    # the screen's additions and the exact formula's log2 / divide / multiply
+    # chain. A cut can beat the screened best only if its screen trails by
+    # less than twice that.
+    c = totals.size
+    bound = (_gamma(n) * 2.0 * (1.0 + _gamma(c + 1)) * xlog2x[totals].sum()
+             + (_gamma(c) + _gamma(64)) * xlog2x[n])
     keep = cuts[screen >= screen.max() - _SCREEN_SAFETY * 2.0 * bound]
 
     # exact left class counts at the kept cuts, built between consecutive cuts
-    k, c = keep.size, totals.size
-    segment = np.searchsorted(keep, np.arange(keep[-1] + 1))
+    k = keep.size
+    segment = np.repeat(np.arange(k), np.diff(keep, prepend=-1))
     left = (np.bincount(segment * c + ys[: keep[-1] + 1], minlength=k * c)
             .reshape(k, c).cumsum(axis=0).astype(float))
     total = totals.astype(float)
@@ -563,6 +552,7 @@ class RandomForest(_GridClassifier):
         n, m = x.shape
         self._n_candidates = max(1, math.ceil(math.sqrt(m)))
         xlog2x = _xlog2x(np.arange(n + 1.0))
+        step = np.diff(xlog2x)
         cols = x.T.copy()
         presorted = np.argsort(cols, axis=1, kind="stable")
         slots = []  # one (feature, threshold, child, label) per node
@@ -570,14 +560,16 @@ class RandomForest(_GridClassifier):
         for _ in range(trees):
             copies = np.bincount(rng.integers(0, n, n), minlength=n)
             order = np.repeat(presorted, copies[presorted].ravel()).reshape(m, n)
-            roots.append(self._grow_tree(cols, y, order, rng, xlog2x, slots))
+            roots.append(self._grow_tree(cols, y, order, rng, xlog2x, step, slots))
         self.feature, self.threshold, self.child, self.label = map(np.array, zip(*slots))
         self.roots = np.array(roots)
 
     def _grow_tree(self, cols: np.ndarray, y: np.ndarray, order: np.ndarray,
-                   rng: np.random.Generator, xlog2x: np.ndarray, slots: list) -> int:
+                   rng: np.random.Generator, xlog2x: np.ndarray, step: np.ndarray,
+                   slots: list) -> int:
         """Grow one tree into slots from the training columns, labels and the
-        tree's (M, n) per-feature orders of bootstrap rows; returns its root.
+        tree's (M, n) per-feature orders of bootstrap rows, with _split_sorted's
+        tables; returns its root.
         Depth first and left before right: the order nodes draw candidates in."""
         m = cols.shape[0]
         root = len(slots)
@@ -592,7 +584,7 @@ class RandomForest(_GridClassifier):
                 lookup, totals = _class_ids(counts)
                 for f in rng.choice(m, self._n_candidates, replace=False):
                     rows = order[f]  # drawn order breaks equal-gain ties
-                    gain, thr = _split_sorted(cols[f][rows], lookup[y[rows]], totals, xlog2x)
+                    gain, thr = _split_sorted(cols[f][rows], lookup[y[rows]], totals, xlog2x, step)
                     if gain > best_gain:
                         best_gain, best_feat, best_thr = gain, int(f), thr
             if best_feat < 0:

@@ -15,6 +15,8 @@ from . import config as config_mod
 from . import experiment, spectral
 
 _CSV_CHUNK_ROWS = 4096  # results.csv rows formatted per write, so memory is fixed
+# the config key behind each stage ExperimentPlan.check_trainable names
+_TRAINABLE_KEYS = {"split": "spectral.blocks_per_grid", "train": "classifiers.knn.k"}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -92,17 +94,6 @@ def _write_weights_csv(table: experiment.ResultTable, path: str) -> None:
                              for g, row in zip(grids, rows.tolist())))
 
 
-def _check_trainable(plan: experiment.ExperimentPlan) -> None:
-    """The config errors evaluate would otherwise meet after the survey is read or made."""
-    try:
-        rows = plan.grid_q ** 2 * plan.split.counts(plan.blocks_per_grid)[0]
-    except ValueError as e:
-        raise config_mod.ConfigError(f"spectral.blocks_per_grid: {e}") from None
-    if plan.knn_k > rows:
-        raise config_mod.ConfigError(f"classifiers.knn.k: k = {plan.knn_k} exceeds the "
-                                     f"{rows} training rows")
-
-
 def cmd_evaluate(plan: experiment.ExperimentPlan, db_path: str | None,
                  out_dir: str) -> None:
     db = spectral.load_fingerprints(db_path) if db_path else None
@@ -139,10 +130,13 @@ def main(argv=None) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         plan = config_mod.plan_from_config(cfg)
-        if args.command == "evaluate":
-            _check_trainable(plan)
+        if args.command == "evaluate":  # before the DB is read or a survey made
+            plan.check_trainable()
     except (ValueError, TypeError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except experiment.ExperimentError as e:
+        print(f"config error: {_TRAINABLE_KEYS[e.stage]}: {e.reason}", file=sys.stderr)
         return 2
 
     try:

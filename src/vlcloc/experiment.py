@@ -54,7 +54,7 @@ class ExperimentError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+        self.stage, self.reason = stage, message
 
 
 @contextmanager
@@ -87,13 +87,11 @@ class SplitRatios:
 
     def counts(self, q: int) -> tuple[int, int, int]:
         # floor, except that q * frac within 1e-9 below a whole number is that
-        # number: 100 * 0.29 is 28.999999999999996
+        # number: 100 * 0.29 is 28.999999999999996; a part may be empty
+        # (ExperimentPlan.check_trainable rejects such a Q)
         n_train = int(q * self.train + 1e-9)
         n_offline = int(q * self.offline + 1e-9)
-        n_online = q - n_train - n_offline
-        if min(n_train, n_offline, n_online) < 1:
-            raise ValueError(f"Q = {q} is too small for split {self}")
-        return n_train, n_offline, n_online
+        return n_train, n_offline, q - n_train - n_offline
 
 
 @dataclass(frozen=True)
@@ -140,6 +138,17 @@ class ExperimentPlan:
         object.__setattr__(
             self, "leds", tuple(sorted(self.leds, key=lambda led: led.frequency))
         )
+
+    def check_trainable(self) -> None:
+        """The ExperimentError a run would meet after its survey: Q cannot be
+        split ([split]) or knn_k exceeds the training rows ([train])."""
+        counts = self.split.counts(self.blocks_per_grid)
+        if min(counts) < 1:
+            raise ExperimentError("split", f"Q = {self.blocks_per_grid} is too small for split "
+                                  f"{self.split}")
+        rows = self.grid_q ** 2 * counts[0]
+        if self.knn_k > rows:
+            raise ExperimentError("train", f"k = {self.knn_k} exceeds the {rows} training rows")
 
     @property
     def grid_coords(self) -> np.ndarray:
@@ -248,10 +257,12 @@ def run_experiment(plan: ExperimentPlan,
 
     When db is given it replaces the synthesized site survey (it must match
     the plan geometry); otherwise the run synthesizes its own. Truths and
-    estimates alike take their coordinates from plan.grid_coords.
+    estimates alike take their coordinates from plan.grid_coords. Both
+    checks, check_trainable and the DB's, come before any survey or training.
     """
     coords = plan.grid_coords
 
+    plan.check_trainable()
     if db is not None:
         _check_db_matches(plan, db)
     with _stage("synthesize"):
@@ -311,6 +322,13 @@ def _check_db_matches(plan: ExperimentPlan, db: spectral.FingerprintDB):
         raise ExperimentError("synthesize", "fingerprint DB FFT length does not match plan")
     if abs(db.sample_rate - plan.channel.sample_rate) > 1e-6:
         raise ExperimentError("synthesize", "fingerprint DB sample rate does not match plan")
+    # every run scores RSSR, whose 10^(dB/20) needs |dB| < DB_LIMIT, as a survey's are
+    outside = np.argwhere(np.abs(db.rss) >= baselines.DB_LIMIT)
+    if outside.size:
+        g, q, m = outside[0]
+        raise ExperimentError("synthesize", f"fingerprint DB RSS of grid {g}, block {q}, tone "
+                              f"{m} is {db.rss[g, q, m]:g} dB, outside RSSR's "
+                              f"+-{baselines.DB_LIMIT:g} dB")
 
 
 def rss_vs_fft_len(plan: ExperimentPlan):

@@ -93,14 +93,15 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
 
     Each stream of T samples is cut into Q = floor(T / N) non-overlapping
     N-blocks; every block yields its periodogram at the tones' window bins
-    and one RSS vector (the window maxima, in dB). All
-    streams must supply the same Q. streams may be any iterable (including
-    a generator, so that one site-survey recording at a time is in memory:
-    the loop frees each before it asks for the next).
+    and one RSS vector (the window maxima, in dB). streams may be any
+    iterable (including a generator, so that one site-survey recording at a
+    time is in memory: the loop frees each before it asks for the next).
     With noise_std > 0 the g-th stream's tone-bin DFT gets the white noise
     of that per-sample std, drawn from a Generator on the g-th of the
-    iterable seeds, which must hold one seed per stream. Not checked, as
-    the plan guarantees them: fft_len >= 2, noise_std >= 0, tones <= Nyquist.
+    iterable seeds. Not checked, as the plan and its survey
+    (experiment._survey) guarantee them: one stream and one seed per grid
+    point, the same Q >= 1 blocks in every stream, fft_len >= 2,
+    noise_std >= 0 and tones <= Nyquist.
 
     The tone-bin DFT is one BLAS product per stream, so its last bits follow
     the BLAS thread count: at the benchmark's seed 1729, 2 OpenBLAS threads
@@ -122,21 +123,13 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
     rss, g = None, 0
     seeds = iter(seeds)
     for stream in streams:
-        if g == grid.shape[0]:
-            raise ValueError(f"got more than {g} streams for {g} grid points")
         y = np.asarray(stream, dtype=float)
         q = y.size // fft_len
-        if q < 1:
-            raise ValueError(f"stream {g} has {y.size} samples, fewer than one {fft_len}-block")
         if rss is None:
             rss = np.empty((grid.shape[0], q, tones.size))
-        elif q != rss.shape[1]:
-            raise ValueError(f"stream {g} yields {q} blocks, expected {rss.shape[1]}")
         dft = y[: q * fft_len].reshape(q, fft_len) @ twiddle
         if noise_std > 0.0:
-            if (seed := next(seeds, None)) is None:
-                raise ValueError(f"no seed for stream {g}: noise_std > 0 needs one per stream")
-            dft += np.random.default_rng(seed).standard_normal(dft.shape) * noise_scale
+            dft += np.random.default_rng(next(seeds)).standard_normal(dft.shape) * noise_scale
         power = (dft[:, : bins.size] ** 2 + dft[:, bins.size :] ** 2) / fft_len
         rss[g] = to_db(power[:, window.reshape(windows.shape)].max(axis=2))
         g += 1
@@ -144,8 +137,6 @@ def build_fingerprints(streams, grid_coords, fft_len: int, tones, sample_rate: f
         # from enumerate would keep it alive in the reused result tuple)
         del stream, y
 
-    if g != grid.shape[0]:
-        raise ValueError(f"got {g} streams for {grid.shape[0]} grid points")
     db = FingerprintDB(grid, rss, tones, fft_len, sample_rate)
     for f, nominal, on_bin in db.tone_alignment():
         if not on_bin:

@@ -73,8 +73,9 @@ def presorted_stump_split(values, labels) -> tuple[float, float]:
     labels = np.asarray(labels)
     order = np.argsort(values, kind="stable")
     lookup, totals = classifiers._class_ids(np.bincount(labels))
+    xlog2x = classifiers._xlog2x(np.arange(values.size + 1.0))
     return classifiers._split_sorted(values[order], lookup[labels[order]], totals,
-                                     classifiers._xlog2x(np.arange(values.size + 1.0)))
+                                     xlog2x, np.diff(xlog2x))
 
 
 def tree_labels(forest, queries) -> np.ndarray:

@@ -9,7 +9,9 @@ The count is the sum of
   private classes included.
 
 A name is public when it does not start with an underscore. The script
-prints the total, then the two parts.
+prints the total, then the two parts, and on a second line the number of
+`raise` statements that raise an exception (a bare `raise`, which re-raises
+the one being handled, checks nothing and is not counted).
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def count_source(source: str) -> tuple[int, int]:
     return fields, params
 
 
+def count_raises(source: str) -> int:
+    """`raise X` statements of one module's source; a bare `raise` is not one."""
+    return sum(isinstance(node, ast.Raise) and node.exc is not None
+               for node in ast.walk(ast.parse(source)))
+
+
 def count_package(root) -> tuple[int, int]:
     """(dataclass fields, parameters) summed over every .py file under root."""
     fields = params = 0
@@ -71,12 +79,18 @@ def count_package(root) -> tuple[int, int]:
     return fields, params
 
 
+def package_raises(root) -> int:
+    """`raise X` statements summed over every .py file under root."""
+    return sum(count_raises(path.read_text()) for path in pathlib.Path(root).rglob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/settable_values.py PACKAGE_DIR", file=sys.stderr)
         return 2
     fields, params = count_package(argv[0])
     print(f"{fields + params} settable values ({fields} dataclass fields, {params} parameters)")
+    print(f"{package_raises(argv[0])} raise statements")
     return 0
 
 

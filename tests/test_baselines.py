@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rssr_reference
-from vlcloc import config
+from vlcloc import config, experiment
 from vlcloc.baselines import SCAN_MARGIN, RssrSolver
 from vlcloc.channel import LedConfig
+from vlcloc.spectral import FingerprintDB
 
 BENCH_PLAN = config.plan_from_config(config.benchmark_config())
 BENCH_SOLVER = RssrSolver(BENCH_PLAN.leds, BENCH_PLAN.channel, BENCH_PLAN.grid_coords)
@@ -136,8 +137,37 @@ def test_noise_free_equal_gain_queries_are_located_exactly():
     [7000.0, 0.0, 0.0, 0.0],     # a power that overflows
 ])
 def test_locate_rejects_bad_queries(query):
-    with pytest.raises(ValueError):
-        BENCH_SOLVER.locate(query)
+    """A fingerprint row reaches locate only as a row of a FingerprintDB that
+    run_experiment has matched to its plan: the DB rejects a row of another
+    shape and a non-finite level, and the match a level outside RSSR's
+    +-DB_LIMIT dB, before any training."""
+    plan = dataclasses.replace(BENCH_PLAN, grid_q=3, blocks_per_grid=20, knn_k=5)
+    row = np.asarray(query, dtype=float)
+    if row.shape != (4,):
+        message = "rss must have shape"
+    elif not np.isfinite(row).all():
+        message = "RSS of grid 0, block 0, tone"
+    else:
+        tone = np.flatnonzero(np.abs(row) >= 6000.0)[0]
+        message = (f"fingerprint DB RSS of grid 0, block 0, tone {tone} is {row[tone]:g} dB, "
+                   "outside RSSR's \\+-6000 dB")
+    with pytest.raises((ValueError, experiment.ExperimentError), match=message):
+        db = FingerprintDB(plan.grid_coords, np.broadcast_to(row, (9, 20, *row.shape)),
+                           plan.tones, plan.fft_len, plan.channel.sample_rate)
+        experiment.run_experiment(plan, db)
+
+
+# the RssrSolver check that rejected each case's input -> the message of the
+# entry that rejects it now: the LEDs, channel and grid are the plan's
+NOW_REJECTED_BY = {
+    "at least 3 LED positions": "rssr needs at least 3 LEDs",
+    "distinct": "LED positions must be distinct",
+    "lambertian_order": "lambertian_order must be positive and finite",
+    "non-empty rectangle": "grid needs q >= 2 and a positive spacing",
+    "finite, non-empty rectangle": "grid needs q >= 2 and a positive spacing",
+    "finite": "LED position must be finite",
+    "3-vector": "LED position must be a 3-vector",
+}
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -146,28 +176,28 @@ def test_locate_rejects_bad_queries(query):
     ({"led_positions": np.vstack([LEDS, LEDS[:1]])}, "distinct"),
     ({"lambertian_order": 0.0}, "lambertian_order"),
     ({"lambertian_order": math.nan}, "lambertian_order"),
-    ({"grid_coords": np.vstack([GRID, [math.nan, 0.0]])}, "non-empty rectangle"),
-    ({"grid_coords": GRID[:0]}, "non-empty rectangle"),
-    ({"grid_coords": GRID.T}, "non-empty rectangle"),
-    ({"grid_coords": np.vstack([GRID, [0.0, math.nan]])}, "non-empty rectangle"),
+    ({"grid_spacing": math.nan}, "non-empty rectangle"),
+    ({"grid_q": 0}, "non-empty rectangle"),
+    ({"grid_q": 1}, "non-empty rectangle"),
+    ({"grid_spacing": 1e308}, "non-empty rectangle"),  # its extent overflows
     ({"led_positions": np.vstack([[math.nan, 0.0, 1.5], LEDS[1:]])}, "finite"),
     ({"lambertian_order": math.inf}, "lambertian_order"),
-    ({"grid_coords": np.vstack([GRID, [math.inf, 0.0]])}, "finite, non-empty rectangle"),
-    ({"grid_coords": np.vstack([GRID, [0.0, -math.inf]])}, "finite, non-empty rectangle"),
+    ({"grid_spacing": math.inf}, "finite, non-empty rectangle"),
+    ({"grid_spacing": -math.inf}, "finite, non-empty rectangle"),
     ({"led_positions": LEDS[:, :2]}, "3-vector"),
-    ({"grid_coords": GRID[:, 0]}, "non-empty rectangle"),
+    ({"grid_spacing": 0.0}, "non-empty rectangle"),
 ])
 def test_rssr_config_rejects_each_bad_field(kwargs, message):
     """The RSSR configuration is the plan's LEDs, channel and grid that
-    RssrSolver is built from. A non-finite or wrongly shaped LED position
-    and a Lambertian order of 0, NaN or inf are rejected by LedConfig and
-    ChannelParams before a solver sees them; the solver rejects too few LEDs
-    and a bad grid, and the plan that holds the LEDs two at one position."""
-    fields = {"led_positions": LEDS, "lambertian_order": ORDER, "grid_coords": GRID,
-              **kwargs}
-    with pytest.raises(ValueError, match=message):
-        leds = [LedConfig(pos, 8e5 + 1e4 * k) for k, pos in enumerate(fields["led_positions"])]
+    RssrSolver is built from: LedConfig rejects a non-finite or wrongly
+    shaped LED position, ChannelParams a Lambertian order of 0, NaN or inf,
+    and ExperimentPlan too few LEDs, two at one position and a grid without
+    a positive, finite extent (message names the solver check each case once
+    met; NOW_REJECTED_BY maps it to the entry's)."""
+    fields = {"led_positions": LEDS, "lambertian_order": ORDER, **kwargs}
+    with pytest.raises(ValueError, match=NOW_REJECTED_BY[message]):
+        leds = tuple(LedConfig(pos, 8e5 + 1e4 * k)
+                     for k, pos in enumerate(fields.pop("led_positions")))
         channel = dataclasses.replace(BENCH_PLAN.channel,
-                                      lambertian_order=fields["lambertian_order"])
-        RssrSolver(leds, channel, fields["grid_coords"])
-        dataclasses.replace(BENCH_PLAN, leds=tuple(leds), channel=channel)
+                                      lambertian_order=fields.pop("lambertian_order"))
+        dataclasses.replace(BENCH_PLAN, leds=leds, channel=channel, **fields)

@@ -35,8 +35,12 @@ class TestLambertianOrder:
 
     @pytest.mark.parametrize("angle", [0.0, -5.0, 90.0, 120.0])
     def test_out_of_range_angle_rejected(self, angle):
-        with pytest.raises(ValueError):
-            lambertian_order_from_semiangle(angle)
+        # the semi-angle enters only as channel.semi_angle_deg
+        cfg = config.benchmark_config()
+        cfg["channel"]["semi_angle_deg"] = angle
+        with pytest.raises(config.ConfigError,
+                           match=f"channel.semi_angle_deg: must be in \\(0, 90\\), got {angle}"):
+            config.plan_from_config(cfg)
 
 
 class TestDistance:
@@ -270,10 +274,6 @@ class TestValidation:
     def test_led_gain_nonnegative(self):
         with pytest.raises(ValueError):
             LedConfig(position=[0.0, 0.0, 1.0], frequency=1e3, gain=-1.0)
-
-    def test_pd_off_plane_rejected(self):
-        with pytest.raises(ValueError):
-            PdPose(np.array([0.0, 0.0, 0.1]))
 
     def test_channel_params_validation(self):
         with pytest.raises(ValueError):

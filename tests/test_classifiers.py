@@ -86,13 +86,15 @@ class TestKnn:
         assert KnnClassifier(train, k=1).predict_labels([[0.0]])[0] == 2
 
     def test_k_validation(self):
-        # k >= 1 is the plan's to check; k above the training rows, KNN's own
+        # the plan checks k >= 1, and check_trainable k above the training rows
         plan = config.plan_from_config(config.benchmark_config())
         with pytest.raises(ValueError, match="knn_k must be at least 1, got 0"):
             dataclasses.replace(plan, knn_k=0)
-        train = random_train_set(np.random.default_rng(2), n=10)
-        with pytest.raises(ValueError, match="k = 11 exceeds the 10 training rows"):
-            KnnClassifier(train, k=11)
+        small = dataclasses.replace(plan, grid_q=3, blocks_per_grid=20, knn_k=109)
+        with pytest.raises(experiment.ExperimentError,
+                           match=r"\[train\] k = 109 exceeds the 108 training rows"):
+            small.check_trainable()
+        dataclasses.replace(small, knn_k=108).check_trainable()
 
     def test_noiseless_identifiability(self):
         # distinct per-grid vectors repeated Q times: training queries are exact
@@ -269,11 +271,11 @@ class TestKnnAgainstDenseReference:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_or_misshaped_queries(self, bad):
-        clf = KnnClassifier(random_train_set(np.random.default_rng(12), m=3), k=3)
-        with pytest.raises(ValueError, match="finite"):
-            clf.predict_labels([[0.0, bad, 0.0]])
-        with pytest.raises(ValueError, match="features"):
-            clf.predict_labels([[0.0, 0.0]])
+        # queries are FingerprintDB rows: the DB rejects both
+        with pytest.raises(ValueError, match=f"RSS of grid 0, block 0, tone 1 is {bad}"):
+            FingerprintDB([[0.0, 0.0]], [[[0.0, bad, 0.0]]], [1e5, 2e5, 3e5], 2000, 4e6)
+        with pytest.raises(ValueError, match="rss must have shape"):
+            FingerprintDB([[0.0, 0.0]], [[[0.0, 0.0]]], [1e5, 2e5, 3e5], 2000, 4e6)
 
 
 @st.composite
@@ -508,6 +510,21 @@ class TestElmSolve:
         np.testing.assert_array_equal(clf.output_weights,
                                       elm_reference.output_weights(train, 600, 5))
 
+    def test_a_correction_of_a_few_percent_falls_back_to_lstsq(self, monkeypatch):
+        # with one correction pass, this fit's last correction is ~2.7e-2 of
+        # |B|, between _REFINE_TOL = 1e-2 and 1e-1 (as on the localize split,
+        # 1.1-2.9e-2): lstsq must take over, where a tolerance of 1e-1 would
+        # keep the Cholesky weights
+        train = random_train_set(np.random.default_rng(0), n=700, m=4, g=9)
+        monkeypatch.setattr(classifiers, "_REFINE_STEPS", 1)
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        ElmClassifier(train, 600, seed=2)
+        assert calls == [1]
+        monkeypatch.setattr(classifiers, "_REFINE_TOL", 1e-1)
+        ElmClassifier(train, 600, seed=2)
+        assert calls == [1]
+
     @pytest.mark.parametrize("case", ["fewer-rows", "duplicated-rows", "near-duplicates"])
     def test_rank_deficient_fits_give_the_oracle_weights_bit_for_bit(self, case):
         rng = np.random.default_rng(24)
@@ -695,19 +712,32 @@ class TestCommonInvariants:
             assert labels.min() >= 0 and labels.max() < 6
             np.testing.assert_array_equal(clf.predict_coords(queries), train.grid_coords[labels])
 
-    @pytest.mark.parametrize("queries, message", [
-        ([[0.0] * 5], "queries have 5 features, training rows 3"),
-        ([[0.0] * 2], "queries have 2 features, training rows 3"),
-        ([[0.0] * 3, [np.nan] * 3], "queries must be finite"),
-        ([[0.0, np.inf, 0.0]], "queries must be finite"),
-        ([0.0] * 3, "queries must be an"),
-        ([[[0.0] * 3]], "queries must be an"),
+    # (the plan's (G, Q, M) zero RSS and M tones -> the DB's, message)
+    @pytest.mark.parametrize("alter, message", [
+        (lambda rss, tones: (np.concatenate([rss, rss[..., :1]], axis=2), [*tones, 1e6]),
+         "tones do not match plan LEDs"),
+        (lambda rss, tones: (rss[..., :2], tones[:2]), "tones do not match plan LEDs"),
+        (lambda rss, tones: (np.where(np.arange(20)[:, None] == 3, np.nan, rss), tones),
+         "RSS of grid 0, block 3, tone 0 is nan"),
+        (lambda rss, tones: (np.where(np.arange(4) == 1, np.inf, rss), tones),
+         "RSS of grid 0, block 0, tone 1 is inf"),
+        (lambda rss, tones: (rss[:, 0], tones), "rss must have shape"),
+        (lambda rss, tones: (rss[np.newaxis], tones), "rss must have shape"),
     ], ids=["wider", "narrower", "nan-row", "inf-row", "1d", "3d"])
-    @each_classifier
-    def test_malformed_queries_are_rejected(self, build, queries, message):
-        clf = build(random_train_set(np.random.default_rng(12), m=3))
-        with pytest.raises(ValueError, match=message):
-            clf.predict_labels(queries)
+    @pytest.mark.parametrize("cls", [KnnClassifier, ElmClassifier, RandomForest],
+                             ids=["knn", "elm", "rf"])
+    def test_malformed_queries_are_rejected(self, monkeypatch, cls, alter, message):
+        """Queries are rows of a FingerprintDB that run_experiment matched to
+        its plan: a malformed one fails there, before any classifier is built."""
+        def trained(*args):
+            raise AssertionError(f"{cls.__name__} was trained")
+        monkeypatch.setattr(cls, "__init__", trained)
+        plan = dataclasses.replace(config.plan_from_config(config.benchmark_config()),
+                                   grid_q=3, blocks_per_grid=20, knn_k=5)
+        rss, tones = alter(np.zeros((9, 20, 4)), list(plan.tones))
+        with pytest.raises((ValueError, experiment.ExperimentError), match=message):
+            experiment.run_experiment(plan, FingerprintDB(
+                plan.grid_coords, rss, tones, plan.fft_len, plan.channel.sample_rate))
 
     @each_classifier
     def test_an_empty_query_matrix_has_no_labels(self, build):

@@ -261,6 +261,41 @@ def test_evaluate_rejects_a_plan_it_cannot_split_or_train_before_any_work(
         assert not os.path.exists(out / "results.csv")
 
 
+@pytest.mark.parametrize("change", [{"knn_k": 500}, {"blocks_per_grid": 2}],
+                         ids=["knn_k", "blocks_per_grid"])
+def test_run_experiment_rejects_a_plan_it_cannot_split_or_train_before_the_survey(
+        monkeypatch, change):
+    def no_survey(*args):
+        raise AssertionError("run_experiment synthesized a survey")
+    monkeypatch.setattr(experiment, "synthesize_fingerprint_db", no_survey)
+    plan = dataclasses.replace(config.plan_from_config(tiny_config()), **change)
+    stage, message = (("train", "k = 500 exceeds the 108 training rows") if "knn_k" in change
+                      else ("split", "Q = 2 is too small for split"))
+    with pytest.raises(experiment.ExperimentError, match=rf"\[{stage}\] {message}") as err:
+        experiment.run_experiment(plan)
+    assert err.value.stage == stage
+
+
+@pytest.mark.parametrize("level", [7000.0, -10000.0])
+def test_evaluate_rejects_a_db_level_outside_rssr_s_domain_before_training(
+        tmp_path, capsys, monkeypatch, level):
+    cfg_path, db_path = simulate(tmp_path, tiny_config())
+    db = spectral.load_fingerprints(db_path)
+    rss = db.rss.copy()
+    rss[4, 7, 2] = level
+    spectral.save_fingerprints(dataclasses.replace(db, rss=rss), db_path)
+
+    def no_training(*args):
+        raise AssertionError("evaluate trained a classifier")
+    monkeypatch.setattr(experiment, "_build_classifiers", no_training)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", cfg_path, "--db", db_path, "--out", str(out)]) == 3
+    assert (f"error: [synthesize] fingerprint DB RSS of grid 4, block 7, tone 2 is {level:g} dB, "
+            "outside RSSR's +-6000 dB") in capsys.readouterr().err
+    assert not os.path.exists(out / "results.csv")
+
+
 def test_db_with_another_block_count_is_a_synthesize_error(tmp_path, capsys):
     cfg = tiny_config()
     cfg["spectral"]["blocks_per_grid"] = 10
@@ -572,9 +607,11 @@ BAD_FIELDS = {
                            ("grid_spacing", INF), ("grid_spacing", 1e308),
                            # an integer below its least value
                            ("fft_len", 1), ("seed", -1)]},
-    "PdPose.x": lambda: PdPose.at(NAN, 0.0),
-    "PdPose.y": lambda: PdPose.at(0.0, math.inf),
-    "PdPose.position": lambda: PdPose(np.zeros(2)),
+    # a PD's x and y are plan.grid_coords, which the plan keeps finite
+    "PdPose.x": lambda: dataclasses.replace(
+        config.plan_from_config(tiny_config()), grid_spacing=NAN),
+    "PdPose.y": lambda: dataclasses.replace(
+        config.plan_from_config(tiny_config()), grid_spacing=INF),
 }
 
 

@@ -75,10 +75,12 @@ class TestPeriodogram:
         assert db.tone_alignment() == [(4e4, 1, True), (1e5, 2, False)]
 
     def test_too_short_rejected(self):
+        # the DB, and before it the plan, reject a 1-sample FFT
         with pytest.raises(ValueError, match="fft_len must be at least 2"):
             build_fingerprints([np.ones(4)], [[0, 0]], 1, [1e3], 4e6)
-        with pytest.raises(ValueError, match="fewer than one"):
-            build_fingerprints([[]], [[0, 0]], 2, [1e3], 4e6)
+        plan = config.plan_from_config(config.benchmark_config())
+        with pytest.raises(ValueError, match="fft_len >= 2 and blocks_per_grid >= 1 required"):
+            dataclasses.replace(plan, fft_len=1)
 
 
 class TestExtractRss:
@@ -220,22 +222,37 @@ class TestBuildFingerprints:
             # floating rounding rather than bit-exact
             np.testing.assert_allclose(db.rss[0, q], db.rss[0, 0], rtol=1e-12)
 
+    # build_fingerprints' streams come only from the plan's survey
+    # (experiment._survey): one per grid point, each of blocks_per_grid
+    # blocks. Streams of another length or count enter only as a DB file.
+
     def test_stream_shorter_than_block_rejected(self):
-        with pytest.raises(ValueError, match="fewer than one"):
-            build_fingerprints([np.zeros(100)], [[0, 0]], 400, self.tones, self.rate)
+        plan = config.plan_from_config(config.benchmark_config())
+        with pytest.raises(ValueError, match="fft_len >= 2 and blocks_per_grid >= 1 required"):
+            dataclasses.replace(plan, blocks_per_grid=0)
 
-    def test_mismatched_block_counts_rejected(self):
-        s1 = synth_tone_stream(2, 400, self.rate, self.tones, [1e-3, 1e-3])
-        s2 = synth_tone_stream(3, 400, self.rate, self.tones, [1e-3, 1e-3])
-        with pytest.raises(ValueError, match="blocks"):
-            build_fingerprints([s1, s2], [[0, 0], [1, 0]], 400, self.tones, self.rate)
+    def test_mismatched_block_counts_rejected(self, tmp_path):
+        path = tmp_path / "db.txt"
+        save_fingerprints(FingerprintDB([[0, 0], [1, 0]], np.zeros((2, 3, 2)), self.tones,
+                                        400, self.rate), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")  # grid point 1 holds 2 blocks
+        with pytest.raises(ValueError, match="db.txt: expected 10 lines, found 9"):
+            load_fingerprints(path)
 
-    def test_stream_count_mismatch_rejected(self):
-        s = synth_tone_stream(1, 400, self.rate, self.tones, [1e-3, 1e-3])
-        with pytest.raises(ValueError, match="got 1 streams for 2 grid points"):
-            build_fingerprints([s], [[0, 0], [1, 0]], 400, self.tones, self.rate)
-        with pytest.raises(ValueError, match="got more than 1 streams for 1 grid points"):
-            build_fingerprints([s, s], [[0, 0]], 400, self.tones, self.rate)
+    def test_stream_count_mismatch_rejected(self, tmp_path):
+        # a header that counts 2 grid points over the lines of 1, then 1 over 2
+        path = tmp_path / "db.txt"
+        for header_g, found in [(2, 5), (1, 8)]:
+            points = 3 - header_g
+            save_fingerprints(FingerprintDB([[0, 0]] * points, np.zeros((points, 2, 2)),
+                                            self.tones, 400, self.rate), path)
+            lines = path.read_text().splitlines()
+            lines[0] = f"{header_g}" + lines[0][1:]
+            path.write_text("\n".join(lines) + "\n")
+            expected = 2 + 3 * header_g
+            with pytest.raises(ValueError, match=f"expected {expected} lines, found {found}"):
+                load_fingerprints(path)
 
     def test_a_generator_survey_holds_one_stream_at_a_time(self):
         # each recording must be freed before the generator makes the next
@@ -491,9 +508,3 @@ class TestNoiseAtToneBins:
         # ChannelParams checks
         with pytest.raises(ValueError, match="noise_std must be non-negative and finite"):
             ChannelParams(1.0, 1e-4, noise, self.rate)
-
-    @pytest.mark.parametrize("seeds, short_at", [([], 0), ([1], 1), (iter([1]), 1)])
-    def test_fewer_seeds_than_streams_rejected(self, seeds, short_at):
-        with pytest.raises(ValueError, match=f"no seed for stream {short_at}: noise_std > 0 "
-                                             "needs one per stream"):
-            self.build([self.stream(), self.stream()], 1e-3, seeds)
